@@ -22,7 +22,12 @@ from evit.analysis import cost_report, measure_macs
 from evit.backbone import VARIANTS, build
 
 
-def main() -> int:
+def _deviation(dev: float | None) -> str:
+    """Signed percentage; references exist only at 224x224, elsewhere "n/a"."""
+    return "n/a" if dev is None else f"{dev:+.2%}"
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--input", type=int, default=224, help="input resolution")
     ap.add_argument(
@@ -33,7 +38,7 @@ def main() -> int:
         "--verify", action="store_true",
         help="also run an instrumented forward pass per variant",
     )
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     summary = []
     for name, spec in VARIANTS.items():
@@ -41,7 +46,7 @@ def main() -> int:
         print(report.render(detail=args.detail))
         if args.verify:
             graph = build(spec, seed=0, input_size=args.input)
-            counted = measure_macs(graph, input_size=args.input)
+            counted = measure_macs(graph, input_size=args.input).total
             match = "OK" if counted == report.total_macs_inclusive else "MISMATCH"
             print(
                 f"instrumented forward: {counted:,} MACs vs analytic inclusive "
@@ -55,7 +60,7 @@ def main() -> int:
 
     print(f"{'variant':<8}{'params':>14}{'dev':>9}{'flops (dense)':>18}{'dev':>9}")
     for name, params, pdev, flops, fdev in summary:
-        print(f"{name:<8}{params:>14,}{pdev:>+9.2%}{flops:>18,}{fdev:>+9.2%}")
+        print(f"{name:<8}{params:>14,}{_deviation(pdev):>9}{flops:>18,}{_deviation(fdev):>9}")
     return 0
 
 

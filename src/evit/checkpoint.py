@@ -20,7 +20,6 @@ exact. Layout:
 from __future__ import annotations
 
 import os
-from typing import Iterable
 
 import numpy as np
 
@@ -177,7 +176,3 @@ def checkpoint_equal(path_a: str | os.PathLike, path_b: str | os.PathLike) -> bo
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
         return fa.read() == fb.read()
 
-
-def iter_tensor_names(path: str | os.PathLike) -> Iterable[str]:
-    for name, _, _ in read_manifest(path)["table"]:
-        yield name

@@ -6,9 +6,11 @@ closure on the result, so a scalar loss can replay adjoints in reverse
 topological order with ``Tensor.backward()``. Only leaves created with
 ``requires_grad=True`` receive a ``.grad`` array.
 
-The kernel is written for clarity and trust, not throughput: convolutions go
-through strided window views plus ``einsum``, and everything stays float64 so
-finite-difference checks have headroom.
+The kernel is written for clarity and trust first: dense convolutions go
+through strided window views plus ``einsum``, depthwise convolution is a
+per-tap accumulation of strided slices, and everything stays float64 so
+finite-difference checks have headroom. Convolution closures keep their input
+tensor, not a padded copy, and re-pad it in ``backward``.
 """
 
 from __future__ import annotations
@@ -438,6 +440,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _pad(x: Array, padding: int) -> Array:
+    """Zero-pad the two spatial axes; ``np.pad`` copies even at zero padding."""
+    if padding == 0:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
 def _conv_windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
     n, c, hp, wp = padded.shape
     ho = (hp - kh) // stride + 1
@@ -446,6 +455,11 @@ def _conv_windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
     shape = (n, c, ho, wo, kh, kw)
     strides = (sn, sc, sh * stride, sw * stride, sh, sw)
     return np.lib.stride_tricks.as_strided(padded, shape, strides, writeable=False)
+
+
+def _tap(padded: Array, i: int, j: int, ho: int, wo: int, stride: int) -> Array:
+    """The ``(N,C,ho,wo)`` view of ``padded`` that kernel tap ``(i, j)`` reads."""
+    return padded[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride]
 
 
 def _check_conv_args(x: Tensor, w: Tensor, stride: int, padding: int) -> None:
@@ -467,9 +481,7 @@ def _scatter_into_padded(
     ho, wo = g_out.shape[2], g_out.shape[3]
     for i in range(kh):
         for j in range(kw):
-            g_padded[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += contrib(
-                i, j
-            )
+            _tap(g_padded, i, j, ho, wo, stride)[...] += contrib(i, j)
 
 
 def _unpad(g_padded: Array, padding: int) -> Array:
@@ -490,13 +502,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             f"conv2d channel mismatch: input {x.shape} vs weight {weight.shape}"
         )
     kh, kw = weight.data.shape[2], weight.data.shape[3]
-    padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = _conv_windows(padded, kh, kw, stride)
+    windows = _conv_windows(_pad(x.data, padding), kh, kw, stride)
     data = np.einsum("nchwkl,ockl->nohw", windows, weight.data, optimize=True)
     n, o, ho, wo = data.shape
     _record_macs("conv2d", n * o * x.data.shape[1] * kh * kw * ho * wo)
 
     def backward(g: Array):
+        padded = _pad(x.data, padding)
+        windows = _conv_windows(padded, kh, kw, stride)
         gw = np.einsum("nchwkl,nohw->ockl", windows, g, optimize=True)
         gp = np.zeros_like(padded)
         _scatter_into_padded(
@@ -513,26 +526,38 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
 
 def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Depthwise 2-d cross-correlation. ``weight (C,1,kh,kw)``, one filter per channel."""
+    """Depthwise 2-d cross-correlation. ``weight (C,1,kh,kw)``, one filter per channel.
+
+    Computed as a sum over the ``kh*kw`` taps: each tap adds one strided slice
+    of the padded input, scaled by that tap's per-channel weight.
+    """
     _check_conv_args(x, weight, stride, padding)
     if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[1]:
         raise ShapeError(
             f"dwconv2d weight must be (C,1,kh,kw) with C={x.data.shape[1]}, got {weight.shape}"
         )
+    n, c, h, w = x.data.shape
     kh, kw = weight.data.shape[2], weight.data.shape[3]
-    padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = _conv_windows(padded, kh, kw, stride)
-    data = np.einsum("nchwkl,ckl->nchw", windows, weight.data[:, 0], optimize=True)
-    n, c, ho, wo = data.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    padded = _pad(x.data, padding)
+    data = np.zeros((n, c, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            data += _tap(padded, i, j, ho, wo, stride) * weight.data[:, 0, i, j, None, None]
     _record_macs("dwconv2d", n * c * kh * kw * ho * wo)
 
     def backward(g: Array):
-        gw = np.einsum("nchwkl,nchw->ckl", windows, g, optimize=True)[:, None]
+        padded = _pad(x.data, padding)
+        gw = np.empty_like(weight.data)
+        for i in range(kh):
+            for j in range(kw):
+                gw[:, 0, i, j] = np.einsum("nchw,nchw->c", _tap(padded, i, j, ho, wo, stride), g)
         gp = np.zeros_like(padded)
         _scatter_into_padded(
             gp,
             g,
-            lambda i, j: g * weight.data[None, :, 0, i, j, None, None],
+            lambda i, j: g * weight.data[:, 0, i, j, None, None],
             kh,
             kw,
             stride,
@@ -551,7 +576,8 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form."""
-    inner = _GELU_C * (x.data + 0.044715 * x.data**3)
+    # x * x * x, not x**3: numpy's pow has no fast path for a cube
+    inner = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
     tanh = np.tanh(inner)
     data = 0.5 * x.data * (1.0 + tanh)
 

@@ -1,5 +1,8 @@
 """Cost model: analytic counts against built models and the instrumented counter."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,19 @@ class TestMacCounts:
         graph = build(VARIANTS["tiny"], seed=0)
         report = cost_report(VARIANTS["tiny"])
         assert measure_macs(graph, 224).total == report.total_macs_inclusive
+
+    def test_reconcile_script_verifies_every_variant(self, capsys):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "reconcile_tables.py"
+        spec = importlib.util.spec_from_file_location("reconcile_tables", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--verify", "--input", "64"]) == 0
+        verdicts = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("instrumented forward:")
+        ]
+        assert len(verdicts) == len(VARIANTS)
+        assert all(line.endswith("[OK]") for line in verdicts)
 
     def test_attention_products_accounted_separately(self, toy_spec):
         report = cost_report(toy_spec, input_size=32)

@@ -7,6 +7,8 @@ import evit.tensor as T
 from evit.errors import ShapeError
 from evit.tensor import Tensor, finite_difference, relative_error
 
+from test_tensor_ops import DW_CASES
+
 TOL = 1e-4
 H = 1e-3
 
@@ -99,9 +101,9 @@ class TestDenseAdjoints:
             [x, w], rng, count=6,
         )
 
-    @pytest.mark.parametrize("stride,padding,kernel", [(1, 1, 3), (2, 0, 2), (4, 0, 4)])
-    def test_dwconv2d(self, stride, padding, kernel, rng):
-        x = Tensor(rng.normal(size=(2, 4, 8, 8)), requires_grad=True)
+    @pytest.mark.parametrize("stride,padding,kernel,hw", DW_CASES)
+    def test_dwconv2d(self, stride, padding, kernel, hw, rng):
+        x = Tensor(rng.normal(size=(2, 4) + hw), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 1, kernel, kernel)), requires_grad=True)
         out_shape = T.dwconv2d(x, w, stride=stride, padding=padding).shape
         mix = _mixer(rng, out_shape)

@@ -53,6 +53,17 @@ def test_matmul_shape_errors(bad_a, bad_b, rng):
         T.matmul(Tensor(rng.normal(size=bad_a)), Tensor(rng.normal(size=bad_b)))
 
 
+# (stride, padding, kernel, input H x W); the 9x11 rows put tap slices at
+# stride > 1 with padding on a non-square map
+DW_CASES = [
+    pytest.param(1, 1, 3, (8, 8), id="1-1-3"),
+    pytest.param(2, 0, 2, (8, 8), id="2-0-2"),
+    pytest.param(4, 0, 4, (8, 8), id="4-0-4"),
+    pytest.param(2, 1, 3, (9, 11), id="2-1-3-9x11"),
+    pytest.param(3, 1, 3, (9, 11), id="3-1-3-9x11"),
+]
+
+
 class TestConv:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (3, 0)])
     def test_conv2d_matches_bruteforce(self, stride, padding, rng):
@@ -63,9 +74,9 @@ class TestConv:
         assert out.shape == expected.shape
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("stride,padding,kernel", [(1, 1, 3), (2, 0, 2), (4, 0, 4)])
-    def test_dwconv2d_matches_bruteforce(self, stride, padding, kernel, rng):
-        x = rng.normal(size=(2, 5, 8, 8))
+    @pytest.mark.parametrize("stride,padding,kernel,hw", DW_CASES)
+    def test_dwconv2d_matches_bruteforce(self, stride, padding, kernel, hw, rng):
+        x = rng.normal(size=(2, 5) + hw)
         w = rng.normal(size=(5, 1, kernel, kernel))
         out = T.dwconv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
         expected = naive_dwconv2d(x, w, stride=stride, padding=padding)
@@ -108,6 +119,9 @@ class TestConv:
         out = T.conv2d(x, w, stride=stride, padding=padding)
         expected = (size + 2 * padding - kernel) // stride + 1
         assert out.shape == (1, 3, expected, expected)
+        dw = Tensor(np.zeros((2, 1, kernel, kernel)))
+        out = T.dwconv2d(x, dw, stride=stride, padding=padding)
+        assert out.shape == (1, 2, expected, expected)
 
 
 class TestSoftmax:

@@ -18,6 +18,14 @@ from evit.errors import ConfigError, ShapeError
 from evit.feedforward import FfnKind
 from evit.tensor import Tensor
 
+from reference import (
+    layernorm_twopass,
+    naive_conv2d,
+    naive_dwconv2d,
+    naive_fovea_attention,
+    naive_gelu,
+)
+
 
 class TestVariantTable:
     def test_four_variants_present(self):
@@ -201,3 +209,58 @@ class TestBlockWiring:
         assert not any("fuse" in n or "shallow" in n for n in names)
         local = build(toy_spec, seed=0, ffn_kind=FfnKind.CFFN)
         assert any(".ffn.dw.weight" in n for n, _ in local.named_parameters())
+
+
+def _reference_logits(graph, images):
+    """The whole bifovea/BFFN forward in (N,C,H,W), from the loop oracles only."""
+
+    def conv(x, p, stride, padding):
+        return naive_conv2d(x, p.weight.data, stride, padding) + p.bias.data[None, :, None, None]
+
+    def dwconv(x, weight, bias):
+        return naive_dwconv2d(x, weight.data, 1, 1) + bias.data[None, :, None, None]
+
+    def per_position(fn, x):
+        return fn(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+    def attention(x, heads, reduction, fovea):
+        pooled = reduction > 1
+        return naive_fovea_attention(
+            x, heads, reduction, fovea.q_weight.data, fovea.k_weight.data,
+            fovea.v_weight.data, fovea.out_weight.data,
+            fovea.reduce_weight.data if pooled else None,
+            fovea.reduce_bias.data if pooled else None,
+        )
+
+    x = images
+    for p, stride in zip(graph.stem, (2, 1, 1)):
+        x = naive_gelu(conv(x, p, stride, 1))
+    for i, stage in enumerate(graph.stages):
+        cfg, ffn_cfg = graph.attention_config(i), graph.ffn_config(i)
+        x = conv(x, stage.embed, 2, 0)
+        for blk in stage.blocks:
+            x = x + dwconv(x, blk.cpe.weight, blk.cpe.bias)
+            normed = per_position(lambda t: layernorm_twopass(t, blk.ln1.gamma.data, blk.ln1.beta.data), x)
+            shallow = attention(normed, cfg.heads, cfg.sfa_reduction, blk.bfsa.sfa)
+            y = x + shallow + attention(shallow, cfg.heads, cfg.dfa_reduction, blk.bfsa.dfa)
+
+            f = blk.ffn
+            normed = per_position(lambda t: layernorm_twopass(t, blk.ln2.gamma.data, blk.ln2.beta.data), y)
+            hidden = per_position(lambda t: t @ f.fc1_weight.data + f.fc1_bias.data, normed)
+            hs, hd = ffn_cfg.shallow_width, ffn_cfg.deep_width
+            shallow_out = dwconv(hidden[:, :hs], f.shallow_weight, f.shallow_bias)
+            deep_out = dwconv(shallow_out[:, :hd] + hidden[:, hs:], f.deep_weight, f.deep_bias)
+            gated = np.concatenate([shallow_out, deep_out], axis=1) * f.fuse_gate.data[None, :, None, None]
+            x = y + per_position(lambda t: t @ f.fc2_weight.data + f.fc2_bias.data, naive_gelu(gated))
+    pooled = naive_gelu(conv(x, graph.head_proj, 1, 0)).mean(axis=(2, 3))
+    return pooled @ graph.head_fc_weight.data + graph.head_fc_bias.data
+
+
+class TestWholeModelOracle:
+    def test_logits_match_loop_oracle(self, toy_spec, rng):
+        graph = build(toy_spec, seed=5, zero_classifier=False)
+        images = rng.uniform(size=(2, 3, 32, 32))
+        ours = graph.forward(images).data
+        expected = _reference_logits(graph, images)
+        assert np.abs(expected).max() > 0
+        assert np.abs(ours - expected).max() <= 1e-10

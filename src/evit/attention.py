@@ -130,8 +130,8 @@ def _fovea_attention(
     capture: dict | None = None,
     capture_key: str = "",
 ) -> Tensor:
-    """Multi-head attention over a map, with strided key/value pooling."""
-    n, c, h, w = x.shape
+    """Multi-head attention over a ``(N,H,W,C)`` map, with strided key/value pooling."""
+    n, h, w, c = x.shape
     if params.q_weight.shape != (c, c):
         raise ShapeError(
             f"attention weights built for dim {params.q_weight.shape[0]}, map has {c} channels"

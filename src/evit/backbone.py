@@ -276,7 +276,12 @@ class ModuleGraph:
 
         Returns logits (N, num_classes), or ``(logits, stage_maps)`` when
         ``return_stage_maps`` is set; stage maps are the four per-stage output
-        tensors, useful for dense downstream heads.
+        tensors in (N, C, H, W), useful for dense downstream heads.
+
+        This is the only place that knows the (N, C, H, W) layout: the images
+        are transposed once on the way in, every layer inside runs on
+        channels-last (N, H, W, C) maps, and stage maps are transposed back
+        on the way out.
         """
         x = images if isinstance(images, Tensor) else Tensor(images)
         if x.ndim != 4 or x.shape[1] != 3:
@@ -284,6 +289,7 @@ class ModuleGraph:
         if x.shape[2] != x.shape[3]:
             raise ShapeError(f"expected square images, got {x.shape[2]}x{x.shape[3]}")
         validate_input_size(self.spec, x.shape[2])
+        x = T.transpose(x, (0, 2, 3, 1))
 
         c1, c2, c3 = self.stem
         x = T.gelu(conv_bias(x, c1.weight, c1.bias, stride=2, padding=1))
@@ -311,7 +317,7 @@ class ModuleGraph:
         pooled = T.avgpool_global(T.gelu(h))
         logits = T.linear(pooled, self.head_fc_weight, self.head_fc_bias)
         if return_stage_maps:
-            return logits, stage_maps
+            return logits, [T.transpose(m, (0, 3, 1, 2)) for m in stage_maps]
         return logits
 
 
@@ -323,7 +329,7 @@ def bev_block_forward(
     pattern: ConnectionPattern = ConnectionPattern.BIFOVEA,
     capture: dict | None = None,
 ) -> Tensor:
-    """One block: position encoding, attention, feedforward, all residual."""
+    """One residual block on a ``(N,H,W,C)`` map: position encoding, attention, feedforward."""
     x = T.add(dwconv_bias(x, blk.cpe.weight, blk.cpe.bias, stride=1, padding=1), x)
     normed = ln_channels(x, blk.ln1.gamma, blk.ln1.beta)
     y = T.add(bfsa_forward(normed, attn_cfg, blk.bfsa, pattern, capture), x)

@@ -91,7 +91,10 @@ def read_manifest(path: str | os.PathLike) -> dict:
     head, sep, data = raw.partition(_END)
     if not sep:
         raise ConfigError(f"{path}: missing END marker, not a checkpoint file")
-    lines = head.decode("ascii").split("\n")
+    try:
+        lines = head.decode("ascii").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: manifest is not ASCII (byte {exc.start})") from None
     if lines[0] != MAGIC:
         raise ConfigError(f"{path}: bad magic {lines[0]!r}, expected {MAGIC}")
 
@@ -104,16 +107,18 @@ def read_manifest(path: str | os.PathLike) -> dict:
         i += 1
         if key == "tensors":
             break
-    count = int(fields.get("tensors", "0"))
-    for line in lines[i : i + count]:
-        name, shape_s, offset_s = line.rsplit(" ", 2)
-        shape = tuple(int(d) for d in shape_s.split(","))
-        table.append((name, shape, int(offset_s)))
-    i += count
-    key, _, value = lines[i].partition(": ")
-    if key != "data":
+    try:
+        count = int(fields.get("tensors", "0"))
+        for line in lines[i : i + count]:
+            name, shape_s, offset_s = line.rsplit(" ", 2)
+            shape = tuple(int(d) for d in shape_s.split(","))
+            table.append((name, shape, int(offset_s)))
+        key, _, value = lines[i + count].partition(": ")
+        nbytes = int(value) if key == "data" else None
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"{path}: malformed tensor table ({exc})") from None
+    if nbytes is None:
         raise ConfigError(f"{path}: malformed manifest, expected data size line")
-    nbytes = int(value)
     if len(data) != nbytes:
         raise ConfigError(f"{path}: expected {nbytes} data bytes, found {len(data)}")
 
@@ -123,14 +128,23 @@ def read_manifest(path: str | os.PathLike) -> dict:
     return {"fields": fields, "table": table, "data": data}
 
 
+def _field(fields: dict[str, str], key: str, convert=str):
+    """One header value, converted; a missing or malformed line is a ConfigError."""
+    if key not in fields:
+        raise ConfigError(f"manifest has no {key!r} line")
+    try:
+        return convert(fields[key])
+    except (KeyError, ValueError):
+        raise ConfigError(f"manifest line {key!r} has a bad value {fields[key]!r}") from None
+
+
 def _spec_from_fields(fields: dict[str, str]) -> VariantSpec:
-    stages = tuple(_parse_stage_line(fields[f"stage{i}"]) for i in range(1, 5))
     return VariantSpec(
-        name=fields["name"],
-        stem_channels=int(fields["stem_channels"]),
-        stages=stages,
-        head_channels=int(fields["head_channels"]),
-        num_classes=int(fields["num_classes"]),
+        name=_field(fields, "name"),
+        stem_channels=_field(fields, "stem_channels", int),
+        stages=tuple(_field(fields, f"stage{i}", _parse_stage_line) for i in range(1, 5)),
+        head_channels=_field(fields, "head_channels", int),
+        num_classes=_field(fields, "num_classes", int),
     )
 
 
@@ -138,17 +152,20 @@ def load_checkpoint(path: str | os.PathLike) -> ModuleGraph:
     """Rebuild the graph described by a checkpoint and restore its weights.
 
     The restored parameters are bitwise equal to what was saved, so a forward
-    pass on the loaded graph reproduces the original logits exactly.
+    pass on the loaded graph reproduces the original logits exactly. Any
+    malformed manifest line and any non-finite tensor value is a ConfigError.
     """
     manifest = read_manifest(path)
     fields = manifest["fields"]
-    spec = _spec_from_fields(fields)
-    graph = build(
-        spec,
-        seed=int(fields["seed"]),
-        pattern=ConnectionPattern(fields["pattern"]),
-        ffn_kind=FfnKind(fields["ffn"]),
-    )
+    try:
+        graph = build(
+            _spec_from_fields(fields),
+            seed=_field(fields, "seed", int),
+            pattern=_field(fields, "pattern", ConnectionPattern),
+            ffn_kind=_field(fields, "ffn", FfnKind),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     params = dict(graph.named_parameters())
     stored = {name for name, _, _ in manifest["table"]}
@@ -166,7 +183,11 @@ def load_checkpoint(path: str | os.PathLike) -> ModuleGraph:
         if p.shape != shape:
             raise ConfigError(f"{path}: {name} has shape {shape}, graph expects {p.shape}")
         n = int(np.prod(shape)) if shape else 1
+        if offset < 0 or offset + 8 * n > len(data):
+            raise ConfigError(f"{path}: {name} lies outside the {len(data)} data bytes")
         arr = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{path}: {name} holds non-finite values")
         p.data = arr.reshape(shape).astype(np.float64)
     return graph
 

@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``build``     - construct a variant and print its parameter/FLOP report
+* ``build``     - construct a variant (or ``all`` four) and print its parameter/FLOP
+  report; ``--verify`` also counts MACs in an executed forward pass
 * ``gradcheck`` - verify sampled analytic gradients against finite differences
 * ``train``     - run toy training from a config file
 * ``attnmap``   - export per-head attention maps for an image as PGM files
@@ -19,8 +20,9 @@ import sys
 import numpy as np
 
 from . import tensor as T
-from .analysis import cost_report, export_attention_maps
-from .backbone import VARIANTS, reduced_variant
+from .analysis import cost_report, export_attention_maps, measure_macs
+from .attention import ConnectionPattern
+from .backbone import VARIANTS, build, reduced_variant
 from .checkpoint import load_checkpoint
 from .config import (
     apply_env_overrides,
@@ -30,16 +32,17 @@ from .config import (
 )
 from .data import read_image
 from .errors import ConfigError, ShapeError
+from .feedforward import FfnKind
 from .gradcheck import run_gradcheck
 from .train import run_training
 
-_PATTERNS = ("bifovea", "parallel", "cascade")
-_FFNS = ("bffn", "cffn", "ffn")
+_PATTERNS = tuple(p.value for p in ConnectionPattern)
+_FFNS = tuple(k.value for k in FfnKind)
 
 
 def _add_build(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("build", help="construct a variant and print its cost report")
-    p.add_argument("--variant", choices=sorted(VARIANTS), default="tiny")
+    p.add_argument("--variant", choices=sorted(VARIANTS) + ["all"], default="tiny")
     p.add_argument("--input", type=int, default=224, help="square input size (default 224)")
     p.add_argument("--pattern", choices=_PATTERNS, default="bifovea")
     p.add_argument("--ffn", choices=_FFNS, default="bffn")
@@ -48,6 +51,10 @@ def _add_build(sub: argparse._SubParsersAction) -> None:
         help="which columns to print",
     )
     p.add_argument("--csv", metavar="PATH", help="also write the per-module table as CSV")
+    p.add_argument(
+        "--verify", action="store_true",
+        help="also count MACs in an instrumented forward pass and compare",
+    )
 
 
 def _add_gradcheck(sub: argparse._SubParsersAction) -> None:
@@ -84,17 +91,41 @@ def _add_attnmap(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--out", default="attn_maps", metavar="DIR")
 
 
+def _deviation(dev: float | None) -> str:
+    """Signed percentage; references exist only at 224x224, elsewhere "n/a"."""
+    return "n/a" if dev is None else f"{dev:+.2%}"
+
+
 def _cmd_build(args) -> int:
-    report = cost_report(
-        VARIANTS[args.variant],
-        input_size=args.input,
-        pattern=pattern_from_string(args.pattern),
-        ffn_kind=ffn_from_string(args.ffn),
-    )
-    print(report.render(detail=args.report))
+    names = list(VARIANTS) if args.variant == "all" else [args.variant]
+    if args.csv and len(names) > 1:
+        raise ConfigError("--csv writes one variant's table; name a variant, not 'all'")
+    pattern, ffn_kind = pattern_from_string(args.pattern), ffn_from_string(args.ffn)
+    reports = []
+    for name in names:
+        report = cost_report(
+            VARIANTS[name], input_size=args.input, pattern=pattern, ffn_kind=ffn_kind
+        )
+        print(report.render(detail=args.report))
+        if args.verify:
+            graph = build(name, seed=0, pattern=pattern, ffn_kind=ffn_kind, input_size=args.input)
+            counted = measure_macs(graph, input_size=args.input).total
+            match = "OK" if counted == report.total_macs_inclusive else "MISMATCH"
+            print(
+                f"instrumented forward: {counted:,} MACs vs analytic inclusive "
+                f"{report.total_macs_inclusive:,} [{match}]"
+            )
+        reports.append(report)
     if args.csv:
-        report.write_csv(args.csv)
+        reports[0].write_csv(args.csv)
         print(f"wrote {args.csv}")
+    if len(reports) > 1:
+        print(f"\n{'variant':<8}{'params':>14}{'dev':>9}{'flops (dense)':>18}{'dev':>9}")
+        for r in reports:
+            print(
+                f"{r.variant:<8}{r.total_params:>14,}{_deviation(r.param_deviation):>9}"
+                f"{r.total_macs_dense:>18,}{_deviation(r.flop_deviation):>9}"
+            )
     return 0
 
 

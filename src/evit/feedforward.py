@@ -1,6 +1,7 @@
 """Feedforward variants used inside a backbone block.
 
-Three interchangeable designs over the same expand-activate-project budget:
+Three interchangeable designs over the same expand-activate-project budget,
+each taking and returning a channels-last ``(N, H, W, C)`` map:
 
 * ``ffn``  - plain two-layer MLP applied per position.
 * ``cffn`` - MLP whose hidden layer adds a 3x3 depthwise residual, giving the
@@ -25,7 +26,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError
 from .init import conv_fan_out, ones, trunc_normal, zeros
-from .maps import dwconv_bias, map_to_tokens, tokens_to_map
+from .maps import dwconv_bias
 from .tensor import Tensor
 
 
@@ -127,15 +128,11 @@ def init_ffn_params(rng: np.random.Generator, cfg: FfnConfig) -> FfnParams:
 
 
 def _expand(x: Tensor, params: FfnParams) -> Tensor:
-    n, c, h, w = x.shape
-    hidden = T.linear(map_to_tokens(x), params.fc1_weight, params.fc1_bias)
-    return tokens_to_map(hidden, h, w)
+    return T.linear(x, params.fc1_weight, params.fc1_bias)
 
 
-def _project(hidden_map: Tensor, params: FfnParams) -> Tensor:
-    n, _, h, w = hidden_map.shape
-    out = T.linear(map_to_tokens(T.gelu(hidden_map)), params.fc2_weight, params.fc2_bias)
-    return tokens_to_map(out, h, w)
+def _project(hidden: Tensor, params: FfnParams) -> Tensor:
+    return T.linear(T.gelu(hidden), params.fc2_weight, params.fc2_bias)
 
 
 def ffn_forward(x: Tensor, cfg: FfnConfig, params: FfnParams) -> Tensor:
@@ -151,18 +148,17 @@ def cffn_forward(x: Tensor, cfg: FfnConfig, params: FfnParams) -> Tensor:
 def bffn_forward(x: Tensor, cfg: FfnConfig, params: FfnParams) -> Tensor:
     hidden = _expand(x, params)
     hs, hd = cfg.shallow_width, cfg.deep_width
-    shallow_in, deep_in = T.split(hidden, [hs, hd], axis=1)
+    shallow_in, deep_in = T.split(hidden, [hs, hd])
 
     shallow_out = dwconv_bias(
         shallow_in, params.shallow_weight, params.shallow_bias, stride=1, padding=1
     )
-    feed = shallow_out if hs == hd else T.split(shallow_out, [hd, hs - hd], axis=1)[0]
+    feed = shallow_out if hs == hd else T.split(shallow_out, [hd, hs - hd])[0]
     deep_out = dwconv_bias(
         T.add(feed, deep_in), params.deep_weight, params.deep_bias, stride=1, padding=1
     )
 
-    merged = T.concat([shallow_out, deep_out], axis=1)
-    gated = T.mul(merged, T.reshape(params.fuse_gate, (1, cfg.hidden, 1, 1)))
+    gated = T.mul(T.concat([shallow_out, deep_out]), params.fuse_gate)
     return _project(gated, params)
 
 

@@ -1,9 +1,10 @@
-"""Small composites for working with ``(N, C, H, W)`` feature maps.
+"""Small composites for working with channels-last ``(N, H, W, C)`` feature maps.
 
-The backbone keeps activations in channels-first map form and hops into
-token form ``(N, H*W, C)`` whenever a per-position linear or a layer norm
-over channels is needed. These helpers are pure composites of the kernel
-primitives, so gradients flow through them without extra adjoints.
+A map and its token sequence ``(N, H*W, C)`` share one memory layout, so
+switching between them is a reshape, and a per-position linear or a layer
+norm over channels acts on the map's last axis directly. These helpers are
+pure composites of the kernel primitives, so gradients flow through them
+without extra adjoints.
 """
 
 from __future__ import annotations
@@ -14,37 +15,33 @@ from .tensor import Tensor
 
 
 def map_to_tokens(x: Tensor) -> Tensor:
-    """(N,C,H,W) -> (N, H*W, C)."""
+    """(N,H,W,C) -> (N, H*W, C)."""
     if x.ndim != 4:
-        raise ShapeError(f"expected a (N,C,H,W) map, got {x.shape}")
-    n, c, h, w = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 3, 1)), (n, h * w, c))
+        raise ShapeError(f"expected a (N,H,W,C) map, got {x.shape}")
+    n, h, w, c = x.shape
+    return T.reshape(x, (n, h * w, c))
 
 
 def tokens_to_map(x: Tensor, height: int, width: int) -> Tensor:
-    """(N, H*W, C) -> (N,C,H,W)."""
+    """(N, H*W, C) -> (N,H,W,C)."""
     if x.ndim != 3 or x.shape[1] != height * width:
         raise ShapeError(
             f"expected (N, {height * width}, C) tokens for a {height}x{width} map, got {x.shape}"
         )
     n, _, c = x.shape
-    return T.transpose(T.reshape(x, (n, height, width, c)), (0, 3, 1, 2))
+    return T.reshape(x, (n, height, width, c))
 
 
 def ln_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer norm over the channel axis at every spatial position of a map."""
-    moved = T.transpose(x, (0, 2, 3, 1))
-    normed = T.layernorm(moved, gamma, beta, eps)
-    return T.transpose(normed, (0, 3, 1, 2))
+    return T.layernorm(x, gamma, beta, eps)
 
 
 def conv_bias(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    out = T.conv2d(x, weight, stride=stride, padding=padding)
-    return T.add(out, T.reshape(bias, (1, bias.shape[0], 1, 1)))
+    return T.add(T.conv2d(x, weight, stride=stride, padding=padding), bias)
 
 
 def dwconv_bias(
     x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 ) -> Tensor:
-    out = T.dwconv2d(x, weight, stride=stride, padding=padding)
-    return T.add(out, T.reshape(bias, (1, bias.shape[0], 1, 1)))
+    return T.add(T.dwconv2d(x, weight, stride=stride, padding=padding), bias)

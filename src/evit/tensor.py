@@ -6,6 +6,11 @@ closure on the result, so a scalar loss can replay adjoints in reverse
 topological order with ``Tensor.backward()``. Only leaves created with
 ``requires_grad=True`` receive a ``.grad`` array.
 
+Feature maps are channels-last, ``(N, H, W, C)``: the convolutions and
+``avgpool_global`` read that layout, so a linear or a layer norm over the
+last axis applies to a map with no data movement. Convolution weights keep
+the usual ``(O, C, kh, kw)`` and ``(C, 1, kh, kw)`` layouts.
+
 The kernel is written for clarity and trust first: dense convolutions go
 through strided window views plus ``einsum``, depthwise convolution is a
 per-tap accumulation of strided slices, and everything stays float64 so
@@ -444,22 +449,22 @@ def _pad(x: Array, padding: int) -> Array:
     """Zero-pad the two spatial axes; ``np.pad`` copies even at zero padding."""
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    return np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
 
 
 def _conv_windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
-    n, c, hp, wp = padded.shape
+    n, hp, wp, c = padded.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    sn, sc, sh, sw = padded.strides
-    shape = (n, c, ho, wo, kh, kw)
-    strides = (sn, sc, sh * stride, sw * stride, sh, sw)
+    sn, sh, sw, sc = padded.strides
+    shape = (n, ho, wo, c, kh, kw)
+    strides = (sn, sh * stride, sw * stride, sc, sh, sw)
     return np.lib.stride_tricks.as_strided(padded, shape, strides, writeable=False)
 
 
 def _tap(padded: Array, i: int, j: int, ho: int, wo: int, stride: int) -> Array:
-    """The ``(N,C,ho,wo)`` view of ``padded`` that kernel tap ``(i, j)`` reads."""
-    return padded[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride]
+    """The ``(N,ho,wo,C)`` view of ``padded`` that kernel tap ``(i, j)`` reads."""
+    return padded[:, i : i + ho * stride : stride, j : j + wo * stride : stride]
 
 
 def _check_conv_args(x: Tensor, w: Tensor, stride: int, padding: int) -> None:
@@ -468,17 +473,17 @@ def _check_conv_args(x: Tensor, w: Tensor, stride: int, padding: int) -> None:
     if stride < 1 or padding < 0:
         raise ShapeError(f"bad stride/padding: stride={stride} padding={padding}")
     kh, kw = w.data.shape[2], w.data.shape[3]
-    if x.data.shape[2] + 2 * padding < kh or x.data.shape[3] + 2 * padding < kw:
+    if x.data.shape[1] + 2 * padding < kh or x.data.shape[2] + 2 * padding < kw:
         raise ShapeError(
             f"kernel {kh}x{kw} larger than padded input "
-            f"{x.data.shape[2] + 2 * padding}x{x.data.shape[3] + 2 * padding}"
+            f"{x.data.shape[1] + 2 * padding}x{x.data.shape[2] + 2 * padding}"
         )
 
 
 def _scatter_into_padded(
     g_padded: Array, g_out: Array, contrib, kh: int, kw: int, stride: int
 ) -> None:
-    ho, wo = g_out.shape[2], g_out.shape[3]
+    ho, wo = g_out.shape[1], g_out.shape[2]
     for i in range(kh):
         for j in range(kw):
             _tap(g_padded, i, j, ho, wo, stride)[...] += contrib(i, j)
@@ -487,35 +492,35 @@ def _scatter_into_padded(
 def _unpad(g_padded: Array, padding: int) -> Array:
     if padding == 0:
         return g_padded
-    return np.ascontiguousarray(g_padded[:, :, padding:-padding, padding:-padding])
+    return np.ascontiguousarray(g_padded[:, padding:-padding, padding:-padding])
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation. ``x (N,C,H,W)``, ``weight (O,C,kh,kw)``.
+    """2-d cross-correlation. ``x (N,H,W,C)``, ``weight (O,C,kh,kw)``, output ``(N,ho,wo,O)``.
 
     Output spatial size follows floor((H + 2p - kh)/stride) + 1. Bias is not
     part of the primitive; add a broadcast bias tensor on top.
     """
     _check_conv_args(x, weight, stride, padding)
-    if x.data.shape[1] != weight.data.shape[1]:
+    if x.data.shape[3] != weight.data.shape[1]:
         raise ShapeError(
             f"conv2d channel mismatch: input {x.shape} vs weight {weight.shape}"
         )
     kh, kw = weight.data.shape[2], weight.data.shape[3]
     windows = _conv_windows(_pad(x.data, padding), kh, kw, stride)
-    data = np.einsum("nchwkl,ockl->nohw", windows, weight.data, optimize=True)
-    n, o, ho, wo = data.shape
-    _record_macs("conv2d", n * o * x.data.shape[1] * kh * kw * ho * wo)
+    data = np.einsum("nhwckl,ockl->nhwo", windows, weight.data, optimize=True)
+    n, ho, wo, o = data.shape
+    _record_macs("conv2d", n * o * x.data.shape[3] * kh * kw * ho * wo)
 
     def backward(g: Array):
         padded = _pad(x.data, padding)
         windows = _conv_windows(padded, kh, kw, stride)
-        gw = np.einsum("nchwkl,nohw->ockl", windows, g, optimize=True)
+        gw = np.einsum("nhwckl,nhwo->ockl", windows, g, optimize=True)
         gp = np.zeros_like(padded)
         _scatter_into_padded(
             gp,
             g,
-            lambda i, j: np.einsum("nohw,oc->nchw", g, weight.data[:, :, i, j], optimize=True),
+            lambda i, j: np.einsum("nhwo,oc->nhwc", g, weight.data[:, :, i, j], optimize=True),
             kh,
             kw,
             stride,
@@ -526,25 +531,27 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
 
 def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Depthwise 2-d cross-correlation. ``weight (C,1,kh,kw)``, one filter per channel.
+    """Depthwise 2-d cross-correlation. ``x (N,H,W,C)``, ``weight (C,1,kh,kw)``.
+
+    One filter per channel; the output is ``(N,ho,wo,C)``.
 
     Computed as a sum over the ``kh*kw`` taps: each tap adds one strided slice
     of the padded input, scaled by that tap's per-channel weight.
     """
     _check_conv_args(x, weight, stride, padding)
-    if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[1]:
+    if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[3]:
         raise ShapeError(
-            f"dwconv2d weight must be (C,1,kh,kw) with C={x.data.shape[1]}, got {weight.shape}"
+            f"dwconv2d weight must be (C,1,kh,kw) with C={x.data.shape[3]}, got {weight.shape}"
         )
-    n, c, h, w = x.data.shape
+    n, h, w, c = x.data.shape
     kh, kw = weight.data.shape[2], weight.data.shape[3]
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     padded = _pad(x.data, padding)
-    data = np.zeros((n, c, ho, wo))
+    data = np.zeros((n, ho, wo, c))
     for i in range(kh):
         for j in range(kw):
-            data += _tap(padded, i, j, ho, wo, stride) * weight.data[:, 0, i, j, None, None]
+            data += _tap(padded, i, j, ho, wo, stride) * weight.data[:, 0, i, j]
     _record_macs("dwconv2d", n * c * kh * kw * ho * wo)
 
     def backward(g: Array):
@@ -552,12 +559,12 @@ def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Te
         gw = np.empty_like(weight.data)
         for i in range(kh):
             for j in range(kw):
-                gw[:, 0, i, j] = np.einsum("nchw,nchw->c", _tap(padded, i, j, ho, wo, stride), g)
+                gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", _tap(padded, i, j, ho, wo, stride), g)
         gp = np.zeros_like(padded)
         _scatter_into_padded(
             gp,
             g,
-            lambda i, j: g * weight.data[:, 0, i, j, None, None],
+            lambda i, j: g * weight.data[:, 0, i, j],
             kh,
             kw,
             stride,
@@ -634,14 +641,14 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 
 
 def avgpool_global(x: Tensor) -> Tensor:
-    """Mean over the spatial grid: ``(N,C,H,W) -> (N,C)``."""
+    """Mean over the spatial grid: ``(N,H,W,C) -> (N,C)``."""
     if x.ndim != 4:
-        raise ShapeError(f"avgpool_global expects (N,C,H,W), got {x.shape}")
-    n, c, h, w = x.data.shape
-    data = x.data.mean(axis=(2, 3))
+        raise ShapeError(f"avgpool_global expects (N,H,W,C), got {x.shape}")
+    n, h, w, c = x.data.shape
+    data = x.data.mean(axis=(1, 2))
 
     def backward(g: Array):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).copy(),)
+        return (np.broadcast_to(g[:, None, None, :] / (h * w), x.data.shape).copy(),)
 
     return _make(data, (x,), backward)
 

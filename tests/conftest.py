@@ -10,6 +10,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 from evit.backbone import VARIANTS, reduced_variant
 
 
+def to_nhwc(x):
+    """(N,C,H,W) array -> the channels-last (N,H,W,C) layout the model runs on."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
+
+def to_nchw(x):
+    """(N,H,W,C) array -> (N,C,H,W), the layout of the oracles in reference.py."""
+    return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -29,6 +29,7 @@ from evit.gradcheck import run_gradcheck
 from evit.tensor import Tensor
 from evit.train import run_training
 
+from conftest import to_nchw, to_nhwc
 from reference import layernorm_twopass, naive_fovea_attention, softmax_longdouble
 from test_autograd import check_against_fd
 
@@ -96,7 +97,7 @@ def test_criterion_3_oracle_equivalence(capsys):
                     params = init_fovea_params(rng, dim, reduction)
                     x = rng.normal(size=(1, dim, side, side))
                     cfg = AttentionConfig(dim, heads, reduction, reduction)
-                    ours = sfa_forward(Tensor(x), cfg, params).data
+                    ours = to_nchw(sfa_forward(Tensor(to_nhwc(x)), cfg, params).data)
                     ref = naive_fovea_attention(
                         x, heads, reduction,
                         params.q_weight.data, params.k_weight.data,
@@ -134,15 +135,15 @@ def test_criterion_4_gradient_verification(capsys):
     rng = np.random.default_rng(3)
     per_op_worst = 0.0
 
-    x = Tensor(rng.normal(size=(2, 3, 7, 7)), requires_grad=True)
+    x = Tensor(to_nhwc(rng.normal(size=(2, 3, 7, 7))), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-    mix = Tensor(rng.normal(size=(2, 4, 4, 4)))
+    mix = Tensor(to_nhwc(rng.normal(size=(2, 4, 4, 4))))
     per_op_worst = max(per_op_worst, check_against_fd(
         lambda: T.tensor_sum(T.mul(T.conv2d(x, w, stride=2, padding=1), mix)), [x, w], rng))
 
-    xd = Tensor(rng.normal(size=(1, 4, 6, 6)), requires_grad=True)
+    xd = Tensor(to_nhwc(rng.normal(size=(1, 4, 6, 6))), requires_grad=True)
     wd = Tensor(rng.normal(size=(4, 1, 2, 2)), requires_grad=True)
-    mixd = Tensor(rng.normal(size=(1, 4, 3, 3)))
+    mixd = Tensor(to_nhwc(rng.normal(size=(1, 4, 3, 3))))
     per_op_worst = max(per_op_worst, check_against_fd(
         lambda: T.tensor_sum(T.mul(T.dwconv2d(xd, wd, stride=2), mixd)), [xd, wd], rng))
 
@@ -171,7 +172,7 @@ def test_criterion_4_gradient_verification(capsys):
     per_op_worst = max(per_op_worst, check_against_fd(
         lambda: T.cross_entropy(logits, labels), [logits], rng, count=6))
 
-    xp = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+    xp = Tensor(to_nhwc(rng.normal(size=(2, 3, 4, 4))), requires_grad=True)
     mixp = Tensor(rng.normal(size=(2, 3)))
     per_op_worst = max(per_op_worst, check_against_fd(
         lambda: T.tensor_sum(T.mul(T.avgpool_global(xp), mixp)), [xp], rng))
@@ -193,7 +194,7 @@ def test_criterion_5_wiring_identities(capsys):
     rng = np.random.default_rng(11)
     cfg = AttentionConfig(dim=12, heads=3, sfa_reduction=2, dfa_reduction=1)
     params = init_bfsa_params(rng, cfg)
-    x = Tensor(rng.normal(size=(2, 12, 6, 6)))
+    x = Tensor(to_nhwc(rng.normal(size=(2, 12, 6, 6))))
 
     shallow = sfa_forward(x, cfg, params.sfa)
     worst = 0.0
@@ -217,7 +218,7 @@ def test_criterion_5_wiring_identities(capsys):
     blk.bfsa.dfa.out_weight.data[:] = 0.0
     blk.ffn.fc2_weight.data[:] = 0.0
     blk.ffn.fc2_bias.data[:] = 0.0
-    xb = Tensor(rng.normal(size=(1, toy.stages[0].channels, 8, 8)))
+    xb = Tensor(to_nhwc(rng.normal(size=(1, toy.stages[0].channels, 8, 8))))
     out = bev_block_forward(
         xb, blk, graph.attention_config(0), graph.ffn_config(0), ConnectionPattern.BIFOVEA
     )

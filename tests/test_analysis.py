@@ -1,11 +1,9 @@
 """Cost model: analytic counts against built models and the instrumented counter."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from evit import cli
 from evit.analysis import (
     REFERENCE_FLOPS,
     REFERENCE_PARAMS,
@@ -76,11 +74,7 @@ class TestMacCounts:
         assert measure_macs(graph, 224).total == report.total_macs_inclusive
 
     def test_reconcile_script_verifies_every_variant(self, capsys):
-        path = Path(__file__).resolve().parent.parent / "scripts" / "reconcile_tables.py"
-        spec = importlib.util.spec_from_file_location("reconcile_tables", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert script.main(["--verify", "--input", "64"]) == 0
+        assert cli.main(["build", "--variant", "all", "--input", "64", "--verify"]) == 0
         verdicts = [
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("instrumented forward:")

@@ -17,6 +17,7 @@ from evit.attention import (
 from evit.errors import ConfigError, ShapeError
 from evit.tensor import Tensor
 
+from conftest import to_nchw, to_nhwc
 from reference import naive_fovea_attention, naive_single_head_attention
 
 
@@ -48,7 +49,7 @@ class TestOracleEquivalence:
                         params = init_fovea_params(rng, dim, reduction)
                         x = rng.normal(size=(2, dim, side, side))
                         cfg = AttentionConfig(dim, heads, reduction, reduction)
-                        ours = sfa_forward(Tensor(x), cfg, params).data
+                        ours = to_nchw(sfa_forward(Tensor(to_nhwc(x)), cfg, params).data)
                         theirs = naive_fovea_attention(
                             x, heads, reduction,
                             params.q_weight.data, params.k_weight.data,
@@ -66,7 +67,7 @@ class TestOracleEquivalence:
         params = init_fovea_params(rng, dim, 1)
         x = rng.normal(size=(2, dim, side, side))
         cfg = AttentionConfig(dim, 1, 1, 1)
-        ours = sfa_forward(Tensor(x), cfg, params).data
+        ours = to_nchw(sfa_forward(Tensor(to_nhwc(x)), cfg, params).data)
         tokens = x.transpose(0, 2, 3, 1).reshape(2, side * side, dim)
         expected = naive_single_head_attention(
             tokens, params.q_weight.data, params.k_weight.data,
@@ -81,7 +82,7 @@ class TestOracleEquivalence:
         params = init_fovea_params(rng, dim, 1)
         x = rng.normal(size=(1, dim, 1, 1))
         cfg = AttentionConfig(dim, 2, 1, 1)
-        out = sfa_forward(Tensor(x), cfg, params).data
+        out = to_nchw(sfa_forward(Tensor(to_nhwc(x)), cfg, params).data)
         expected = (x[0, :, 0, 0] @ params.v_weight.data) @ params.out_weight.data
         np.testing.assert_allclose(out[0, :, 0, 0], expected, atol=1e-12)
 
@@ -90,7 +91,7 @@ class TestCaptureAndShapes:
     def test_captured_weights_are_distributions(self, rng):
         cfg = AttentionConfig(dim=8, heads=2, sfa_reduction=2, dfa_reduction=1)
         params = init_bfsa_params(rng, cfg)
-        x = Tensor(rng.normal(size=(3, 8, 4, 4)))
+        x = Tensor(to_nhwc(rng.normal(size=(3, 8, 4, 4))))
         capture = {}
         bfsa_forward(x, cfg, params, ConnectionPattern.BIFOVEA, capture)
         assert set(capture) == {"sfa", "dfa"}
@@ -103,21 +104,21 @@ class TestCaptureAndShapes:
     def test_output_preserves_map_shape(self, rng):
         cfg = AttentionConfig(dim=12, heads=3, sfa_reduction=2, dfa_reduction=2)
         params = init_bfsa_params(rng, cfg)
-        x = Tensor(rng.normal(size=(2, 12, 6, 6)))
+        x = Tensor(to_nhwc(rng.normal(size=(2, 12, 6, 6))))
         for pattern in ConnectionPattern:
-            assert bfsa_forward(x, cfg, params, pattern).shape == (2, 12, 6, 6)
+            assert bfsa_forward(x, cfg, params, pattern).shape == (2, 6, 6, 12)
 
     def test_indivisible_side_rejected(self, rng):
         cfg = AttentionConfig(dim=8, heads=2, sfa_reduction=4, dfa_reduction=1)
         params = init_bfsa_params(rng, cfg)
         with pytest.raises(ConfigError):
-            sfa_forward(Tensor(rng.normal(size=(1, 8, 6, 6))), cfg, params.sfa)
+            sfa_forward(Tensor(to_nhwc(rng.normal(size=(1, 8, 6, 6)))), cfg, params.sfa)
 
     def test_wrong_channels_rejected(self, rng):
         cfg = AttentionConfig(dim=8, heads=2, sfa_reduction=1, dfa_reduction=1)
         params = init_bfsa_params(rng, cfg)
         with pytest.raises(ShapeError):
-            sfa_forward(Tensor(rng.normal(size=(1, 6, 4, 4))), cfg, params.sfa)
+            sfa_forward(Tensor(to_nhwc(rng.normal(size=(1, 6, 4, 4)))), cfg, params.sfa)
 
     @given(
         heads=st.sampled_from([1, 2, 4]),
@@ -131,10 +132,10 @@ class TestCaptureAndShapes:
         dim = heads * head_dim
         cfg = AttentionConfig(dim, heads, reduction, reduction)
         params = init_fovea_params(local, dim, reduction)
-        x = Tensor(local.normal(size=(1, dim, 4, 4)))
+        x = Tensor(to_nhwc(local.normal(size=(1, dim, 4, 4))))
         capture = {}
         out = sfa_forward(x, cfg, params, capture)
-        assert out.shape == (1, dim, 4, 4)
+        assert out.shape == (1, 4, 4, dim)
         assert np.abs(capture["sfa"].sum(axis=-1) - 1.0).max() <= 1e-9
 
 
@@ -142,7 +143,7 @@ class TestWiring:
     def _setup(self, rng):
         cfg = AttentionConfig(dim=8, heads=2, sfa_reduction=2, dfa_reduction=1)
         params = init_bfsa_params(rng, cfg)
-        x = Tensor(rng.normal(size=(2, 8, 4, 4)))
+        x = Tensor(to_nhwc(rng.normal(size=(2, 8, 4, 4))))
         return cfg, params, x
 
     def test_bifovea_identity(self, rng):
@@ -173,7 +174,7 @@ class TestWiring:
 
     def test_zero_input_zero_bias_gives_zero(self, rng):
         cfg, params, x = self._setup(rng)
-        zero = Tensor(np.zeros((1, 8, 4, 4)))
+        zero = Tensor(np.zeros((1, 4, 4, 8)))
         params.sfa.reduce_bias.data[:] = 0.0
         out = dfa_forward(zero, cfg, params.dfa).data
         np.testing.assert_array_equal(out, np.zeros_like(out))

@@ -7,6 +7,7 @@ import evit.tensor as T
 from evit.errors import ShapeError
 from evit.tensor import Tensor, finite_difference, relative_error
 
+from conftest import to_nhwc
 from test_tensor_ops import DW_CASES
 
 TOL = 1e-4
@@ -92,7 +93,7 @@ class TestDenseAdjoints:
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
     def test_conv2d(self, stride, padding, rng):
-        x = Tensor(rng.normal(size=(2, 3, 7, 7)), requires_grad=True)
+        x = Tensor(to_nhwc(rng.normal(size=(2, 3, 7, 7))), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
         out_shape = T.conv2d(x, w, stride=stride, padding=padding).shape
         mix = _mixer(rng, out_shape)
@@ -103,7 +104,7 @@ class TestDenseAdjoints:
 
     @pytest.mark.parametrize("stride,padding,kernel,hw", DW_CASES)
     def test_dwconv2d(self, stride, padding, kernel, hw, rng):
-        x = Tensor(rng.normal(size=(2, 4) + hw), requires_grad=True)
+        x = Tensor(to_nhwc(rng.normal(size=(2, 4) + hw)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 1, kernel, kernel)), requires_grad=True)
         out_shape = T.dwconv2d(x, w, stride=stride, padding=padding).shape
         mix = _mixer(rng, out_shape)
@@ -130,7 +131,7 @@ class TestNormalizationAdjoints:
         )
 
     def test_avgpool_global(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        x = Tensor(to_nhwc(rng.normal(size=(2, 3, 4, 4))), requires_grad=True)
         mix = _mixer(rng, (2, 3))
         check_against_fd(lambda: T.tensor_sum(T.mul(T.avgpool_global(x), mix)), [x], rng)
 
@@ -171,7 +172,7 @@ class TestAutogradStructure:
             T.mul(x, x).backward()
 
     def test_grad_shapes_match_leaves(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        x = Tensor(to_nhwc(rng.normal(size=(2, 3, 4, 4))), requires_grad=True)
         w = Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True)
         T.tensor_sum(T.conv2d(x, w, padding=1)).backward()
         assert x.grad.shape == x.shape

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import evit.tensor as T
 from evit.attention import ConnectionPattern
 from evit.backbone import (
     VARIANTS,
@@ -18,6 +19,7 @@ from evit.errors import ConfigError, ShapeError
 from evit.feedforward import FfnKind
 from evit.tensor import Tensor
 
+from conftest import to_nhwc
 from reference import (
     layernorm_twopass,
     naive_conv2d,
@@ -171,7 +173,7 @@ class TestBlockWiring:
         graph = build(toy_spec, seed=0)
         blk = graph.stages[0].blocks[0]
         self._zero_branches(blk)
-        x = Tensor(rng.normal(size=(2, toy_spec.stages[0].channels, 8, 8)))
+        x = Tensor(to_nhwc(rng.normal(size=(2, toy_spec.stages[0].channels, 8, 8))))
         out = bev_block_forward(
             x, blk, graph.attention_config(0), graph.ffn_config(0), ConnectionPattern.BIFOVEA
         )
@@ -184,7 +186,7 @@ class TestBlockWiring:
         center = np.zeros_like(blk.cpe.weight.data)
         center[:, 0, 1, 1] = 1.0  # 3x3 identity kernel
         blk.cpe.weight.data[:] = center
-        x = Tensor(rng.normal(size=(1, toy_spec.stages[0].channels, 8, 8)))
+        x = Tensor(to_nhwc(rng.normal(size=(1, toy_spec.stages[0].channels, 8, 8))))
         out = bev_block_forward(
             x, blk, graph.attention_config(0), graph.ffn_config(0), ConnectionPattern.BIFOVEA
         )
@@ -193,7 +195,7 @@ class TestBlockWiring:
     def test_patterns_change_output(self, toy_spec, rng):
         graph = build(toy_spec, seed=0)
         blk = graph.stages[0].blocks[0]
-        x = Tensor(rng.normal(size=(1, toy_spec.stages[0].channels, 8, 8)))
+        x = Tensor(to_nhwc(rng.normal(size=(1, toy_spec.stages[0].channels, 8, 8))))
         outs = {
             p: bev_block_forward(
                 x, blk, graph.attention_config(0), graph.ffn_config(0), p
@@ -223,6 +225,9 @@ def _reference_logits(graph, images):
     def per_position(fn, x):
         return fn(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
+    def norm(x, p):
+        return per_position(lambda t: layernorm_twopass(t, p.gamma.data, p.beta.data), x)
+
     def attention(x, heads, reduction, fovea):
         pooled = reduction > 1
         return naive_fovea_attention(
@@ -240,18 +245,18 @@ def _reference_logits(graph, images):
         x = conv(x, stage.embed, 2, 0)
         for blk in stage.blocks:
             x = x + dwconv(x, blk.cpe.weight, blk.cpe.bias)
-            normed = per_position(lambda t: layernorm_twopass(t, blk.ln1.gamma.data, blk.ln1.beta.data), x)
-            shallow = attention(normed, cfg.heads, cfg.sfa_reduction, blk.bfsa.sfa)
+            shallow = attention(norm(x, blk.ln1), cfg.heads, cfg.sfa_reduction, blk.bfsa.sfa)
             y = x + shallow + attention(shallow, cfg.heads, cfg.dfa_reduction, blk.bfsa.dfa)
 
             f = blk.ffn
-            normed = per_position(lambda t: layernorm_twopass(t, blk.ln2.gamma.data, blk.ln2.beta.data), y)
+            normed = norm(y, blk.ln2)
             hidden = per_position(lambda t: t @ f.fc1_weight.data + f.fc1_bias.data, normed)
             hs, hd = ffn_cfg.shallow_width, ffn_cfg.deep_width
             shallow_out = dwconv(hidden[:, :hs], f.shallow_weight, f.shallow_bias)
             deep_out = dwconv(shallow_out[:, :hd] + hidden[:, hs:], f.deep_weight, f.deep_bias)
-            gated = np.concatenate([shallow_out, deep_out], axis=1) * f.fuse_gate.data[None, :, None, None]
-            x = y + per_position(lambda t: t @ f.fc2_weight.data + f.fc2_bias.data, naive_gelu(gated))
+            merged = np.concatenate([shallow_out, deep_out], axis=1)
+            gated = naive_gelu(merged * f.fuse_gate.data[None, :, None, None])
+            x = y + per_position(lambda t: t @ f.fc2_weight.data + f.fc2_bias.data, gated)
     pooled = naive_gelu(conv(x, graph.head_proj, 1, 0)).mean(axis=(2, 3))
     return pooled @ graph.head_fc_weight.data + graph.head_fc_bias.data
 
@@ -264,3 +269,21 @@ class TestWholeModelOracle:
         expected = _reference_logits(graph, images)
         assert np.abs(expected).max() > 0
         assert np.abs(ours - expected).max() <= 1e-10
+
+
+class TestLayout:
+    def test_forward_moves_data_only_for_attention_heads(self, toy_spec, rng, monkeypatch):
+        """Maps stay channels-last: the only transposes are each attention
+        pathway's head split (q, k, v), key transpose and head merge, plus the
+        one that turns the (N,3,H,W) images channels-last."""
+        calls = []
+        original = T.transpose
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(T, "transpose", counting)
+        build(toy_spec, seed=0).forward(rng.uniform(size=(2, 3, 32, 32)))
+        pathways = 2 * sum(stage.blocks for stage in toy_spec.stages)
+        assert len(calls) == 5 * pathways + 1

@@ -11,6 +11,8 @@ from evit.checkpoint import (
     read_manifest,
     save_checkpoint,
 )
+from evit.cli import main
+from evit.data import write_ppm
 from evit.errors import ConfigError
 
 
@@ -96,3 +98,37 @@ def test_missing_end_marker_rejected(tmp_path):
     bad.write_bytes(b"EVIT-CKPT-V1\nname: x\n")
     with pytest.raises(ConfigError):
         load_checkpoint(bad)
+
+
+def _replace(old: bytes, new: bytes):
+    return lambda raw: raw.replace(old, new, 1)
+
+
+def _nan_data(raw: bytes) -> bytes:
+    head, sep, data = raw.partition(b"\nEND\n")
+    return head + sep + np.full(len(data) // 8, np.nan).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(_replace(b"\nstage2: ", b"\nstageX: "), id="stage2-renamed"),
+        pytest.param(_replace(b"\nseed: 21\n", b"\nseed: zz\n"), id="bad-seed"),
+        pytest.param(_replace(b"pattern: bifovea", b"pattern: bogus"), id="bad-pattern"),
+        pytest.param(_replace(b"name: tiny", b"name: t\xffny"), id="non-ascii-name"),
+        pytest.param(_nan_data, id="all-nan-data"),
+    ],
+)
+def test_malformed_checkpoint_exits_2_with_one_line(corrupt, saved, tmp_path, capsys):
+    _, path = saved
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(raw))
+    assert bad.read_bytes() != raw
+    image = tmp_path / "probe.ppm"
+    write_ppm(image, np.random.default_rng(0).uniform(size=(3, 32, 32)))
+    code = main(["attnmap", "--checkpoint", str(bad), "--image", str(image),
+                 "--out", str(tmp_path / "maps")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:"), err

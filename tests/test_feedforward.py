@@ -15,6 +15,7 @@ from evit.feedforward import (
 )
 from evit.tensor import Tensor
 
+from conftest import to_nchw, to_nhwc
 from reference import naive_dwconv2d, naive_gelu
 
 
@@ -52,7 +53,7 @@ class TestForwardOracles:
         cfg = FfnConfig(6, 2.0, FfnKind.FFN)
         params = init_ffn_params(rng, cfg)
         x = rng.normal(size=(2, 6, 4, 4))
-        ours = ffn_forward(Tensor(x), cfg, params).data
+        ours = to_nchw(ffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
 
         t = self._tokens(x)
         hidden = naive_gelu(t @ params.fc1_weight.data + params.fc1_bias.data)
@@ -63,7 +64,7 @@ class TestForwardOracles:
         cfg = FfnConfig(6, 2.0, FfnKind.CFFN)
         params = init_ffn_params(rng, cfg)
         x = rng.normal(size=(2, 6, 4, 4))
-        ours = cffn_forward(Tensor(x), cfg, params).data
+        ours = to_nchw(cffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
 
         t = self._tokens(x)
         hidden = self._maps(t @ params.fc1_weight.data + params.fc1_bias.data, 4, 4)
@@ -81,7 +82,7 @@ class TestForwardOracles:
         params = init_ffn_params(rng, cfg)
         params.fuse_gate.data[:] = rng.normal(size=cfg.hidden)  # exercise a non-trivial gate
         x = rng.normal(size=(2, dim, 4, 4))
-        ours = bffn_forward(Tensor(x), cfg, params).data
+        ours = to_nchw(bffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
 
         t = self._tokens(x)
         hidden = self._maps(t @ params.fc1_weight.data + params.fc1_bias.data, 4, 4)
@@ -104,18 +105,18 @@ class TestForwardOracles:
         params.fuse_gate.data[:] = 0.0
         params.fc2_bias.data[:] = rng.normal(size=4)
         x = rng.normal(size=(1, 4, 4, 4))
-        out = bffn_forward(Tensor(x), cfg, params).data
+        out = to_nchw(bffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
         expected = np.broadcast_to(params.fc2_bias.data[None, :, None, None], out.shape)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 class TestShapesAndCounts:
     def test_all_kinds_preserve_shape(self, rng):
-        x = Tensor(rng.normal(size=(2, 8, 6, 6)))
+        x = Tensor(to_nhwc(rng.normal(size=(2, 8, 6, 6))))
         for kind in FfnKind:
             cfg = FfnConfig(8, 3.0, kind)
             out = feedforward_forward(x, cfg, init_ffn_params(rng, cfg))
-            assert out.shape == (2, 8, 6, 6)
+            assert out.shape == (2, 6, 6, 8)
 
     def test_param_count_strictly_ordered(self, rng):
         counts = {}

@@ -11,6 +11,8 @@ import evit.tensor as T
 from evit.errors import ShapeError
 from evit.tensor import MacCounter, Tensor
 
+from conftest import to_nchw, to_nhwc
+
 from reference import (
     layernorm_twopass,
     naive_conv2d,
@@ -69,40 +71,43 @@ class TestConv:
     def test_conv2d_matches_bruteforce(self, stride, padding, rng):
         x = rng.normal(size=(2, 3, 9, 11))
         w = rng.normal(size=(4, 3, 3, 3))
-        out = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        out = to_nchw(T.conv2d(Tensor(to_nhwc(x)), Tensor(w), stride=stride, padding=padding).data)
         expected = naive_conv2d(x, w, stride=stride, padding=padding)
         assert out.shape == expected.shape
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     @pytest.mark.parametrize("stride,padding,kernel,hw", DW_CASES)
     def test_dwconv2d_matches_bruteforce(self, stride, padding, kernel, hw, rng):
         x = rng.normal(size=(2, 5) + hw)
         w = rng.normal(size=(5, 1, kernel, kernel))
-        out = T.dwconv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        out = T.dwconv2d(Tensor(to_nhwc(x)), Tensor(w), stride=stride, padding=padding)
         expected = naive_dwconv2d(x, w, stride=stride, padding=padding)
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(to_nchw(out.data), expected, atol=1e-12)
 
     def test_stride2_halves_224(self, rng):
-        x = rng.normal(size=(1, 3, 224, 224))
+        x = to_nhwc(rng.normal(size=(1, 3, 224, 224)))
         w = rng.normal(size=(8, 3, 3, 3))
         out = T.conv2d(Tensor(x), Tensor(w), stride=2, padding=1)
-        assert out.shape == (1, 8, 112, 112)
+        assert out.shape == (1, 112, 112, 8)
 
     def test_depthwise_stride2_halves_56(self, rng):
-        x = rng.normal(size=(1, 4, 56, 56))
+        x = to_nhwc(rng.normal(size=(1, 4, 56, 56)))
         w = rng.normal(size=(4, 1, 2, 2))
         out = T.dwconv2d(Tensor(x), Tensor(w), stride=2, padding=0)
-        assert out.shape == (1, 4, 28, 28)
+        assert out.shape == (1, 28, 28, 4)
 
     def test_channel_mismatch_raises(self, rng):
         with pytest.raises(ShapeError):
-            T.conv2d(Tensor(rng.normal(size=(1, 3, 8, 8))), Tensor(rng.normal(size=(4, 2, 3, 3))))
+            T.conv2d(Tensor(to_nhwc(rng.normal(size=(1, 3, 8, 8)))),
+                     Tensor(rng.normal(size=(4, 2, 3, 3))))
         with pytest.raises(ShapeError):
-            T.dwconv2d(Tensor(rng.normal(size=(1, 3, 8, 8))), Tensor(rng.normal(size=(4, 1, 3, 3))))
+            T.dwconv2d(Tensor(to_nhwc(rng.normal(size=(1, 3, 8, 8)))),
+                       Tensor(rng.normal(size=(4, 1, 3, 3))))
 
     def test_kernel_larger_than_input_raises(self, rng):
         with pytest.raises(ShapeError):
-            T.conv2d(Tensor(rng.normal(size=(1, 2, 4, 4))), Tensor(rng.normal(size=(2, 2, 5, 5))))
+            T.conv2d(Tensor(to_nhwc(rng.normal(size=(1, 2, 4, 4)))),
+                     Tensor(rng.normal(size=(2, 2, 5, 5))))
 
     @given(
         size=st.integers(6, 20),
@@ -114,14 +119,14 @@ class TestConv:
     def test_output_size_arithmetic(self, size, kernel, stride, padding):
         if size + 2 * padding < kernel:
             return
-        x = Tensor(np.zeros((1, 2, size, size)))
+        x = Tensor(np.zeros((1, size, size, 2)))
         w = Tensor(np.zeros((3, 2, kernel, kernel)))
         out = T.conv2d(x, w, stride=stride, padding=padding)
         expected = (size + 2 * padding - kernel) // stride + 1
-        assert out.shape == (1, 3, expected, expected)
+        assert out.shape == (1, expected, expected, 3)
         dw = Tensor(np.zeros((2, 1, kernel, kernel)))
         out = T.dwconv2d(x, dw, stride=stride, padding=padding)
-        assert out.shape == (1, 2, expected, expected)
+        assert out.shape == (1, expected, expected, 2)
 
 
 class TestSoftmax:
@@ -182,7 +187,7 @@ def test_gelu_values(rng):
 
 
 def test_avgpool_global_constant():
-    x = np.full((2, 3, 4, 4), 1.5)
+    x = np.full((2, 4, 4, 3), 1.5)
     out = T.avgpool_global(Tensor(x))
     assert out.shape == (2, 3)
     np.testing.assert_allclose(out.data, 1.5, atol=0)
@@ -246,7 +251,7 @@ class TestPurity:
     """Operators never mutate inputs; calls are reproducible bitwise."""
 
     def test_inputs_unchanged(self, rng):
-        x = rng.normal(size=(2, 3, 8, 8))
+        x = to_nhwc(rng.normal(size=(2, 3, 8, 8)))
         w = rng.normal(size=(4, 3, 3, 3))
         x_copy, w_copy = x.copy(), w.copy()
         xt, wt = Tensor(x), Tensor(w)
@@ -255,7 +260,7 @@ class TestPurity:
         np.testing.assert_array_equal(wt.data, w_copy)
 
     def test_double_call_bitwise_equal(self, rng):
-        x = Tensor(rng.normal(size=(3, 4, 6, 6)))
+        x = Tensor(to_nhwc(rng.normal(size=(3, 4, 6, 6))))
         w = Tensor(rng.normal(size=(4, 1, 3, 3)))
         a = T.dwconv2d(x, w, stride=1, padding=1)
         b = T.dwconv2d(x, w, stride=1, padding=1)
@@ -273,12 +278,12 @@ class TestMacCounter:
 
     def test_conv_counts(self, rng):
         with MacCounter() as counter:
-            T.conv2d(Tensor(rng.normal(size=(2, 3, 8, 8))), Tensor(rng.normal(size=(4, 3, 3, 3))),
-                     stride=1, padding=1)
+            T.conv2d(Tensor(to_nhwc(rng.normal(size=(2, 3, 8, 8)))),
+                     Tensor(rng.normal(size=(4, 3, 3, 3))), stride=1, padding=1)
         assert counter.total == 2 * 4 * 3 * 9 * 8 * 8
         with MacCounter() as counter:
-            T.dwconv2d(Tensor(rng.normal(size=(1, 6, 8, 8))), Tensor(rng.normal(size=(6, 1, 2, 2))),
-                       stride=2)
+            T.dwconv2d(Tensor(to_nhwc(rng.normal(size=(1, 6, 8, 8)))),
+                       Tensor(rng.normal(size=(6, 1, 2, 2))), stride=2)
         assert counter.total == 6 * 4 * 4 * 4
 
     def test_elementwise_not_counted(self, rng):

@@ -107,6 +107,12 @@ class TestCli:
         assert main(["build", "--variant", "small", "--csv", str(csv_path)]) == 0
         assert csv_path.read_text().startswith("module,params")
 
+    def test_build_csv_rejects_all_variants(self, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        assert main(["build", "--variant", "all", "--csv", str(csv_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not csv_path.exists()
+
     def test_build_rejects_bad_input_size(self, capsys):
         assert main(["build", "--variant", "tiny", "--input", "223"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -20,10 +20,10 @@ from .backbone import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config, read_config, render_config, write_config
 from .data import ToyDataset, load_image_dir, synthetic_shapes
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .feedforward import FfnConfig, FfnKind
 from .gradcheck import run_gradcheck
-from .tensor import MacCounter, Tensor
+from .tensor import MacCounter, Tensor, no_grad
 from .train import AdamW, evaluate, run_training
 
 __version__ = "0.1.0"
@@ -40,6 +40,7 @@ __all__ = [
     "FfnKind",
     "MacCounter",
     "ModuleGraph",
+    "NonFiniteError",
     "RunConfig",
     "ShapeError",
     "StageConfig",
@@ -55,6 +56,7 @@ __all__ = [
     "load_checkpoint",
     "load_image_dir",
     "measure_macs",
+    "no_grad",
     "parse_config",
     "read_config",
     "reduced_variant",

@@ -38,7 +38,7 @@ from .backbone import (
 from .data import write_pgm
 from .errors import ConfigError
 from .feedforward import FfnConfig, FfnKind
-from .tensor import MacCounter
+from .tensor import MacCounter, no_grad
 
 # Published reference budgets for the variant family (224x224 input).
 REFERENCE_PARAMS = {
@@ -287,10 +287,10 @@ def cost_report(
 
 
 def measure_macs(graph: ModuleGraph, input_size: int) -> MacCounter:
-    """Run one instrumented forward image and return the observed MAC tally."""
+    """Run one instrumented forward image (no backward tape) and return the MAC tally."""
     counter = MacCounter()
     images = np.zeros((1, 3, input_size, input_size))
-    with counter:
+    with counter, no_grad():
         graph.forward(images)
     return counter
 
@@ -328,7 +328,8 @@ def export_attention_maps(
         raise ConfigError(f"expected one (3, S, S) image, got {image.shape}")
 
     capture = AttentionCapture(stage=stage, block=block)
-    graph.forward(image[None], capture=capture)
+    with no_grad():
+        graph.forward(image[None], capture=capture)
     weights = capture.weights[fovea][0]  # (heads, queries, keys)
     mean_over_queries = weights.mean(axis=1)
 

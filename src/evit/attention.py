@@ -93,7 +93,9 @@ class BfsaParams:
         return self.sfa.named(f"{prefix}.sfa") + self.dfa.named(f"{prefix}.dfa")
 
 
-def init_fovea_params(rng: np.random.Generator, dim: int, reduction: int) -> FoveaParams:
+def init_fovea_params(
+    rng: np.random.Generator | None, dim: int, reduction: int
+) -> FoveaParams:
     reduce_weight = None
     reduce_bias = None
     if reduction > 1:
@@ -109,7 +111,7 @@ def init_fovea_params(rng: np.random.Generator, dim: int, reduction: int) -> Fov
     )
 
 
-def init_bfsa_params(rng: np.random.Generator, cfg: AttentionConfig) -> BfsaParams:
+def init_bfsa_params(rng: np.random.Generator | None, cfg: AttentionConfig) -> BfsaParams:
     return BfsaParams(
         sfa=init_fovea_params(rng, cfg.dim, cfg.sfa_reduction),
         dfa=init_fovea_params(rng, cfg.dim, cfg.dfa_reduction),

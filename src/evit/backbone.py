@@ -384,8 +384,22 @@ def build(
     validate_spec(spec)
     if input_size is not None:
         validate_input_size(spec, input_size)
+    return _assemble(spec, seed, pattern, ffn_kind, zero_classifier, np.random.default_rng(seed))
 
-    rng = np.random.default_rng(seed)
+
+def _assemble(
+    spec: VariantSpec,
+    seed: int,
+    pattern: ConnectionPattern,
+    ffn_kind: FfnKind,
+    zero_classifier: bool,
+    rng: np.random.Generator | None,
+) -> ModuleGraph:
+    """Allocate every parameter of a validated spec, in ``named_parameters`` order.
+
+    ``build`` passes a seeded generator. ``rng=None`` draws nothing and leaves
+    the random tensors uninitialised, for a caller that overwrites them all.
+    """
     st = spec.stem_channels
     stem = (
         _init_conv(rng, st, 3, 3),

@@ -24,8 +24,8 @@ import os
 import numpy as np
 
 from .attention import ConnectionPattern
-from .backbone import ModuleGraph, StageConfig, VariantSpec, build
-from .errors import ConfigError
+from .backbone import ModuleGraph, StageConfig, VariantSpec, _assemble, validate_spec
+from .errors import ConfigError, NonFiniteError
 from .feedforward import FfnKind
 
 MAGIC = "EVIT-CKPT-V1"
@@ -52,7 +52,12 @@ def _parse_stage_line(text: str) -> StageConfig:
 
 
 def save_checkpoint(graph: ModuleGraph, path: str | os.PathLike) -> None:
-    """Write the graph's spec, seed, wiring and all parameters to one file."""
+    """Write the graph's spec, seed, wiring and all parameters to one file.
+
+    A parameter holding NaN or infinity raises ``NonFiniteError`` before the
+    file is opened, so no checkpoint that ``load_checkpoint`` would reject is
+    ever written.
+    """
     named = graph.named_parameters()
     lines = [MAGIC]
     spec = graph.spec
@@ -70,6 +75,8 @@ def save_checkpoint(graph: ModuleGraph, path: str | os.PathLike) -> None:
     offset = 0
     blobs = []
     for name, p in named:
+        if not np.isfinite(p.data).all():
+            raise NonFiniteError(f"{name} holds non-finite values; not writing {path}")
         shape = ",".join(str(d) for d in p.shape)
         lines.append(f"{name} {shape} {offset}")
         blob = p.data.astype("<f8").tobytes()
@@ -85,12 +92,14 @@ def save_checkpoint(graph: ModuleGraph, path: str | os.PathLike) -> None:
 
 
 def read_manifest(path: str | os.PathLike) -> dict:
-    """Parse just the header: build fields plus the tensor table."""
+    """Parse the header: build fields, the tensor table and a view of the data bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    head, sep, data = raw.partition(_END)
-    if not sep:
+    end = raw.find(_END)
+    if end < 0:
         raise ConfigError(f"{path}: missing END marker, not a checkpoint file")
+    head = raw[:end]
+    data = memoryview(raw)[end + len(_END) :]  # a view: the tensor bytes are not copied
     try:
         lines = head.decode("ascii").split("\n")
     except UnicodeDecodeError as exc:
@@ -151,18 +160,31 @@ def _spec_from_fields(fields: dict[str, str]) -> VariantSpec:
 def load_checkpoint(path: str | os.PathLike) -> ModuleGraph:
     """Rebuild the graph described by a checkpoint and restore its weights.
 
-    The restored parameters are bitwise equal to what was saved, so a forward
-    pass on the loaded graph reproduces the original logits exactly. Any
+    The graph comes back ready for inference: every parameter is a constant
+    leaf (``requires_grad`` False), so a forward pass records no backward tape
+    and frees each intermediate as soon as the next layer has used it. To
+    fine-tune instead, set ``p.requires_grad = True`` for every
+    ``p`` in ``graph.named_parameters()``; the graph then trains exactly like
+    the one that was saved.
+
+    No random numbers are drawn: the parameter containers come from the same
+    construction code as ``build``, left uninitialised, and every tensor is
+    filled from the file. The restored values are bitwise equal to what was
+    saved, so the loaded graph reproduces the original logits exactly. Any
     malformed manifest line and any non-finite tensor value is a ConfigError.
     """
     manifest = read_manifest(path)
     fields = manifest["fields"]
     try:
-        graph = build(
-            _spec_from_fields(fields),
+        spec = _spec_from_fields(fields)
+        validate_spec(spec)
+        graph = _assemble(
+            spec,
             seed=_field(fields, "seed", int),
             pattern=_field(fields, "pattern", ConnectionPattern),
             ffn_kind=_field(fields, "ffn", FfnKind),
+            zero_classifier=True,
+            rng=None,
         )
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -188,7 +210,8 @@ def load_checkpoint(path: str | os.PathLike) -> ModuleGraph:
         arr = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
         if not np.isfinite(arr).all():
             raise ConfigError(f"{path}: {name} holds non-finite values")
-        p.data = arr.reshape(shape).astype(np.float64)
+        np.copyto(p.data, arr.reshape(shape))
+        p.requires_grad = False
     return graph
 
 

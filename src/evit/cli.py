@@ -9,7 +9,7 @@ Subcommands:
 * ``attnmap``   - export per-head attention maps for an image as PGM files
 
 Exit codes: 0 success, 1 gradcheck mismatch, 2 usage or configuration error,
-3 non-finite values during gradient verification.
+3 non-finite values (a gradient during verification, or a training loss).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .config import (
     read_config,
 )
 from .data import read_image
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .feedforward import FfnKind
 from .gradcheck import run_gradcheck
 from .train import run_training
@@ -172,7 +172,10 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_train(args) -> int:
     config = apply_env_overrides(read_config(args.config))
-    result = run_training(config, args.out)
+    # a diverging run ends in one NonFiniteError line; numpy's overflow
+    # warnings on the way there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = run_training(config, args.out)
     print(
         f"finished {result.steps} steps: final loss {result.final_loss:.4f}, "
         f"training accuracy {result.final_accuracy:.2%}"
@@ -220,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ShapeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,17 +4,20 @@ A config file is plain text, one ``section.field = value`` per line, with
 ``#`` comments and blank lines ignored. Parsing starts from defaults, so a
 file only needs the fields it overrides. ``parse_config(render_config(c))``
 returns an equal config. The ``EVIT_SEED`` environment variable, when set,
-overrides ``train.seed`` after the file is read.
+overrides ``train.seed`` after the file is read. ``check_config`` rejects
+every field outside its valid range; parsing runs it, so a bad file fails
+before anything is built.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 
 from .attention import ConnectionPattern
-from .backbone import VARIANTS, VariantSpec, reduced_variant
+from .backbone import VARIANTS, VariantSpec, reduced_variant, validate_input_size
 from .errors import ConfigError
 from .feedforward import FfnKind
 
@@ -106,7 +109,35 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         target = {"int": int, "float": float, "bool": bool, "str": str}[types[(section, name)]]
         setattr(getattr(config, section), name, _convert(value, target, key))
+    check_config(config)
     return config
+
+
+# Smallest value of each train/data number; floats must also be finite. The
+# model fields are checked by resolving them to a spec.
+_MINIMUM = {
+    "train.seed": 0,
+    "train.steps": 0,
+    "train.batch_size": 1,
+    "train.learning_rate": 0.0,
+    "train.weight_decay": 0.0,
+    "data.count": 1,
+    "data.noise": 0.0,
+}
+
+
+def check_config(config: RunConfig) -> None:
+    """Raise ConfigError for the first field outside its valid range."""
+    for key, minimum in _MINIMUM.items():
+        section, name = key.split(".")
+        value = getattr(getattr(config, section), name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}, got {value!r}")
+    validate_input_size(spec_from_model_config(config.model), config.model.input_size)
+    pattern_from_string(config.model.pattern)
+    ffn_from_string(config.model.ffn)
 
 
 def read_config(path: str | os.PathLike) -> RunConfig:
@@ -127,6 +158,7 @@ def apply_env_overrides(config: RunConfig) -> RunConfig:
             config.train.seed = int(raw)
         except ValueError:
             raise ConfigError(f"EVIT_SEED must be an integer, got {raw!r}") from None
+        check_config(config)
     return config
 
 

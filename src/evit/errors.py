@@ -7,3 +7,7 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """Raised when a model or run configuration is internally inconsistent."""
+
+
+class NonFiniteError(ArithmeticError):
+    """Raised when a loss or a parameter holds NaN or infinity."""

@@ -106,7 +106,7 @@ class FfnParams:
         return pairs
 
 
-def init_ffn_params(rng: np.random.Generator, cfg: FfnConfig) -> FfnParams:
+def init_ffn_params(rng: np.random.Generator | None, cfg: FfnConfig) -> FfnParams:
     h = cfg.hidden
     params = FfnParams(
         fc1_weight=trunc_normal(rng, (cfg.dim, h)),

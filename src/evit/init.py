@@ -1,4 +1,9 @@
-"""Weight initializers. All draws come from a caller-supplied Generator."""
+"""Weight initializers. All draws come from a caller-supplied Generator.
+
+With ``rng=None`` the random initializers draw nothing and return an
+uninitialised array of the right shape, for callers (``load_checkpoint``)
+that fill every tensor themselves.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,12 @@ import numpy as np
 from .tensor import Tensor
 
 
-def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> Tensor:
+def trunc_normal(
+    rng: np.random.Generator | None, shape: tuple[int, ...], std: float = 0.02
+) -> Tensor:
     """Normal(0, std) redrawn until every entry lies within two deviations."""
+    if rng is None:
+        return Tensor(np.empty(shape), requires_grad=True)
     x = rng.normal(0.0, std, shape)
     mask = np.abs(x) > 2.0 * std
     while mask.any():
@@ -19,8 +28,12 @@ def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 
     return Tensor(x, requires_grad=True)
 
 
-def conv_fan_out(rng: np.random.Generator, shape: tuple[int, ...], groups: int = 1) -> Tensor:
+def conv_fan_out(
+    rng: np.random.Generator | None, shape: tuple[int, ...], groups: int = 1
+) -> Tensor:
     """Kaiming-style init for conv weights ``(O, C/groups, kh, kw)``."""
+    if rng is None:
+        return Tensor(np.empty(shape), requires_grad=True)
     o, _, kh, kw = shape
     fan_out = kh * kw * o // groups
     std = math.sqrt(2.0 / fan_out)

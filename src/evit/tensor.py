@@ -4,7 +4,9 @@ Every operator is pure: inputs are never written to and each call returns a
 fresh ``Tensor``. Calling an operator records the inputs and a backward
 closure on the result, so a scalar loss can replay adjoints in reverse
 topological order with ``Tensor.backward()``. Only leaves created with
-``requires_grad=True`` receive a ``.grad`` array.
+``requires_grad=True`` receive a ``.grad`` array. An operator whose inputs
+all lack ``requires_grad``, or any operator called inside ``no_grad()``,
+records nothing, so a forward pass over constants keeps no tape alive.
 
 Feature maps are channels-last, ``(N, H, W, C)``: the convolutions and
 ``avgpool_global`` read that layout, so a linear or a layer norm over the
@@ -20,6 +22,7 @@ tensor, not a padded copy, and re-pad it in ``backward``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -68,6 +71,30 @@ class MacCounter:
 def _record_macs(op: str, n: int) -> None:
     for counter in _ACTIVE_COUNTERS:
         counter._add(op, n)
+
+
+# False inside ``no_grad()``: operators then record no parents and no closure.
+_GRAD_ENABLED = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run operators without recording the backward tape.
+
+    Inside the block every operator returns a constant tensor
+    (``requires_grad`` False, no ``_backward_fn``), even when its inputs are
+    trainable, so intermediates are freed as soon as nothing refers to them.
+    Use it for forward-only passes over a graph that otherwise trains, such as
+    evaluation or counting MACs. Blocks nest; the previous state is restored
+    on exit, also when the block raises.
+    """
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 def set_adjoint_corruption(op: str | None) -> None:
@@ -169,9 +196,20 @@ class Tensor:
         Sets ``.grad`` (same shape as the leaf) on every reachable leaf with
         ``requires_grad=True``. Each call starts from fresh gradients; values
         from an earlier backward pass are overwritten, not accumulated.
+
+        Raises ``ValueError`` when the scalar itself does not require a
+        gradient: then no tensor it was computed from needs one (for example
+        every parameter of a graph from ``load_checkpoint``, or a loss
+        computed inside ``no_grad()``), and there is nothing to differentiate.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise ValueError(
+                "backward() on a scalar that needs no gradient: no tensor in the "
+                "loss needs a gradient (set requires_grad = True on the "
+                "parameters to train, and compute the loss outside no_grad())"
+            )
 
         order = _topo_order(self)
         grads: dict[int, Array] = {id(self): np.ones_like(self.data)}
@@ -227,7 +265,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def _make(data: Array, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn

@@ -4,7 +4,8 @@ Training is deterministic for a fixed config: the build seed, the batch
 sampler and the data generator all derive from ``train.seed``, and parameter
 updates happen in place between steps (single-writer; nothing else mutates
 tensors). Metrics are written as ``step,loss,accuracy`` rows, one per step,
-and the final model is saved as a checkpoint.
+and the final model is saved as a checkpoint. A run whose loss turns NaN or
+infinite stops at that step with ``NonFiniteError`` and writes neither file.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from .backbone import ModuleGraph, build
 from .checkpoint import save_checkpoint
 from .config import (
     RunConfig,
+    check_config,
     ffn_from_string,
     pattern_from_string,
     spec_from_model_config,
 )
 from .data import ToyDataset, load_image_dir, synthetic_shapes
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .tensor import Tensor
 
 
@@ -116,18 +118,25 @@ def load_dataset(config: RunConfig) -> ToyDataset:
 
 
 def evaluate(graph: ModuleGraph, dataset: ToyDataset, batch_size: int = 32) -> float:
-    """Accuracy of argmax predictions over a whole dataset."""
+    """Accuracy of argmax predictions over a whole dataset (no backward tape)."""
     hits = 0
-    for start in range(0, len(dataset), batch_size):
-        images = dataset.images[start : start + batch_size]
-        labels = dataset.labels[start : start + batch_size]
-        logits = graph.forward(images)
-        hits += int((logits.data.argmax(axis=1) == labels).sum())
+    with T.no_grad():
+        for start in range(0, len(dataset), batch_size):
+            images = dataset.images[start : start + batch_size]
+            labels = dataset.labels[start : start + batch_size]
+            logits = graph.forward(images)
+            hits += int((logits.data.argmax(axis=1) == labels).sum())
     return hits / len(dataset)
 
 
 def run_training(config: RunConfig, out_dir: str | os.PathLike) -> TrainResult:
-    """Train per ``config``, writing metrics.csv and model.ckpt into ``out_dir``."""
+    """Train per ``config``, writing metrics.csv and model.ckpt into ``out_dir``.
+
+    Raises ``ConfigError`` for a config field out of range and
+    ``NonFiniteError`` at the first step whose loss is NaN or infinite; either
+    way nothing is written.
+    """
+    check_config(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -154,22 +163,30 @@ def run_training(config: RunConfig, out_dir: str | os.PathLike) -> TrainResult:
 
         logits = graph.forward(images)
         loss = T.cross_entropy(logits, labels)
+        loss_value = loss.item()
+        if not math.isfinite(loss_value):
+            raise NonFiniteError(
+                f"step {step}: the loss is {loss_value}; stopped before writing "
+                f"metrics or a checkpoint (lower train.learning_rate?)"
+            )
         grads = graph.gradients(loss)
 
         accuracy = float((logits.data.argmax(axis=1) == labels).mean())
-        history.append((step, loss.item(), accuracy))
+        history.append((step, loss_value, accuracy))
 
         scale = cosine_scale(step, config.train.steps) if config.train.cosine else 1.0
         optimizer.step(named, grads, scale)
+
+    # the checkpoint goes first: it refuses non-finite parameters, and then
+    # no metrics.csv is left behind either
+    checkpoint_path = out_dir / "model.ckpt"
+    save_checkpoint(graph, checkpoint_path)
 
     metrics_path = out_dir / "metrics.csv"
     with open(metrics_path, "w") as fh:
         fh.write("step,loss,accuracy\n")
         for step, loss_value, accuracy in history:
             fh.write(f"{step},{loss_value!r},{accuracy!r}\n")
-
-    checkpoint_path = out_dir / "model.ckpt"
-    save_checkpoint(graph, checkpoint_path)
 
     return TrainResult(
         steps=config.train.steps,

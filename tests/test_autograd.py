@@ -218,6 +218,33 @@ class TestAutogradStructure:
         b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
         assert T.mul(a, b).requires_grad
 
+    def test_backward_without_trainable_input_raises(self, rng):
+        loss = T.tensor_sum(T.mul(Tensor(rng.normal(size=(3,))), Tensor(rng.normal(size=(3,)))))
+        with pytest.raises(ValueError, match="no tensor in the loss needs a gradient"):
+            loss.backward()
+
+    def test_no_grad_records_no_tape(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        with T.no_grad():
+            outs = [T.matmul(x, w), T.gelu(x), T.add(x, x), T.tensor_sum(x)]
+            with T.no_grad():
+                outs.append(T.softmax(x))
+            outs.append(T.mul(x, x))  # still off after the inner block exits
+        for out in outs:
+            assert not out.requires_grad
+            assert out._backward_fn is None and out._parents == ()
+        with pytest.raises(ValueError):
+            T.tensor_sum(outs[0]).backward()  # a loss computed from no_grad outputs
+        assert T.matmul(x, w)._backward_fn is not None
+
+    def test_no_grad_restores_recording_after_an_error(self, rng):
+        x = Tensor(rng.normal(size=(2,)), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                T.reshape(x, (3,))
+        assert T.mul(x, x)._backward_fn is not None
+
 
 def test_corrupted_adjoint_is_detected(rng):
     """The finite-difference harness must flag a deliberately broken rule."""

@@ -1,8 +1,11 @@
-"""Checkpoint format: bitwise round trips and tamper detection."""
+"""Checkpoint format: bitwise round trips, tamper detection, inference-ready loads."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import evit.tensor as T
 from evit.backbone import build
 from evit.checkpoint import (
     MAGIC,
@@ -13,7 +16,7 @@ from evit.checkpoint import (
 )
 from evit.cli import main
 from evit.data import write_ppm
-from evit.errors import ConfigError
+from evit.errors import ConfigError, NonFiniteError
 
 
 @pytest.fixture
@@ -45,6 +48,80 @@ def test_logits_reproduced_exactly(saved, rng):
     before = graph.forward(x).data
     after = load_checkpoint(path).forward(x).data
     assert np.array_equal(before, after)
+
+
+def test_loaded_graph_records_no_tape(saved, rng):
+    _, path = saved
+    graph = load_checkpoint(path)
+    assert not any(p.requires_grad for _, p in graph.named_parameters())
+    logits = graph.forward(rng.uniform(size=(2, 3, 32, 32)))
+    assert not logits.requires_grad and logits._backward_fn is None
+
+
+def _retained_bytes(graph, x) -> int:
+    """tracemalloc bytes still held after one forward, with the logits alive."""
+    graph.forward(x)  # warm-up: lazily built caches are not the tape
+    tracemalloc.start()
+    try:
+        logits = graph.forward(x)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (2, 2)
+    return retained
+
+
+def test_loaded_forward_retains_under_5pct_of_built(saved, rng):
+    graph, path = saved
+    x = rng.uniform(size=(2, 3, 32, 32))
+    built = _retained_bytes(graph, x)
+    loaded = _retained_bytes(load_checkpoint(path), x)
+    assert loaded < 0.05 * built, (loaded, built)
+
+
+def test_load_draws_no_random_numbers(saved, monkeypatch):
+    graph, path = saved
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    restored = load_checkpoint(path)
+    for (name, a), (_, b) in zip(graph.named_parameters(), restored.named_parameters()):
+        assert np.array_equal(a.data, b.data), name
+
+
+def _loss(graph, x):
+    return T.cross_entropy(graph.forward(x), np.array([0, 1]))
+
+
+def test_loaded_graph_gradients_raise(saved, rng):
+    _, path = saved
+    graph = load_checkpoint(path)
+    with pytest.raises(ValueError, match="no tensor in the loss needs a gradient"):
+        graph.gradients(_loss(graph, rng.uniform(size=(2, 3, 32, 32))))
+
+
+def test_fine_tuning_a_loaded_graph_matches_the_saved_graph(saved, rng):
+    graph, path = saved
+    restored = load_checkpoint(path)
+    for _, p in restored.named_parameters():
+        p.requires_grad = True
+    x = rng.uniform(size=(2, 3, 32, 32))
+    expected = graph.gradients(_loss(graph, x))
+    got = restored.gradients(_loss(restored, x))
+    assert list(got) == list(expected)
+    for name, g in expected.items():
+        assert np.array_equal(got[name], g), name
+
+
+def test_save_refuses_non_finite(saved, tmp_path):
+    graph, _ = saved
+    graph.stages[1].blocks[0].ffn.fc1_bias.data[3] = np.inf
+    target = tmp_path / "inf.ckpt"
+    with pytest.raises(NonFiniteError, match="stage2.block0.ffn.fc1.bias"):
+        save_checkpoint(graph, target)
+    assert not target.exists()
 
 
 def test_manifest_contents(saved):

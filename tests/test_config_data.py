@@ -23,6 +23,7 @@ from evit.data import (
     write_pgm,
     write_ppm,
 )
+from evit.cli import main
 from evit.errors import ConfigError
 
 
@@ -87,6 +88,42 @@ class TestConfigRoundTrip:
             parse_config("train.steps 7\n")
 
 
+# one row per field with a range: (config line, a fragment of the error message)
+OUT_OF_RANGE = [
+    ("model.variant = giant", "unknown variant"),
+    ("model.width_divisor = 0", "width_divisor"),
+    ("model.blocks_per_stage = -1", "blocks_per_stage"),
+    ("model.pattern = bogus", "connection pattern"),
+    ("model.ffn = bogus", "feedforward kind"),
+    ("model.input_size = 48", "multiple of 32"),
+    ("model.num_classes = 0", "classes must be positive"),
+    ("train.seed = -1", "train.seed must be >= 0"),
+    ("train.steps = -1", "train.steps must be >= 0"),
+    ("train.batch_size = 0", "train.batch_size must be >= 1"),
+    ("train.learning_rate = -0.001", "train.learning_rate must be >= 0"),
+    ("train.learning_rate = nan", "train.learning_rate must be finite"),
+    ("train.weight_decay = inf", "train.weight_decay must be finite"),
+    ("data.count = 0", "data.count must be >= 1"),
+    ("data.noise = -1", "data.noise must be >= 0"),
+    ("data.noise = nan", "data.noise must be finite"),
+]
+
+
+@pytest.mark.parametrize("line,message", OUT_OF_RANGE, ids=[row[0] for row in OUT_OF_RANGE])
+def test_out_of_range_field_exits_2_with_one_line(line, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("EVIT_SEED", raising=False)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(line + "\n")
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_text(line + "\n")
+    out_dir = tmp_path / "out"
+    code = main(["train", "--config", str(config_path), "--out", str(out_dir)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out_dir.exists()
+
+
 class TestEnvOverride:
     def test_evit_seed_wins(self, monkeypatch):
         monkeypatch.setenv("EVIT_SEED", "4711")
@@ -101,6 +138,11 @@ class TestEnvOverride:
     def test_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv("EVIT_SEED", "tomorrow")
         with pytest.raises(ConfigError):
+            apply_env_overrides(RunConfig())
+
+    def test_negative_env_seed_rejected(self, monkeypatch):
+        monkeypatch.setenv("EVIT_SEED", "-3")
+        with pytest.raises(ConfigError, match="train.seed must be >= 0"):
             apply_env_overrides(RunConfig())
 
 

@@ -162,6 +162,19 @@ class TestCli:
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_diverging_train_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("EVIT_SEED", raising=False)
+        config = _short_config(steps=3)
+        config.train.learning_rate = 1e300  # in range, but the first update overflows
+        config_path = tmp_path / "run.cfg"
+        write_config(config, config_path)
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: step 2: the loss is nan"), err
+        assert not (out_dir / "metrics.csv").exists()
+        assert not (out_dir / "model.ckpt").exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code = main([
             "attnmap", "--checkpoint", str(tmp_path / "none.ckpt"),

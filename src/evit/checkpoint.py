@@ -19,6 +19,7 @@ exact. Layout:
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -92,7 +93,12 @@ def save_checkpoint(graph: ModuleGraph, path: str | os.PathLike) -> None:
 
 
 def read_manifest(path: str | os.PathLike) -> dict:
-    """Parse the header: build fields, the tensor table and a view of the data bytes."""
+    """Parse the header: build fields, the tensor table and a view of the data bytes.
+
+    Each tensor's offset must be the byte total of the tensors listed before
+    it, and the ``data:`` size the total of all of them; the data bytes then
+    hold exactly the listed tensors, each where the table says.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(_END)
@@ -128,12 +134,22 @@ def read_manifest(path: str | os.PathLike) -> dict:
         raise ConfigError(f"{path}: malformed tensor table ({exc})") from None
     if nbytes is None:
         raise ConfigError(f"{path}: malformed manifest, expected data size line")
+
+    # tensors are packed back to back in table order: any other offset or
+    # total would read some tensor from the wrong bytes
+    total = 0
+    for name, shape, offset in table:
+        if any(d < 0 for d in shape):
+            raise ConfigError(f"{path}: {name} has a negative dimension in {shape}")
+        if offset != total:
+            raise ConfigError(
+                f"{path}: {name} starts at byte {offset}, but the tensors before it end at {total}"
+            )
+        total += 8 * math.prod(shape)
+    if nbytes != total:
+        raise ConfigError(f"{path}: data size {nbytes} does not match the {total} tensor bytes")
     if len(data) != nbytes:
         raise ConfigError(f"{path}: expected {nbytes} data bytes, found {len(data)}")
-
-    offsets = [off for _, _, off in table]
-    if offsets != sorted(offsets):
-        raise ConfigError(f"{path}: tensor offsets are not monotonically increasing")
     return {"fields": fields, "table": table, "data": data}
 
 
@@ -204,10 +220,7 @@ def load_checkpoint(path: str | os.PathLike) -> ModuleGraph:
         p = params[name]
         if p.shape != shape:
             raise ConfigError(f"{path}: {name} has shape {shape}, graph expects {p.shape}")
-        n = int(np.prod(shape)) if shape else 1
-        if offset < 0 or offset + 8 * n > len(data):
-            raise ConfigError(f"{path}: {name} lies outside the {len(data)} data bytes")
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
+        arr = np.frombuffer(data, dtype="<f8", count=math.prod(shape), offset=offset)
         if not np.isfinite(arr).all():
             raise ConfigError(f"{path}: {name} holds non-finite values")
         np.copyto(p.data, arr.reshape(shape))

@@ -8,13 +8,15 @@ Subcommands:
 * ``train``     - run toy training from a config file
 * ``attnmap``   - export per-head attention maps for an image as PGM files
 
-Exit codes: 0 success, 1 gradcheck mismatch, 2 usage or configuration error,
+Exit codes: 0 success, 1 gradcheck mismatch, 2 usage, configuration or file
+error (a path that is missing, is a directory, or blocks an output directory),
 3 non-finite values (a gradient during verification, or a training loss).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -130,8 +132,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples < 1 or args.width_divisor < 1:
+        raise ConfigError(
+            f"--samples and --width-divisor must be >= 1, got {args.samples}, {args.width_divisor}"
+        )
+    for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be positive and finite, got {value}")
     spec = reduced_variant(
         VARIANTS[args.variant], width_divisor=args.width_divisor, num_classes=2
     )
@@ -220,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ShapeError, FileNotFoundError) as exc:
+    except (ConfigError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonFiniteError as exc:

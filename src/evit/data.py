@@ -104,6 +104,15 @@ def _read_header(raw: bytes, path) -> tuple[bytes, list[int], int]:
     return magic, values, pos + 1  # single whitespace after maxval
 
 
+def _pixels(raw: bytes, offset: int, count: int, path) -> np.ndarray:
+    """The ``count`` pixel bytes after the header; a short file is a ConfigError."""
+    if len(raw) - offset < count:
+        raise ConfigError(
+            f"{path}: header declares {count} pixel bytes, file has {max(len(raw) - offset, 0)}"
+        )
+    return np.frombuffer(raw, dtype=np.uint8, count=count, offset=offset)
+
+
 def read_pgm(path: str | os.PathLike) -> np.ndarray:
     """Binary PGM (P5) -> (H, W) float64 in [0, 1]."""
     raw = Path(path).read_bytes()
@@ -112,7 +121,7 @@ def read_pgm(path: str | os.PathLike) -> np.ndarray:
         raise ConfigError(f"{path}: expected P5 magic, got {magic!r}")
     if maxval != 255:
         raise ConfigError(f"{path}: only maxval 255 is supported, got {maxval}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=offset)
+    pixels = _pixels(raw, offset, w * h, path)
     return pixels.reshape(h, w).astype(np.float64) / 255.0
 
 
@@ -124,7 +133,7 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
         raise ConfigError(f"{path}: expected P6 magic, got {magic!r}")
     if maxval != 255:
         raise ConfigError(f"{path}: only maxval 255 is supported, got {maxval}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=3 * w * h, offset=offset)
+    pixels = _pixels(raw, offset, 3 * w * h, path)
     return pixels.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 

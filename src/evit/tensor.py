@@ -13,11 +13,13 @@ Feature maps are channels-last, ``(N, H, W, C)``: the convolutions and
 last axis applies to a map with no data movement. Convolution weights keep
 the usual ``(O, C, kh, kw)`` and ``(C, 1, kh, kw)`` layouts.
 
-The kernel is written for clarity and trust first: dense convolutions go
-through strided window views plus ``einsum``, depthwise convolution is a
-per-tap accumulation of strided slices, and everything stays float64 so
-finite-difference checks have headroom. Convolution closures keep their input
-tensor, not a padded copy, and re-pad it in ``backward``.
+The kernel is written for clarity and trust first, and everything stays
+float64 so finite-difference checks have headroom. A dense convolution is one
+matrix product of its patch matrix (every output pixel's window as a row) with
+the reshaped weight, and its backward pass is two more; depthwise convolution
+is a per-tap accumulation of slices, a whole ``(W, C)`` row per call at stride
+1. Convolution closures keep their input tensor, not a padded copy or a patch
+matrix, and rebuild what they need in ``backward``.
 """
 
 from __future__ import annotations
@@ -491,13 +493,26 @@ def _pad(x: Array, padding: int) -> Array:
 
 
 def _conv_windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
+    """The ``(N*ho*wo, kh*kw*C)`` patch matrix of ``padded``.
+
+    Row ``(n, y, x)`` holds the window under output pixel ``(y, x)``, ordered
+    ``(kh, kw, C)`` with channels fastest, so the strided view reads whole
+    contiguous pixels; reshaping it copies unless the kernel is 1x1 at stride 1.
+    """
     n, hp, wp, c = padded.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     sn, sh, sw, sc = padded.strides
-    shape = (n, ho, wo, c, kh, kw)
-    strides = (sn, sh * stride, sw * stride, sc, sh, sw)
-    return np.lib.stride_tricks.as_strided(padded, shape, strides, writeable=False)
+    shape = (n, ho, wo, kh, kw, c)
+    strides = (sn, sh * stride, sw * stride, sh, sw, sc)
+    windows = np.lib.stride_tricks.as_strided(padded, shape, strides, writeable=False)
+    return windows.reshape(n * ho * wo, kh * kw * c)
+
+
+def _conv_weight_matrix(weight: Array) -> Array:
+    """``(O, C, kh, kw)`` -> the ``(kh*kw*C, O)`` matrix matching ``_conv_windows``."""
+    o, c, kh, kw = weight.shape
+    return weight.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
 
 
 def _tap(padded: Array, i: int, j: int, ho: int, wo: int, stride: int) -> Array:
@@ -544,28 +559,51 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(
             f"conv2d channel mismatch: input {x.shape} vs weight {weight.shape}"
         )
-    kh, kw = weight.data.shape[2], weight.data.shape[3]
-    windows = _conv_windows(_pad(x.data, padding), kh, kw, stride)
-    data = np.einsum("nhwckl,ockl->nhwo", windows, weight.data, optimize=True)
-    n, ho, wo, o = data.shape
-    _record_macs("conv2d", n * o * x.data.shape[3] * kh * kw * ho * wo)
+    n, h, w, c = x.data.shape
+    o, _, kh, kw = weight.data.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    cols = _conv_windows(_pad(x.data, padding), kh, kw, stride)
+    data = (cols @ _conv_weight_matrix(weight.data)).reshape(n, ho, wo, o)
+    _record_macs("conv2d", n * o * c * kh * kw * ho * wo)
 
+    # rebuilt in backward, not captured: a captured matrix would stay alive as
+    # long as the tape does
     def backward(g: Array):
         padded = _pad(x.data, padding)
-        windows = _conv_windows(padded, kh, kw, stride)
-        gw = np.einsum("nhwckl,nhwo->ockl", windows, g, optimize=True)
-        gp = np.zeros_like(padded)
-        _scatter_into_padded(
-            gp,
-            g,
-            lambda i, j: np.einsum("nhwo,oc->nhwc", g, weight.data[:, :, i, j], optimize=True),
-            kh,
-            kw,
-            stride,
-        )
+        g_mat = g.reshape(n * ho * wo, o)
+        gw = _conv_windows(padded, kh, kw, stride).T @ g_mat
+        gw = np.ascontiguousarray(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
+        g_cols = (g_mat @ _conv_weight_matrix(weight.data).T).reshape(n, ho, wo, kh, kw, c)
+        gp = np.zeros(padded.shape)
+        _scatter_into_padded(gp, g, lambda i, j: g_cols[:, :, :, i, j], kh, kw, stride)
         return (_unpad(gp, padding), gw)
 
     return _make(data, (x, weight), backward)
+
+
+def _dw_taps(padded: Array, weight: Array, ho: int, wo: int, stride: int):
+    """Yield ``(view, weights)`` for each kernel tap ``(i, j)``, in row-major order.
+
+    ``view`` is the slice of ``padded`` that the tap reads (or, for a gradient
+    map, writes) and ``weights`` scales it channel by channel. At stride 1 a
+    tap's slice is contiguous over ``(W, C)``, so the views are whole rows
+    ``(N, ho, wo*C)`` with each tap's weights repeated ``wo`` times: one ufunc
+    call then runs over a full row instead of broadcasting over the short
+    channel axis. Strided taps are ``(N, ho, wo, C)`` views.
+    """
+    n, hp, wp, c = padded.shape
+    kh, kw = weight.shape[2], weight.shape[3]
+    taps = weight[:, 0].reshape(c, kh * kw).T
+    if stride == 1:
+        rows = padded.reshape(n, hp, wp * c)
+        taps = np.repeat(taps[:, None], wo, axis=1).reshape(kh * kw, wo * c)
+    for k in range(kh * kw):
+        i, j = divmod(k, kw)
+        if stride == 1:
+            yield rows[:, i : i + ho, j * c : (j + wo) * c], taps[k]
+        else:
+            yield _tap(padded, i, j, ho, wo, stride), taps[k]
 
 
 def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -573,8 +611,8 @@ def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Te
 
     One filter per channel; the output is ``(N,ho,wo,C)``.
 
-    Computed as a sum over the ``kh*kw`` taps: each tap adds one strided slice
-    of the padded input, scaled by that tap's per-channel weight.
+    Computed as a sum over the ``kh*kw`` taps: each tap adds one slice of the
+    padded input, scaled by that tap's per-channel weight (see ``_dw_taps``).
     """
     _check_conv_args(x, weight, stride, padding)
     if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[3]:
@@ -585,11 +623,10 @@ def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Te
     kh, kw = weight.data.shape[2], weight.data.shape[3]
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    padded = _pad(x.data, padding)
     data = np.zeros((n, ho, wo, c))
-    for i in range(kh):
-        for j in range(kw):
-            data += _tap(padded, i, j, ho, wo, stride) * weight.data[:, 0, i, j]
+    rows = data.reshape(n, ho, wo * c) if stride == 1 else data
+    for view, tap_weights in _dw_taps(_pad(x.data, padding), weight.data, ho, wo, stride):
+        rows += view * tap_weights
     _record_macs("dwconv2d", n * c * kh * kw * ho * wo)
 
     def backward(g: Array):
@@ -598,15 +635,11 @@ def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Te
         for i in range(kh):
             for j in range(kw):
                 gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", _tap(padded, i, j, ho, wo, stride), g)
-        gp = np.zeros_like(padded)
-        _scatter_into_padded(
-            gp,
-            g,
-            lambda i, j: g * weight.data[:, 0, i, j],
-            kh,
-            kw,
-            stride,
-        )
+        # a fresh C-ordered buffer, so the row views in _dw_taps write into it
+        gp = np.zeros(padded.shape)
+        g_rows = g.reshape(n, ho, wo * c) if stride == 1 else g
+        for view, tap_weights in _dw_taps(gp, weight.data, ho, wo, stride):
+            view += g_rows * tap_weights
         return (_unpad(gp, padding), gw)
 
     return _make(data, (x, weight), backward)

@@ -8,7 +8,7 @@ from evit.errors import ShapeError
 from evit.tensor import Tensor, finite_difference, relative_error
 
 from conftest import to_nhwc
-from test_tensor_ops import DW_CASES
+from test_tensor_ops import CONV_CASES, DW_CASES
 
 TOL = 1e-4
 H = 1e-3
@@ -91,10 +91,10 @@ class TestDenseAdjoints:
         mix = _mixer(rng, (2, 7, 4))
         check_against_fd(lambda: T.tensor_sum(T.mul(T.linear(x, w, b), mix)), [x, w, b], rng)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
-    def test_conv2d(self, stride, padding, rng):
-        x = Tensor(to_nhwc(rng.normal(size=(2, 3, 7, 7))), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    @pytest.mark.parametrize("stride,padding,kernel,channels,hw", CONV_CASES)
+    def test_conv2d(self, stride, padding, kernel, channels, hw, rng):
+        x = Tensor(to_nhwc(rng.normal(size=(2, channels[0]) + hw)), requires_grad=True)
+        w = Tensor(rng.normal(size=(channels[1], channels[0]) + kernel), requires_grad=True)
         out_shape = T.conv2d(x, w, stride=stride, padding=padding).shape
         mix = _mixer(rng, out_shape)
         check_against_fd(

@@ -1,9 +1,13 @@
 """Checkpoint format: bitwise round trips, tamper detection, inference-ready loads."""
 
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evit.tensor as T
 from evit.backbone import build
@@ -16,7 +20,7 @@ from evit.checkpoint import (
 )
 from evit.cli import main
 from evit.data import write_ppm
-from evit.errors import ConfigError, NonFiniteError
+from evit.errors import ConfigError, NonFiniteError, ShapeError
 
 
 @pytest.fixture
@@ -181,6 +185,18 @@ def _replace(old: bytes, new: bytes):
     return lambda raw: raw.replace(old, new, 1)
 
 
+def _shift_offset(name: bytes, by: int):
+    """Move one tensor's manifest offset by ``by`` bytes, leaving the data alone."""
+
+    def corrupt(raw: bytes) -> bytes:
+        start = raw.index(b"\n" + name + b" ") + 1
+        end = raw.index(b"\n", start)
+        head, offset = raw[start:end].rsplit(b" ", 1)
+        return raw[:start] + head + b" " + str(int(offset) + by).encode() + raw[end:]
+
+    return corrupt
+
+
 def _nan_data(raw: bytes) -> bytes:
     head, sep, data = raw.partition(b"\nEND\n")
     return head + sep + np.full(len(data) // 8, np.nan).astype("<f8").tobytes()
@@ -194,6 +210,8 @@ def _nan_data(raw: bytes) -> bytes:
         pytest.param(_replace(b"pattern: bifovea", b"pattern: bogus"), id="bad-pattern"),
         pytest.param(_replace(b"name: tiny", b"name: t\xffny"), id="non-ascii-name"),
         pytest.param(_nan_data, id="all-nan-data"),
+        pytest.param(_shift_offset(b"stem.conv2.weight", 1), id="offset-plus-1"),
+        pytest.param(_shift_offset(b"stem.conv2.weight", 8), id="offset-plus-8"),
     ],
 )
 def test_malformed_checkpoint_exits_2_with_one_line(corrupt, saved, tmp_path, capsys):
@@ -209,3 +227,47 @@ def test_malformed_checkpoint_exits_2_with_one_line(corrupt, saved, tmp_path, ca
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(toy_spec, tmp_path_factory):
+    """One saved reduced-tiny checkpoint, its parameters and a probe image."""
+    root = tmp_path_factory.mktemp("fuzz")
+    graph = build(toy_spec, seed=21, zero_classifier=False)
+    save_checkpoint(graph, root / "model.ckpt")
+    write_ppm(root / "probe.ppm", np.random.default_rng(0).uniform(size=(3, 32, 32)))
+    return root, (root / "model.ckpt").read_bytes(), dict(graph.named_parameters())
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_corrupted_header_or_truncation_loads_exactly_or_exits_2(fuzz_files, data):
+    """Any one replaced header byte, or a cut at any length: exact load or exit 2.
+
+    The data bytes carry no checksum, so changes inside them are not fuzzed.
+    """
+    root, raw, params = fuzz_files
+    header = raw.index(b"\nEND\n") + len(b"\nEND\n")
+    if data.draw(st.booleans(), label="truncate"):
+        bad = raw[: data.draw(st.integers(0, len(raw)), label="length")]
+    else:
+        at = data.draw(st.integers(0, header - 1), label="position")
+        byte = data.draw(st.integers(0, 255), label="byte")
+        bad = raw[:at] + bytes([byte]) + raw[at + 1 :]
+    path = root / "bad.ckpt"
+    path.write_bytes(bad)
+    try:
+        restored = load_checkpoint(path)
+    except (ConfigError, ShapeError):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["attnmap", "--checkpoint", str(path),
+                         "--image", str(root / "probe.ppm"), "--out", str(root / "maps")])
+        lines = err.getvalue().strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        return
+    loaded = dict(restored.named_parameters())
+    assert list(loaded) == list(params)
+    for name, p in params.items():
+        assert loaded[name].data.tobytes() == p.data.tobytes(), name

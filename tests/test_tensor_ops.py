@@ -66,11 +66,27 @@ DW_CASES = [
 ]
 
 
+# (stride, padding, kernel kh x kw, channels C -> O, input H x W). The 2x2
+# stride-2 row is a patch embedding, 2-1 is stem conv1, the 1x1 row is the
+# head (C != O), and the 2x3 kernel catches swapped kh/kw/C axes in the
+# patch-matrix layout.
+CONV_CASES = [
+    pytest.param(1, 0, (3, 3), (3, 4), (9, 11), id="1-0"),
+    pytest.param(1, 1, (3, 3), (3, 4), (9, 11), id="1-1"),
+    pytest.param(2, 1, (3, 3), (3, 4), (9, 11), id="2-1"),
+    pytest.param(3, 0, (3, 3), (3, 4), (9, 11), id="3-0"),
+    pytest.param(2, 0, (3, 3), (3, 4), (7, 7), id="2-0"),
+    pytest.param(1, 0, (1, 1), (6, 10), (5, 5), id="1x1-6to10"),
+    pytest.param(2, 0, (2, 2), (3, 4), (8, 8), id="2-0-2x2"),
+    pytest.param(1, 1, (2, 3), (3, 4), (9, 11), id="1-1-2x3-9x11"),
+]
+
+
 class TestConv:
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (3, 0)])
-    def test_conv2d_matches_bruteforce(self, stride, padding, rng):
-        x = rng.normal(size=(2, 3, 9, 11))
-        w = rng.normal(size=(4, 3, 3, 3))
+    @pytest.mark.parametrize("stride,padding,kernel,channels,hw", CONV_CASES)
+    def test_conv2d_matches_bruteforce(self, stride, padding, kernel, channels, hw, rng):
+        x = rng.normal(size=(2, channels[0]) + hw)
+        w = rng.normal(size=(channels[1], channels[0]) + kernel)
         out = to_nchw(T.conv2d(Tensor(to_nhwc(x)), Tensor(w), stride=stride, padding=padding).data)
         expected = naive_conv2d(x, w, stride=stride, padding=padding)
         assert out.shape == expected.shape

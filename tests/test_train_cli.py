@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import evit.tensor as T
-from evit.checkpoint import load_checkpoint
+from evit.backbone import build
+from evit.checkpoint import load_checkpoint, save_checkpoint
 from evit.cli import main
 from evit.config import RunConfig, write_config
-from evit.data import read_pgm, synthetic_shapes, write_ppm
+from evit.data import read_pgm, synthetic_shapes, write_pgm, write_ppm
 from evit.errors import ConfigError
 from evit.tensor import Tensor
 from evit.train import AdamW, cosine_scale, evaluate, run_training
@@ -193,3 +194,48 @@ class TestCli:
         file_ckpt = (tmp_path / "file" / "model.ckpt").read_bytes()
         assert env_ckpt != file_ckpt
         assert b"seed: 777" in env_ckpt
+
+
+@pytest.fixture
+def cli_files(tmp_path, toy_spec, monkeypatch):
+    """Valid inputs for every subcommand, a plain file and two truncated images."""
+    monkeypatch.delenv("EVIT_SEED", raising=False)
+    save_checkpoint(build(toy_spec, seed=0), tmp_path / "model.ckpt")
+    write_config(_short_config(steps=1), tmp_path / "run.cfg")
+    rng = np.random.default_rng(0)
+    write_ppm(tmp_path / "probe.ppm", rng.uniform(size=(3, 32, 32)))
+    write_pgm(tmp_path / "probe.pgm", rng.uniform(size=(32, 32)))
+    for name in ("probe.ppm", "probe.pgm"):
+        raw = (tmp_path / name).read_bytes()
+        (tmp_path / f"short{name[-4:]}").write_bytes(raw[:-5])
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    return tmp_path
+
+
+def _attnmap(d, checkpoint="model.ckpt", image="probe.ppm", out="maps"):
+    return ["attnmap", "--checkpoint", str(d / checkpoint), "--image", str(d / image),
+            "--out", str(d / out)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda d: _attnmap(d, checkpoint="."), id="attnmap-checkpoint-is-dir"),
+        pytest.param(lambda d: ["train", "--config", str(d), "--out", str(d / "o")],
+                     id="train-config-is-dir"),
+        pytest.param(lambda d: _attnmap(d, out="taken"), id="attnmap-out-is-file"),
+        pytest.param(lambda d: ["train", "--config", str(d / "run.cfg"), "--out", str(d / "taken")],
+                     id="train-out-is-file"),
+        pytest.param(lambda d: _attnmap(d, image="short.ppm"), id="attnmap-truncated-ppm"),
+        pytest.param(lambda d: _attnmap(d, image="short.pgm"), id="attnmap-truncated-pgm"),
+        pytest.param(lambda d: ["gradcheck", "--width-divisor", "0"], id="gradcheck-width-divisor-0"),
+        pytest.param(lambda d: ["gradcheck", "--step", "0"], id="gradcheck-step-0"),
+        pytest.param(lambda d: ["gradcheck", "--step", "nan"], id="gradcheck-step-nan"),
+        pytest.param(lambda d: ["gradcheck", "--tolerance", "nan"], id="gradcheck-tolerance-nan"),
+    ],
+)
+def test_malformed_flag_or_path_exits_2_with_one_line(argv, cli_files, capsys):
+    code = main(argv(cli_files))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:"), err

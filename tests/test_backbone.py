@@ -1,5 +1,7 @@
 """Backbone construction, variant table, forward shapes, block wiring."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,22 @@ class TestBuild:
         build(toy_spec, seed=0, input_size=32)
         with pytest.raises(ConfigError):
             build(toy_spec, seed=0, input_size=40)
+
+    # sha256 of the "<name> <d0,d1,...>" lines of full-width tiny, in order;
+    # a checkpoint's tensor table follows this list, so it must not move
+    NAME_SHAPE_SHA256 = {
+        FfnKind.FFN: "70a7525ddd71d66dcf9b825bead12e9b7b37064aef0b2dd6f2eb6c92a8c7f5be",
+        FfnKind.CFFN: "817295022bea2483162b763387abd8866bcf8bb8c12947768eb1cebadb333757",
+        FfnKind.BFFN: "750e62563a7e6f2a386f3af2c668d80dca5ae047015c2a7bb33f5aa6efce9a7c",
+    }
+
+    @pytest.mark.parametrize("ffn_kind", list(FfnKind))
+    def test_tiny_names_order_and_shapes_pinned(self, ffn_kind):
+        graph = build("tiny", seed=0, ffn_kind=ffn_kind)
+        text = "\n".join(
+            f"{name} {','.join(map(str, p.shape))}" for name, p in graph.named_parameters()
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.NAME_SHAPE_SHA256[ffn_kind]
 
     def test_norm_and_gate_init(self, toy_spec):
         graph = build(toy_spec, seed=0)

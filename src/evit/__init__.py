@@ -7,7 +7,7 @@ procedural toy dataset. See the README for the CLI.
 """
 
 from .analysis import CostReport, cost_report, export_attention_maps, measure_macs
-from .attention import AttentionConfig, BfsaParams, ConnectionPattern, bfsa_forward
+from .attention import AttentionConfig, ConnectionPattern, bfsa_forward
 from .backbone import (
     VARIANTS,
     AttentionCapture,
@@ -32,7 +32,6 @@ __all__ = [
     "AdamW",
     "AttentionCapture",
     "AttentionConfig",
-    "BfsaParams",
     "ConfigError",
     "ConnectionPattern",
     "CostReport",

@@ -31,6 +31,7 @@ from .attention import ConnectionPattern
 from .backbone import (
     AttentionCapture,
     ModuleGraph,
+    StageConfig,
     VariantSpec,
     stage_sides,
     validate_input_size,
@@ -229,6 +230,37 @@ def _ffn_rows(cfg: FfnConfig, side: int) -> tuple[int, int]:
     return params, macs
 
 
+def _block_rows(tag: str, stage: StageConfig, ffn_kind: FfnKind, side: int) -> list[CostRow]:
+    """The six rows of one block on a ``side`` x ``side`` map."""
+    dim = stage.channels
+    ffn_cfg = FfnConfig(dim, stage.expansion, ffn_kind)
+    return [
+        CostRow(f"{tag}.cpe", *_dwconv_cost(dim, 3, side)),
+        CostRow(f"{tag}.ln1", 2 * dim, 0),
+        CostRow(f"{tag}.bfsa.sfa", *_fovea_rows(dim, stage.sfa_reduction, side)),
+        CostRow(f"{tag}.bfsa.dfa", *_fovea_rows(dim, stage.dfa_reduction, side)),
+        CostRow(f"{tag}.ln2", 2 * dim, 0),
+        CostRow(f"{tag}.ffn", *_ffn_rows(ffn_cfg, side)),
+    ]
+
+
+def parameter_count(spec: VariantSpec, ffn_kind: FfnKind = FfnKind.BFFN) -> int:
+    """``cost_report(spec, ...).total_params`` for any input size, allocating nothing.
+
+    Parameter counts do not depend on the map sizes, so this needs no input
+    size, and it costs one block per stage however many blocks a stage has.
+    """
+    st = spec.stem_channels
+    total = sum(_conv_cost(st, in_ch, 3, 0)[0] for in_ch in (3, st, st))
+    prev = st
+    for stage in spec.stages:
+        block = sum(r.params for r in _block_rows("", stage, ffn_kind, 0))
+        total += _conv_cost(stage.channels, prev, 2, 0)[0] + stage.blocks * block
+        prev = stage.channels
+    head_fc = spec.head_channels * spec.num_classes + spec.num_classes
+    return total + _conv_cost(spec.head_channels, prev, 1, 0)[0] + head_fc
+
+
 def cost_report(
     spec: VariantSpec,
     input_size: int = 224,
@@ -251,19 +283,8 @@ def cost_report(
         p, m = _conv_cost(stage.channels, prev, 2, side)
         rows.append(CostRow(f"stage{i}.embed", p, m))
         prev = stage.channels
-        ffn_cfg = FfnConfig(stage.channels, stage.expansion, ffn_kind)
         for j in range(stage.blocks):
-            tag = f"stage{i}.block{j}"
-            p, m = _dwconv_cost(stage.channels, 3, side)
-            rows.append(CostRow(f"{tag}.cpe", p, m))
-            rows.append(CostRow(f"{tag}.ln1", 2 * stage.channels, 0))
-            p, m, a = _fovea_rows(stage.channels, stage.sfa_reduction, side)
-            rows.append(CostRow(f"{tag}.bfsa.sfa", p, m, a))
-            p, m, a = _fovea_rows(stage.channels, stage.dfa_reduction, side)
-            rows.append(CostRow(f"{tag}.bfsa.dfa", p, m, a))
-            rows.append(CostRow(f"{tag}.ln2", 2 * stage.channels, 0))
-            p, m = _ffn_rows(ffn_cfg, side)
-            rows.append(CostRow(f"{tag}.ffn", p, m))
+            rows += _block_rows(f"stage{i}.block{j}", stage, ffn_kind, side)
 
     p, m = _conv_cost(spec.head_channels, prev, 1, sides[-1])
     rows.append(CostRow("head.proj", p, m))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .init import conv_fan_out, trunc_normal, zeros
+from .init import conv_params, trunc_normal
 from .maps import dwconv_bias, map_to_tokens, tokens_to_map
 from .tensor import Tensor
 
@@ -60,62 +60,23 @@ class AttentionConfig:
         return self.dim // self.heads
 
 
-@dataclass
-class FoveaParams:
-    """Weights for one attention pathway."""
-
-    q_weight: Tensor
-    k_weight: Tensor
-    v_weight: Tensor
-    out_weight: Tensor
-    reduce_weight: Tensor | None = None
-    reduce_bias: Tensor | None = None
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        pairs = [
-            (f"{prefix}.q_weight", self.q_weight),
-            (f"{prefix}.k_weight", self.k_weight),
-            (f"{prefix}.v_weight", self.v_weight),
-            (f"{prefix}.out_weight", self.out_weight),
-        ]
-        if self.reduce_weight is not None:
-            pairs.insert(0, (f"{prefix}.reduce.weight", self.reduce_weight))
-            pairs.insert(1, (f"{prefix}.reduce.bias", self.reduce_bias))
-        return pairs
-
-
-@dataclass
-class BfsaParams:
-    sfa: FoveaParams
-    dfa: FoveaParams
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return self.sfa.named(f"{prefix}.sfa") + self.dfa.named(f"{prefix}.dfa")
-
-
 def init_fovea_params(
     rng: np.random.Generator | None, dim: int, reduction: int
-) -> FoveaParams:
-    reduce_weight = None
-    reduce_bias = None
+) -> dict:
+    """One pathway's weights: ``reduce`` (only when ``reduction > 1``), then the projections."""
+    params = {}
     if reduction > 1:
-        reduce_weight = conv_fan_out(rng, (dim, 1, reduction, reduction), groups=dim)
-        reduce_bias = zeros((dim,))
-    return FoveaParams(
-        q_weight=trunc_normal(rng, (dim, dim)),
-        k_weight=trunc_normal(rng, (dim, dim)),
-        v_weight=trunc_normal(rng, (dim, dim)),
-        out_weight=trunc_normal(rng, (dim, dim)),
-        reduce_weight=reduce_weight,
-        reduce_bias=reduce_bias,
-    )
+        params["reduce"] = conv_params(rng, dim, dim, reduction, groups=dim)
+    for key in ("q_weight", "k_weight", "v_weight", "out_weight"):
+        params[key] = trunc_normal(rng, (dim, dim))
+    return params
 
 
-def init_bfsa_params(rng: np.random.Generator | None, cfg: AttentionConfig) -> BfsaParams:
-    return BfsaParams(
-        sfa=init_fovea_params(rng, cfg.dim, cfg.sfa_reduction),
-        dfa=init_fovea_params(rng, cfg.dim, cfg.dfa_reduction),
-    )
+def init_bfsa_params(rng: np.random.Generator | None, cfg: AttentionConfig) -> dict:
+    return {
+        "sfa": init_fovea_params(rng, cfg.dim, cfg.sfa_reduction),
+        "dfa": init_fovea_params(rng, cfg.dim, cfg.dfa_reduction),
+    }
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -128,31 +89,30 @@ def _fovea_attention(
     x: Tensor,
     heads: int,
     reduction: int,
-    params: FoveaParams,
+    params: dict,
     capture: dict | None = None,
     capture_key: str = "",
 ) -> Tensor:
     """Multi-head attention over a ``(N,H,W,C)`` map, with strided key/value pooling."""
     n, h, w, c = x.shape
-    if params.q_weight.shape != (c, c):
+    if params["q_weight"].shape != (c, c):
         raise ShapeError(
-            f"attention weights built for dim {params.q_weight.shape[0]}, map has {c} channels"
+            f"attention weights built for dim {params['q_weight'].shape[0]}, map has {c} channels"
         )
     if h % reduction != 0 or w % reduction != 0:
         raise ConfigError(
             f"map size {h}x{w} not divisible by key/value reduction {reduction}"
         )
 
-    q = T.linear(map_to_tokens(x), params.q_weight)
+    q = T.linear(map_to_tokens(x), params["q_weight"])
     if reduction > 1:
-        pooled = dwconv_bias(
-            x, params.reduce_weight, params.reduce_bias, stride=reduction, padding=0
-        )
+        reduce = params["reduce"]
+        pooled = dwconv_bias(x, reduce["weight"], reduce["bias"], stride=reduction, padding=0)
         kv_tokens = map_to_tokens(pooled)
     else:
         kv_tokens = map_to_tokens(x)
-    k = T.linear(kv_tokens, params.k_weight)
-    v = T.linear(kv_tokens, params.v_weight)
+    k = T.linear(kv_tokens, params["k_weight"])
+    v = T.linear(kv_tokens, params["v_weight"])
 
     qh = _split_heads(q, heads)
     kh = _split_heads(k, heads)
@@ -166,19 +126,19 @@ def _fovea_attention(
 
     mixed = T.matmul(weights, vh)
     merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (n, h * w, c))
-    out = T.linear(merged, params.out_weight)
+    out = T.linear(merged, params["out_weight"])
     return tokens_to_map(out, h, w)
 
 
 def sfa_forward(
-    x: Tensor, cfg: AttentionConfig, params: FoveaParams, capture: dict | None = None
+    x: Tensor, cfg: AttentionConfig, params: dict, capture: dict | None = None
 ) -> Tensor:
     """Shallow fovea: light key/value pooling, sees the finer grid."""
     return _fovea_attention(x, cfg.heads, cfg.sfa_reduction, params, capture, "sfa")
 
 
 def dfa_forward(
-    x: Tensor, cfg: AttentionConfig, params: FoveaParams, capture: dict | None = None
+    x: Tensor, cfg: AttentionConfig, params: dict, capture: dict | None = None
 ) -> Tensor:
     """Deep fovea: same attention with its own weights and (coarser) pooling."""
     return _fovea_attention(x, cfg.heads, cfg.dfa_reduction, params, capture, "dfa")
@@ -187,18 +147,18 @@ def dfa_forward(
 def bfsa_forward(
     x: Tensor,
     cfg: AttentionConfig,
-    params: BfsaParams,
+    params: dict,
     pattern: ConnectionPattern = ConnectionPattern.BIFOVEA,
     capture: dict | None = None,
 ) -> Tensor:
     """Combine the two foveae according to the connection pattern."""
     if pattern is ConnectionPattern.PARALLEL:
         return T.add(
-            sfa_forward(x, cfg, params.sfa, capture),
-            dfa_forward(x, cfg, params.dfa, capture),
+            sfa_forward(x, cfg, params["sfa"], capture),
+            dfa_forward(x, cfg, params["dfa"], capture),
         )
     if pattern is ConnectionPattern.CASCADE:
-        shallow = sfa_forward(x, cfg, params.sfa, capture)
-        return dfa_forward(shallow, cfg, params.dfa, capture)
-    shallow = sfa_forward(x, cfg, params.sfa, capture)
-    return T.add(shallow, dfa_forward(shallow, cfg, params.dfa, capture))
+        shallow = sfa_forward(x, cfg, params["sfa"], capture)
+        return dfa_forward(shallow, cfg, params["dfa"], capture)
+    shallow = sfa_forward(x, cfg, params["sfa"], capture)
+    return T.add(shallow, dfa_forward(shallow, cfg, params["dfa"], capture))

@@ -14,8 +14,23 @@ global average pooling and a fully connected layer.
 ``VARIANTS`` holds the four published model sizes; ``reduced_variant``
 shrinks any of them (narrower channels, one block per stage) for tests and
 toy training. ``build`` materializes a ``ModuleGraph`` whose parameters are
-plain autodiff tensors addressed by dotted names such as
-``stage3.block0.bfsa.sfa.q_weight``.
+plain autodiff tensors held in one tree of nested dicts, ``graph.params``:
+
+    stem.conv{1,2,3}.{weight,bias}
+    stage{i}.embed.{weight,bias}
+    stage{i}.block{j}.cpe.{weight,bias}
+    stage{i}.block{j}.ln{1,2}.{gamma,beta}
+    stage{i}.block{j}.bfsa.{sfa,dfa}.[reduce.{weight,bias},] {q,k,v,out}_weight
+    stage{i}.block{j}.ffn.fc1.{weight,bias}, [dw | shallow_dw, deep_dw, fuse,] fc2
+    head.proj.{weight,bias}, head.fc.{weight,bias}
+
+A parameter's name is its keys joined by dots, so
+``stage3.block0.bfsa.sfa.q_weight`` is
+``graph.params["stage3"]["block0"]["bfsa"]["sfa"]["q_weight"]``.
+``named_parameters`` lists the leaves in insertion order, which is the order
+of a checkpoint's tensor table. ``reduce`` exists only in a fovea with a
+reduction above 1; ``dw`` only in a ``cffn``; ``shallow_dw``, ``deep_dw``
+and ``fuse`` (a gate, ``fuse.weight``) only in a ``bffn``.
 """
 
 from __future__ import annotations
@@ -25,16 +40,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    AttentionConfig,
-    BfsaParams,
-    ConnectionPattern,
-    bfsa_forward,
-    init_bfsa_params,
-)
+from .attention import AttentionConfig, ConnectionPattern, bfsa_forward, init_bfsa_params
 from .errors import ConfigError, ShapeError
-from .feedforward import FfnConfig, FfnKind, FfnParams, feedforward_forward, init_ffn_params
-from .init import conv_fan_out, ones, trunc_normal, zeros
+from .feedforward import FfnConfig, FfnKind, feedforward_forward, init_ffn_params
+from .init import conv_params, ones, trunc_normal, zeros
 from .maps import conv_bias, dwconv_bias, ln_channels
 from .tensor import Tensor
 
@@ -158,59 +167,6 @@ def reduced_variant(
     return out
 
 
-# ---------------------------------------------------------------------------
-# parameter containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConvParams:
-    weight: Tensor
-    bias: Tensor
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
-
-
-@dataclass
-class NormParams:
-    gamma: Tensor
-    beta: Tensor
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
-
-
-@dataclass
-class BevBlockParams:
-    cpe: ConvParams
-    ln1: NormParams
-    bfsa: BfsaParams
-    ln2: NormParams
-    ffn: FfnParams
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return (
-            self.cpe.named(f"{prefix}.cpe")
-            + self.ln1.named(f"{prefix}.ln1")
-            + self.bfsa.named(f"{prefix}.bfsa")
-            + self.ln2.named(f"{prefix}.ln2")
-            + self.ffn.named(f"{prefix}.ffn")
-        )
-
-
-@dataclass
-class StageParams:
-    embed: ConvParams
-    blocks: list[BevBlockParams]
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        pairs = self.embed.named(f"{prefix}.embed")
-        for j, blk in enumerate(self.blocks):
-            pairs += blk.named(f"{prefix}.block{j}")
-        return pairs
-
-
 @dataclass
 class AttentionCapture:
     """Request to record attention weights at one block during a forward pass.
@@ -229,17 +185,26 @@ class AttentionCapture:
 # ---------------------------------------------------------------------------
 
 
+def named_tensors(tree: dict, prefix: str = "") -> list[tuple[str, Tensor]]:
+    """Flatten a parameter tree into ``(dotted name, tensor)`` pairs, in insertion order."""
+    pairs = []
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            pairs += named_tensors(value, f"{prefix}{key}.")
+        else:
+            pairs.append((f"{prefix}{key}", value))
+    return pairs
+
+
 @dataclass
 class ModuleGraph:
+    """A built backbone: its spec and wiring, and its parameter tree ``params``."""
+
     spec: VariantSpec
     seed: int
     pattern: ConnectionPattern
     ffn_kind: FfnKind
-    stem: tuple[ConvParams, ConvParams, ConvParams]
-    stages: list[StageParams]
-    head_proj: ConvParams
-    head_fc_weight: Tensor
-    head_fc_bias: Tensor
+    params: dict
 
     def attention_config(self, stage_index: int) -> AttentionConfig:
         s = self.spec.stages[stage_index]
@@ -250,14 +215,7 @@ class ModuleGraph:
         return FfnConfig(s.channels, s.expansion, self.ffn_kind)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        pairs: list[tuple[str, Tensor]] = []
-        for i, conv in enumerate(self.stem, start=1):
-            pairs += conv.named(f"stem.conv{i}")
-        for i, stage in enumerate(self.stages, start=1):
-            pairs += stage.named(f"stage{i}")
-        pairs += self.head_proj.named("head.proj")
-        pairs += [("head.fc.weight", self.head_fc_weight), ("head.fc.bias", self.head_fc_bias)]
-        return pairs
+        return named_tensors(self.params)
 
     def parameter_count(self) -> int:
         return sum(p.size for _, p in self.named_parameters())
@@ -291,21 +249,20 @@ class ModuleGraph:
         validate_input_size(self.spec, x.shape[2])
         x = T.transpose(x, (0, 2, 3, 1))
 
-        c1, c2, c3 = self.stem
-        x = T.gelu(conv_bias(x, c1.weight, c1.bias, stride=2, padding=1))
-        x = T.gelu(conv_bias(x, c2.weight, c2.bias, stride=1, padding=1))
-        x = T.gelu(conv_bias(x, c3.weight, c3.bias, stride=1, padding=1))
+        for i, stride in enumerate((2, 1, 1), start=1):
+            x = T.gelu(_conv(x, self.params["stem"][f"conv{i}"], stride=stride, padding=1))
 
         stage_maps = []
-        for i, stage in enumerate(self.stages):
-            x = conv_bias(x, stage.embed.weight, stage.embed.bias, stride=2, padding=0)
+        for i, stage_cfg in enumerate(self.spec.stages):
+            stage = self.params[f"stage{i + 1}"]
+            x = _conv(x, stage["embed"], stride=2, padding=0)
             attn_cfg = self.attention_config(i)
             ffn_cfg = self.ffn_config(i)
-            for j, blk in enumerate(stage.blocks):
+            for j in range(stage_cfg.blocks):
                 want = capture is not None and capture.stage == i + 1 and capture.block == j
                 x = bev_block_forward(
                     x,
-                    blk,
+                    stage[f"block{j}"],
                     attn_cfg,
                     ffn_cfg,
                     self.pattern,
@@ -313,28 +270,34 @@ class ModuleGraph:
                 )
             stage_maps.append(x)
 
-        h = conv_bias(x, self.head_proj.weight, self.head_proj.bias, stride=1, padding=0)
+        head = self.params["head"]
+        h = _conv(x, head["proj"], stride=1, padding=0)
         pooled = T.avgpool_global(T.gelu(h))
-        logits = T.linear(pooled, self.head_fc_weight, self.head_fc_bias)
+        logits = T.linear(pooled, head["fc"]["weight"], head["fc"]["bias"])
         if return_stage_maps:
             return logits, [T.transpose(m, (0, 3, 1, 2)) for m in stage_maps]
         return logits
 
 
+def _conv(x: Tensor, params: dict, stride: int, padding: int) -> Tensor:
+    return conv_bias(x, params["weight"], params["bias"], stride=stride, padding=padding)
+
+
 def bev_block_forward(
     x: Tensor,
-    blk: BevBlockParams,
+    blk: dict,
     attn_cfg: AttentionConfig,
     ffn_cfg: FfnConfig,
     pattern: ConnectionPattern = ConnectionPattern.BIFOVEA,
     capture: dict | None = None,
 ) -> Tensor:
     """One residual block on a ``(N,H,W,C)`` map: position encoding, attention, feedforward."""
-    x = T.add(dwconv_bias(x, blk.cpe.weight, blk.cpe.bias, stride=1, padding=1), x)
-    normed = ln_channels(x, blk.ln1.gamma, blk.ln1.beta)
-    y = T.add(bfsa_forward(normed, attn_cfg, blk.bfsa, pattern, capture), x)
-    normed = ln_channels(y, blk.ln2.gamma, blk.ln2.beta)
-    z = T.add(feedforward_forward(normed, ffn_cfg, blk.ffn), y)
+    cpe, ln1, ln2 = blk["cpe"], blk["ln1"], blk["ln2"]
+    x = T.add(dwconv_bias(x, cpe["weight"], cpe["bias"], stride=1, padding=1), x)
+    normed = ln_channels(x, ln1["gamma"], ln1["beta"])
+    y = T.add(bfsa_forward(normed, attn_cfg, blk["bfsa"], pattern, capture), x)
+    normed = ln_channels(y, ln2["gamma"], ln2["beta"])
+    z = T.add(feedforward_forward(normed, ffn_cfg, blk["ffn"]), y)
     return z
 
 
@@ -343,18 +306,8 @@ def bev_block_forward(
 # ---------------------------------------------------------------------------
 
 
-def _init_conv(rng, out_ch, in_ch, k) -> ConvParams:
-    return ConvParams(weight=conv_fan_out(rng, (out_ch, in_ch, k, k)), bias=zeros((out_ch,)))
-
-
-def _init_dwconv(rng, ch, k) -> ConvParams:
-    return ConvParams(
-        weight=conv_fan_out(rng, (ch, 1, k, k), groups=ch), bias=zeros((ch,))
-    )
-
-
-def _init_norm(ch) -> NormParams:
-    return NormParams(gamma=ones((ch,)), beta=zeros((ch,)))
+def _init_norm(ch: int) -> dict:
+    return {"gamma": ones((ch,)), "beta": zeros((ch,))}
 
 
 def build(
@@ -401,52 +354,33 @@ def _assemble(
     the random tensors uninitialised, for a caller that overwrites them all.
     """
     st = spec.stem_channels
-    stem = (
-        _init_conv(rng, st, 3, 3),
-        _init_conv(rng, st, st, 3),
-        _init_conv(rng, st, st, 3),
-    )
-
-    stages: list[StageParams] = []
+    params = {
+        "stem": {
+            f"conv{i}": conv_params(rng, st, in_ch, 3)
+            for i, in_ch in enumerate((3, st, st), start=1)
+        }
+    }
     prev = st
-    for s in spec.stages:
-        embed = ConvParams(
-            weight=conv_fan_out(rng, (s.channels, prev, 2, 2)), bias=zeros((s.channels,))
-        )
+    for i, s in enumerate(spec.stages, start=1):
+        stage = params[f"stage{i}"] = {"embed": conv_params(rng, s.channels, prev, 2)}
         attn_cfg = AttentionConfig(s.channels, s.heads, s.sfa_reduction, s.dfa_reduction)
         ffn_cfg = FfnConfig(s.channels, s.expansion, ffn_kind)
-        blocks = []
-        for _ in range(s.blocks):
-            blocks.append(
-                BevBlockParams(
-                    cpe=_init_dwconv(rng, s.channels, 3),
-                    ln1=_init_norm(s.channels),
-                    bfsa=init_bfsa_params(rng, attn_cfg),
-                    ln2=_init_norm(s.channels),
-                    ffn=init_ffn_params(rng, ffn_cfg),
-                )
-            )
-        stages.append(StageParams(embed=embed, blocks=blocks))
+        for j in range(s.blocks):
+            stage[f"block{j}"] = {
+                "cpe": conv_params(rng, s.channels, s.channels, 3, groups=s.channels),
+                "ln1": _init_norm(s.channels),
+                "bfsa": init_bfsa_params(rng, attn_cfg),
+                "ln2": _init_norm(s.channels),
+                "ffn": init_ffn_params(rng, ffn_cfg),
+            }
         prev = s.channels
 
-    head_proj = ConvParams(
-        weight=conv_fan_out(rng, (spec.head_channels, prev, 1, 1)),
-        bias=zeros((spec.head_channels,)),
-    )
-    if zero_classifier:
-        fc_weight = zeros((spec.head_channels, spec.num_classes))
-    else:
-        fc_weight = trunc_normal(rng, (spec.head_channels, spec.num_classes))
-    fc_bias = zeros((spec.num_classes,))
-
-    return ModuleGraph(
-        spec=spec,
-        seed=seed,
-        pattern=pattern,
-        ffn_kind=ffn_kind,
-        stem=stem,
-        stages=stages,
-        head_proj=head_proj,
-        head_fc_weight=fc_weight,
-        head_fc_bias=fc_bias,
-    )
+    fc_shape = (spec.head_channels, spec.num_classes)
+    params["head"] = {
+        "proj": conv_params(rng, spec.head_channels, prev, 1),
+        "fc": {
+            "weight": zeros(fc_shape) if zero_classifier else trunc_normal(rng, fc_shape),
+            "bias": zeros((spec.num_classes,)),
+        },
+    }
+    return ModuleGraph(spec=spec, seed=seed, pattern=pattern, ffn_kind=ffn_kind, params=params)

@@ -24,6 +24,7 @@ import os
 
 import numpy as np
 
+from .analysis import parameter_count
 from .attention import ConnectionPattern
 from .backbone import ModuleGraph, StageConfig, VariantSpec, _assemble, validate_spec
 from .errors import ConfigError, NonFiniteError
@@ -187,18 +188,29 @@ def load_checkpoint(path: str | os.PathLike) -> ModuleGraph:
     construction code as ``build``, left uninitialised, and every tensor is
     filled from the file. The restored values are bitwise equal to what was
     saved, so the loaded graph reproduces the original logits exactly. Any
-    malformed manifest line and any non-finite tensor value is a ConfigError.
+    malformed manifest line, a data section whose size is not the header
+    model's parameter count times 8 (checked before anything is allocated)
+    and any non-finite tensor value is a ConfigError.
     """
     manifest = read_manifest(path)
     fields = manifest["fields"]
     try:
         spec = _spec_from_fields(fields)
         validate_spec(spec)
+        ffn_kind = _field(fields, "ffn", FfnKind)
+        # size the model before allocating it, so a header that asks for more
+        # parameters than the file holds fails here rather than in numpy
+        needed = 8 * parameter_count(spec, ffn_kind)
+        if needed != len(manifest["data"]):
+            raise ConfigError(
+                f"the header's model needs {needed} data bytes, the file holds "
+                f"{len(manifest['data'])}"
+            )
         graph = _assemble(
             spec,
             seed=_field(fields, "seed", int),
             pattern=_field(fields, "pattern", ConnectionPattern),
-            ffn_kind=_field(fields, "ffn", FfnKind),
+            ffn_kind=ffn_kind,
             zero_classifier=True,
             rng=None,
         )
@@ -226,10 +238,3 @@ def load_checkpoint(path: str | os.PathLike) -> ModuleGraph:
         np.copyto(p.data, arr.reshape(shape))
         p.requires_grad = False
     return graph
-
-
-def checkpoint_equal(path_a: str | os.PathLike, path_b: str | os.PathLike) -> bool:
-    """Byte-for-byte file comparison."""
-    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
-        return fa.read() == fb.read()
-

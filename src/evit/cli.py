@@ -9,8 +9,9 @@ Subcommands:
 * ``attnmap``   - export per-head attention maps for an image as PGM files
 
 Exit codes: 0 success, 1 gradcheck mismatch, 2 usage, configuration or file
-error (a path that is missing, is a directory, or blocks an output directory),
-3 non-finite values (a gradient during verification, or a training loss).
+error (a path that is missing, is a directory, or blocks an output directory)
+or not enough memory, 3 non-finite values (a gradient during verification, or
+a training loss).
 """
 
 from __future__ import annotations
@@ -229,6 +230,10 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
-from .init import conv_fan_out, ones, trunc_normal, zeros
+from .init import conv_params, ones, trunc_normal, zeros
 from .maps import dwconv_bias
 from .tensor import Tensor
 
@@ -65,100 +65,54 @@ class FfnConfig:
         return self.hidden // 2
 
 
-@dataclass
-class FfnParams:
-    fc1_weight: Tensor
-    fc1_bias: Tensor
-    fc2_weight: Tensor
-    fc2_bias: Tensor
-    # cffn only
-    dw_weight: Tensor | None = None
-    dw_bias: Tensor | None = None
-    # bffn only
-    shallow_weight: Tensor | None = None
-    shallow_bias: Tensor | None = None
-    deep_weight: Tensor | None = None
-    deep_bias: Tensor | None = None
-    fuse_gate: Tensor | None = None
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        pairs = [
-            (f"{prefix}.fc1.weight", self.fc1_weight),
-            (f"{prefix}.fc1.bias", self.fc1_bias),
-        ]
-        if self.dw_weight is not None:
-            pairs += [
-                (f"{prefix}.dw.weight", self.dw_weight),
-                (f"{prefix}.dw.bias", self.dw_bias),
-            ]
-        if self.shallow_weight is not None:
-            pairs += [
-                (f"{prefix}.shallow_dw.weight", self.shallow_weight),
-                (f"{prefix}.shallow_dw.bias", self.shallow_bias),
-                (f"{prefix}.deep_dw.weight", self.deep_weight),
-                (f"{prefix}.deep_dw.bias", self.deep_bias),
-                (f"{prefix}.fuse.weight", self.fuse_gate),
-            ]
-        pairs += [
-            (f"{prefix}.fc2.weight", self.fc2_weight),
-            (f"{prefix}.fc2.bias", self.fc2_bias),
-        ]
-        return pairs
-
-
-def init_ffn_params(rng: np.random.Generator | None, cfg: FfnConfig) -> FfnParams:
+def init_ffn_params(rng: np.random.Generator | None, cfg: FfnConfig) -> dict:
     h = cfg.hidden
-    params = FfnParams(
-        fc1_weight=trunc_normal(rng, (cfg.dim, h)),
-        fc1_bias=zeros((h,)),
-        fc2_weight=trunc_normal(rng, (h, cfg.dim)),
-        fc2_bias=zeros((cfg.dim,)),
-    )
+    fc1 = {"weight": trunc_normal(rng, (cfg.dim, h)), "bias": zeros((h,))}
+    # fc2 is drawn before the depthwise weights but listed after them
+    fc2 = {"weight": trunc_normal(rng, (h, cfg.dim)), "bias": zeros((cfg.dim,))}
+    params = {"fc1": fc1}
     if cfg.kind is FfnKind.CFFN:
-        params.dw_weight = conv_fan_out(rng, (h, 1, 3, 3), groups=h)
-        params.dw_bias = zeros((h,))
+        params["dw"] = conv_params(rng, h, h, 3, groups=h)
     elif cfg.kind is FfnKind.BFFN:
         hs, hd = cfg.shallow_width, cfg.deep_width
-        params.shallow_weight = conv_fan_out(rng, (hs, 1, 3, 3), groups=hs)
-        params.shallow_bias = zeros((hs,))
-        params.deep_weight = conv_fan_out(rng, (hd, 1, 3, 3), groups=hd)
-        params.deep_bias = zeros((hd,))
-        params.fuse_gate = ones((h,))
+        params["shallow_dw"] = conv_params(rng, hs, hs, 3, groups=hs)
+        params["deep_dw"] = conv_params(rng, hd, hd, 3, groups=hd)
+        params["fuse"] = {"weight": ones((h,))}
+    params["fc2"] = fc2
     return params
 
 
-def _expand(x: Tensor, params: FfnParams) -> Tensor:
-    return T.linear(x, params.fc1_weight, params.fc1_bias)
+def _linear(x: Tensor, params: dict) -> Tensor:
+    return T.linear(x, params["weight"], params["bias"])
 
 
-def _project(hidden: Tensor, params: FfnParams) -> Tensor:
-    return T.linear(T.gelu(hidden), params.fc2_weight, params.fc2_bias)
+def _dwconv(x: Tensor, params: dict) -> Tensor:
+    return dwconv_bias(x, params["weight"], params["bias"], stride=1, padding=1)
 
 
-def ffn_forward(x: Tensor, cfg: FfnConfig, params: FfnParams) -> Tensor:
-    return _project(_expand(x, params), params)
+def _project(hidden: Tensor, params: dict) -> Tensor:
+    return _linear(T.gelu(hidden), params["fc2"])
 
 
-def cffn_forward(x: Tensor, cfg: FfnConfig, params: FfnParams) -> Tensor:
-    hidden = _expand(x, params)
-    local = dwconv_bias(hidden, params.dw_weight, params.dw_bias, stride=1, padding=1)
-    return _project(T.add(hidden, local), params)
+def ffn_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
+    return _project(_linear(x, params["fc1"]), params)
 
 
-def bffn_forward(x: Tensor, cfg: FfnConfig, params: FfnParams) -> Tensor:
-    hidden = _expand(x, params)
+def cffn_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
+    hidden = _linear(x, params["fc1"])
+    return _project(T.add(hidden, _dwconv(hidden, params["dw"])), params)
+
+
+def bffn_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
+    hidden = _linear(x, params["fc1"])
     hs, hd = cfg.shallow_width, cfg.deep_width
     shallow_in, deep_in = T.split(hidden, [hs, hd])
 
-    shallow_out = dwconv_bias(
-        shallow_in, params.shallow_weight, params.shallow_bias, stride=1, padding=1
-    )
+    shallow_out = _dwconv(shallow_in, params["shallow_dw"])
     feed = shallow_out if hs == hd else T.split(shallow_out, [hd, hs - hd])[0]
-    deep_out = dwconv_bias(
-        T.add(feed, deep_in), params.deep_weight, params.deep_bias, stride=1, padding=1
-    )
+    deep_out = _dwconv(T.add(feed, deep_in), params["deep_dw"])
 
-    gated = T.mul(T.concat([shallow_out, deep_out]), params.fuse_gate)
+    gated = T.mul(T.concat([shallow_out, deep_out]), params["fuse"]["weight"])
     return _project(gated, params)
 
 
@@ -169,5 +123,5 @@ _FORWARDS = {
 }
 
 
-def feedforward_forward(x: Tensor, cfg: FfnConfig, params: FfnParams) -> Tensor:
+def feedforward_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
     return _FORWARDS[cfg.kind](x, cfg, params)

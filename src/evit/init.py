@@ -40,6 +40,16 @@ def conv_fan_out(
     return Tensor(rng.normal(0.0, std, shape), requires_grad=True)
 
 
+def conv_params(
+    rng: np.random.Generator | None, out_ch: int, in_ch: int, k: int, groups: int = 1
+) -> dict[str, Tensor]:
+    """A convolution's ``weight`` ``(out_ch, in_ch/groups, k, k)`` and zero ``bias``."""
+    return {
+        "weight": conv_fan_out(rng, (out_ch, in_ch // groups, k, k), groups=groups),
+        "bias": zeros((out_ch,)),
+    }
+
+
 def zeros(shape: tuple[int, ...]) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 

@@ -100,10 +100,10 @@ def test_criterion_3_oracle_equivalence(capsys):
                     ours = to_nchw(sfa_forward(Tensor(to_nhwc(x)), cfg, params).data)
                     ref = naive_fovea_attention(
                         x, heads, reduction,
-                        params.q_weight.data, params.k_weight.data,
-                        params.v_weight.data, params.out_weight.data,
-                        None if reduction == 1 else params.reduce_weight.data,
-                        None if reduction == 1 else params.reduce_bias.data,
+                        params["q_weight"].data, params["k_weight"].data,
+                        params["v_weight"].data, params["out_weight"].data,
+                        None if reduction == 1 else params["reduce"]["weight"].data,
+                        None if reduction == 1 else params["reduce"]["bias"].data,
                     )
                     attn_worst = max(attn_worst, np.abs(ours - ref).max())
                     attn_cases += 1
@@ -196,14 +196,15 @@ def test_criterion_5_wiring_identities(capsys):
     params = init_bfsa_params(rng, cfg)
     x = Tensor(to_nhwc(rng.normal(size=(2, 12, 6, 6))))
 
-    shallow = sfa_forward(x, cfg, params.sfa)
+    sfa, dfa = params["sfa"], params["dfa"]
+    shallow = sfa_forward(x, cfg, sfa)
     worst = 0.0
     bi = bfsa_forward(x, cfg, params, ConnectionPattern.BIFOVEA).data
-    worst = max(worst, np.abs(bi - (shallow.data + dfa_forward(shallow, cfg, params.dfa).data)).max())
+    worst = max(worst, np.abs(bi - (shallow.data + dfa_forward(shallow, cfg, dfa).data)).max())
     pa = bfsa_forward(x, cfg, params, ConnectionPattern.PARALLEL).data
-    worst = max(worst, np.abs(pa - (shallow.data + dfa_forward(x, cfg, params.dfa).data)).max())
+    worst = max(worst, np.abs(pa - (shallow.data + dfa_forward(x, cfg, dfa).data)).max())
     ca = bfsa_forward(x, cfg, params, ConnectionPattern.CASCADE).data
-    worst = max(worst, np.abs(ca - dfa_forward(shallow, cfg, params.dfa).data).max())
+    worst = max(worst, np.abs(ca - dfa_forward(shallow, cfg, dfa).data).max())
 
     capture = {}
     bfsa_forward(x, cfg, params, ConnectionPattern.BIFOVEA, capture)
@@ -211,13 +212,13 @@ def test_criterion_5_wiring_identities(capsys):
 
     toy = reduced_variant(VARIANTS["tiny"], num_classes=2)
     graph = build(toy, seed=0)
-    blk = graph.stages[0].blocks[0]
-    blk.cpe.weight.data[:] = 0.0
-    blk.cpe.bias.data[:] = 0.0
-    blk.bfsa.sfa.out_weight.data[:] = 0.0
-    blk.bfsa.dfa.out_weight.data[:] = 0.0
-    blk.ffn.fc2_weight.data[:] = 0.0
-    blk.ffn.fc2_bias.data[:] = 0.0
+    blk = graph.params["stage1"]["block0"]
+    blk["cpe"]["weight"].data[:] = 0.0
+    blk["cpe"]["bias"].data[:] = 0.0
+    blk["bfsa"]["sfa"]["out_weight"].data[:] = 0.0
+    blk["bfsa"]["dfa"]["out_weight"].data[:] = 0.0
+    blk["ffn"]["fc2"]["weight"].data[:] = 0.0
+    blk["ffn"]["fc2"]["bias"].data[:] = 0.0
     xb = Tensor(to_nhwc(rng.normal(size=(1, toy.stages[0].channels, 8, 8))))
     out = bev_block_forward(
         xb, blk, graph.attention_config(0), graph.ffn_config(0), ConnectionPattern.BIFOVEA

@@ -10,6 +10,7 @@ from evit.analysis import (
     cost_report,
     export_attention_maps,
     measure_macs,
+    parameter_count,
 )
 from evit.attention import ConnectionPattern
 from evit.backbone import VARIANTS, build, reduced_variant
@@ -45,6 +46,26 @@ class TestParamCounts:
         for row in report.rows:
             group = sum(p.size for n, p in named if n.startswith(row.name + "."))
             assert row.params == group, row.name
+
+    @pytest.mark.parametrize("ffn_kind", list(FfnKind))
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_each_row_owns_its_named_parameters(self, name, ffn_kind):
+        """Row ``r`` counts exactly the parameters named ``r.name + "."...``,
+        and every parameter falls under exactly one row."""
+        spec = reduced_variant(VARIANTS[name], num_classes=10)
+        named = build(spec, seed=0, ffn_kind=ffn_kind).named_parameters()
+        rows = cost_report(spec, ffn_kind=ffn_kind).rows
+        for row in rows:
+            group = sum(p.size for n, p in named if n.startswith(row.name + "."))
+            assert row.params == group, row.name
+        for n, _ in named:
+            assert sum(n.startswith(row.name + ".") for row in rows) == 1, n
+
+    @pytest.mark.parametrize("ffn_kind", list(FfnKind))
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_parameter_count_equals_report_total(self, name, ffn_kind):
+        spec = VARIANTS[name]
+        assert parameter_count(spec, ffn_kind) == cost_report(spec, ffn_kind=ffn_kind).total_params
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_reference_deviation_within_10_percent(self, name):

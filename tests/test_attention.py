@@ -14,6 +14,7 @@ from evit.attention import (
     init_fovea_params,
     sfa_forward,
 )
+from evit.backbone import named_tensors
 from evit.errors import ConfigError, ShapeError
 from evit.tensor import Tensor
 
@@ -52,10 +53,10 @@ class TestOracleEquivalence:
                         ours = to_nchw(sfa_forward(Tensor(to_nhwc(x)), cfg, params).data)
                         theirs = naive_fovea_attention(
                             x, heads, reduction,
-                            params.q_weight.data, params.k_weight.data,
-                            params.v_weight.data, params.out_weight.data,
-                            None if reduction == 1 else params.reduce_weight.data,
-                            None if reduction == 1 else params.reduce_bias.data,
+                            params["q_weight"].data, params["k_weight"].data,
+                            params["v_weight"].data, params["out_weight"].data,
+                            None if reduction == 1 else params["reduce"]["weight"].data,
+                            None if reduction == 1 else params["reduce"]["bias"].data,
                         )
                         worst = max(worst, np.abs(ours - theirs).max())
                         cases += 1
@@ -70,8 +71,8 @@ class TestOracleEquivalence:
         ours = to_nchw(sfa_forward(Tensor(to_nhwc(x)), cfg, params).data)
         tokens = x.transpose(0, 2, 3, 1).reshape(2, side * side, dim)
         expected = naive_single_head_attention(
-            tokens, params.q_weight.data, params.k_weight.data,
-            params.v_weight.data, params.out_weight.data,
+            tokens, params["q_weight"].data, params["k_weight"].data,
+            params["v_weight"].data, params["out_weight"].data,
         )
         expected = expected.reshape(2, side, side, dim).transpose(0, 3, 1, 2)
         assert np.abs(ours - expected).max() <= 1e-10
@@ -83,7 +84,7 @@ class TestOracleEquivalence:
         x = rng.normal(size=(1, dim, 1, 1))
         cfg = AttentionConfig(dim, 2, 1, 1)
         out = to_nchw(sfa_forward(Tensor(to_nhwc(x)), cfg, params).data)
-        expected = (x[0, :, 0, 0] @ params.v_weight.data) @ params.out_weight.data
+        expected = (x[0, :, 0, 0] @ params["v_weight"].data) @ params["out_weight"].data
         np.testing.assert_allclose(out[0, :, 0, 0], expected, atol=1e-12)
 
 
@@ -112,13 +113,13 @@ class TestCaptureAndShapes:
         cfg = AttentionConfig(dim=8, heads=2, sfa_reduction=4, dfa_reduction=1)
         params = init_bfsa_params(rng, cfg)
         with pytest.raises(ConfigError):
-            sfa_forward(Tensor(to_nhwc(rng.normal(size=(1, 8, 6, 6)))), cfg, params.sfa)
+            sfa_forward(Tensor(to_nhwc(rng.normal(size=(1, 8, 6, 6)))), cfg, params["sfa"])
 
     def test_wrong_channels_rejected(self, rng):
         cfg = AttentionConfig(dim=8, heads=2, sfa_reduction=1, dfa_reduction=1)
         params = init_bfsa_params(rng, cfg)
         with pytest.raises(ShapeError):
-            sfa_forward(Tensor(to_nhwc(rng.normal(size=(1, 6, 4, 4)))), cfg, params.sfa)
+            sfa_forward(Tensor(to_nhwc(rng.normal(size=(1, 6, 4, 4)))), cfg, params["sfa"])
 
     @given(
         heads=st.sampled_from([1, 2, 4]),
@@ -149,41 +150,41 @@ class TestWiring:
     def test_bifovea_identity(self, rng):
         cfg, params, x = self._setup(rng)
         combined = bfsa_forward(x, cfg, params, ConnectionPattern.BIFOVEA).data
-        shallow = sfa_forward(x, cfg, params.sfa)
-        expected = shallow.data + dfa_forward(shallow, cfg, params.dfa).data
+        shallow = sfa_forward(x, cfg, params["sfa"])
+        expected = shallow.data + dfa_forward(shallow, cfg, params["dfa"]).data
         assert np.abs(combined - expected).max() <= 1e-12
 
     def test_parallel_identity(self, rng):
         cfg, params, x = self._setup(rng)
         combined = bfsa_forward(x, cfg, params, ConnectionPattern.PARALLEL).data
-        expected = sfa_forward(x, cfg, params.sfa).data + dfa_forward(x, cfg, params.dfa).data
+        expected = sfa_forward(x, cfg, params["sfa"]).data + dfa_forward(x, cfg, params["dfa"]).data
         assert np.abs(combined - expected).max() <= 1e-12
 
     def test_cascade_identity(self, rng):
         cfg, params, x = self._setup(rng)
         combined = bfsa_forward(x, cfg, params, ConnectionPattern.CASCADE).data
-        expected = dfa_forward(sfa_forward(x, cfg, params.sfa), cfg, params.dfa).data
+        expected = dfa_forward(sfa_forward(x, cfg, params["sfa"]), cfg, params["dfa"]).data
         assert np.abs(combined - expected).max() <= 1e-12
 
     def test_zero_deep_projection_reduces_to_shallow(self, rng):
         cfg, params, x = self._setup(rng)
-        params.dfa.out_weight.data[:] = 0.0
+        params["dfa"]["out_weight"].data[:] = 0.0
         combined = bfsa_forward(x, cfg, params, ConnectionPattern.BIFOVEA).data
-        shallow = sfa_forward(x, cfg, params.sfa).data
+        shallow = sfa_forward(x, cfg, params["sfa"]).data
         np.testing.assert_array_equal(combined, shallow)
 
     def test_zero_input_zero_bias_gives_zero(self, rng):
         cfg, params, x = self._setup(rng)
         zero = Tensor(np.zeros((1, 4, 4, 8)))
-        params.sfa.reduce_bias.data[:] = 0.0
-        out = dfa_forward(zero, cfg, params.dfa).data
+        params["sfa"]["reduce"]["bias"].data[:] = 0.0
+        out = dfa_forward(zero, cfg, params["dfa"]).data
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
 
 class TestParams:
     def test_projections_carry_no_bias(self, rng):
         params = init_fovea_params(rng, 8, 2)
-        names = [name for name, _ in params.named("f")]
+        names = [name for name, _ in named_tensors(params, "f.")]
         assert names == [
             "f.reduce.weight", "f.reduce.bias",
             "f.q_weight", "f.k_weight", "f.v_weight", "f.out_weight",
@@ -191,16 +192,16 @@ class TestParams:
 
     def test_reduction_one_skips_pooling_conv(self, rng):
         params = init_fovea_params(rng, 8, 1)
-        assert params.reduce_weight is None and params.reduce_bias is None
-        assert len(params.named("f")) == 4
+        assert "reduce" not in params
+        assert len(named_tensors(params, "f.")) == 4
 
     def test_init_deterministic(self):
         a = init_fovea_params(np.random.default_rng(5), 8, 2)
         b = init_fovea_params(np.random.default_rng(5), 8, 2)
-        for (_, pa), (_, pb) in zip(a.named("x"), b.named("x")):
+        for (_, pa), (_, pb) in zip(named_tensors(a), named_tensors(b)):
             np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_trunc_normal_bounded(self):
         params = init_fovea_params(np.random.default_rng(0), 64, 1)
-        for name, p in params.named("x"):
+        for name, p in named_tensors(params):
             assert np.abs(p.data).max() <= 2 * 0.02 + 1e-12

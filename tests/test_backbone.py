@@ -10,7 +10,6 @@ from evit.attention import ConnectionPattern
 from evit.backbone import (
     VARIANTS,
     AttentionCapture,
-    BevBlockParams,
     bev_block_forward,
     build,
     reduced_variant,
@@ -92,7 +91,9 @@ class TestBuild:
     def test_different_seeds_differ(self, toy_spec):
         a = build(toy_spec, seed=0)
         b = build(toy_spec, seed=1)
-        assert not np.array_equal(a.stem[0].weight.data, b.stem[0].weight.data)
+        assert not np.array_equal(
+            a.params["stem"]["conv1"]["weight"].data, b.params["stem"]["conv1"]["weight"].data
+        )
 
     def test_names_unique_and_addressable(self, toy_spec):
         graph = build(toy_spec, seed=0)
@@ -179,17 +180,17 @@ class TestForward:
 
 
 class TestBlockWiring:
-    def _zero_branches(self, blk: BevBlockParams) -> None:
-        blk.cpe.weight.data[:] = 0.0
-        blk.cpe.bias.data[:] = 0.0
-        blk.bfsa.sfa.out_weight.data[:] = 0.0
-        blk.bfsa.dfa.out_weight.data[:] = 0.0
-        blk.ffn.fc2_weight.data[:] = 0.0
-        blk.ffn.fc2_bias.data[:] = 0.0
+    def _zero_branches(self, blk: dict) -> None:
+        blk["cpe"]["weight"].data[:] = 0.0
+        blk["cpe"]["bias"].data[:] = 0.0
+        blk["bfsa"]["sfa"]["out_weight"].data[:] = 0.0
+        blk["bfsa"]["dfa"]["out_weight"].data[:] = 0.0
+        blk["ffn"]["fc2"]["weight"].data[:] = 0.0
+        blk["ffn"]["fc2"]["bias"].data[:] = 0.0
 
     def test_zeroed_branches_give_identity(self, toy_spec, rng):
         graph = build(toy_spec, seed=0)
-        blk = graph.stages[0].blocks[0]
+        blk = graph.params["stage1"]["block0"]
         self._zero_branches(blk)
         x = Tensor(to_nhwc(rng.normal(size=(2, toy_spec.stages[0].channels, 8, 8))))
         out = bev_block_forward(
@@ -199,11 +200,11 @@ class TestBlockWiring:
 
     def test_identity_position_encoding_doubles_input(self, toy_spec, rng):
         graph = build(toy_spec, seed=0)
-        blk = graph.stages[0].blocks[0]
+        blk = graph.params["stage1"]["block0"]
         self._zero_branches(blk)
-        center = np.zeros_like(blk.cpe.weight.data)
+        center = np.zeros_like(blk["cpe"]["weight"].data)
         center[:, 0, 1, 1] = 1.0  # 3x3 identity kernel
-        blk.cpe.weight.data[:] = center
+        blk["cpe"]["weight"].data[:] = center
         x = Tensor(to_nhwc(rng.normal(size=(1, toy_spec.stages[0].channels, 8, 8))))
         out = bev_block_forward(
             x, blk, graph.attention_config(0), graph.ffn_config(0), ConnectionPattern.BIFOVEA
@@ -212,7 +213,7 @@ class TestBlockWiring:
 
     def test_patterns_change_output(self, toy_spec, rng):
         graph = build(toy_spec, seed=0)
-        blk = graph.stages[0].blocks[0]
+        blk = graph.params["stage1"]["block0"]
         x = Tensor(to_nhwc(rng.normal(size=(1, toy_spec.stages[0].channels, 8, 8))))
         outs = {
             p: bev_block_forward(
@@ -235,48 +236,55 @@ def _reference_logits(graph, images):
     """The whole bifovea/BFFN forward in (N,C,H,W), from the loop oracles only."""
 
     def conv(x, p, stride, padding):
-        return naive_conv2d(x, p.weight.data, stride, padding) + p.bias.data[None, :, None, None]
+        out = naive_conv2d(x, p["weight"].data, stride, padding)
+        return out + p["bias"].data[None, :, None, None]
 
-    def dwconv(x, weight, bias):
-        return naive_dwconv2d(x, weight.data, 1, 1) + bias.data[None, :, None, None]
+    def affine(t, p):
+        return t @ p["weight"].data + p["bias"].data
+
+    def dwconv(x, p):
+        return naive_dwconv2d(x, p["weight"].data, 1, 1) + p["bias"].data[None, :, None, None]
 
     def per_position(fn, x):
         return fn(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
     def norm(x, p):
-        return per_position(lambda t: layernorm_twopass(t, p.gamma.data, p.beta.data), x)
+        return per_position(lambda t: layernorm_twopass(t, p["gamma"].data, p["beta"].data), x)
 
     def attention(x, heads, reduction, fovea):
         pooled = reduction > 1
         return naive_fovea_attention(
-            x, heads, reduction, fovea.q_weight.data, fovea.k_weight.data,
-            fovea.v_weight.data, fovea.out_weight.data,
-            fovea.reduce_weight.data if pooled else None,
-            fovea.reduce_bias.data if pooled else None,
+            x, heads, reduction, fovea["q_weight"].data, fovea["k_weight"].data,
+            fovea["v_weight"].data, fovea["out_weight"].data,
+            fovea["reduce"]["weight"].data if pooled else None,
+            fovea["reduce"]["bias"].data if pooled else None,
         )
 
     x = images
-    for p, stride in zip(graph.stem, (2, 1, 1)):
-        x = naive_gelu(conv(x, p, stride, 1))
-    for i, stage in enumerate(graph.stages):
+    for i, stride in enumerate((2, 1, 1), start=1):
+        x = naive_gelu(conv(x, graph.params["stem"][f"conv{i}"], stride, 1))
+    for i, stage_cfg in enumerate(graph.spec.stages):
+        stage = graph.params[f"stage{i + 1}"]
         cfg, ffn_cfg = graph.attention_config(i), graph.ffn_config(i)
-        x = conv(x, stage.embed, 2, 0)
-        for blk in stage.blocks:
-            x = x + dwconv(x, blk.cpe.weight, blk.cpe.bias)
-            shallow = attention(norm(x, blk.ln1), cfg.heads, cfg.sfa_reduction, blk.bfsa.sfa)
-            y = x + shallow + attention(shallow, cfg.heads, cfg.dfa_reduction, blk.bfsa.dfa)
+        x = conv(x, stage["embed"], 2, 0)
+        for j in range(stage_cfg.blocks):
+            blk = stage[f"block{j}"]
+            x = x + dwconv(x, blk["cpe"])
+            bfsa = blk["bfsa"]
+            shallow = attention(norm(x, blk["ln1"]), cfg.heads, cfg.sfa_reduction, bfsa["sfa"])
+            y = x + shallow + attention(shallow, cfg.heads, cfg.dfa_reduction, bfsa["dfa"])
 
-            f = blk.ffn
-            normed = norm(y, blk.ln2)
-            hidden = per_position(lambda t: t @ f.fc1_weight.data + f.fc1_bias.data, normed)
+            f = blk["ffn"]
+            normed = norm(y, blk["ln2"])
+            hidden = per_position(lambda t: affine(t, f["fc1"]), normed)
             hs, hd = ffn_cfg.shallow_width, ffn_cfg.deep_width
-            shallow_out = dwconv(hidden[:, :hs], f.shallow_weight, f.shallow_bias)
-            deep_out = dwconv(shallow_out[:, :hd] + hidden[:, hs:], f.deep_weight, f.deep_bias)
+            shallow_out = dwconv(hidden[:, :hs], f["shallow_dw"])
+            deep_out = dwconv(shallow_out[:, :hd] + hidden[:, hs:], f["deep_dw"])
             merged = np.concatenate([shallow_out, deep_out], axis=1)
-            gated = naive_gelu(merged * f.fuse_gate.data[None, :, None, None])
-            x = y + per_position(lambda t: t @ f.fc2_weight.data + f.fc2_bias.data, gated)
-    pooled = naive_gelu(conv(x, graph.head_proj, 1, 0)).mean(axis=(2, 3))
-    return pooled @ graph.head_fc_weight.data + graph.head_fc_bias.data
+            gated = naive_gelu(merged * f["fuse"]["weight"].data[None, :, None, None])
+            x = y + per_position(lambda t: affine(t, f["fc2"]), gated)
+    pooled = naive_gelu(conv(x, graph.params["head"]["proj"], 1, 0)).mean(axis=(2, 3))
+    return affine(pooled, graph.params["head"]["fc"])
 
 
 class TestWholeModelOracle:

@@ -9,18 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evit.checkpoint
 import evit.tensor as T
 from evit.backbone import build
-from evit.checkpoint import (
-    MAGIC,
-    checkpoint_equal,
-    load_checkpoint,
-    read_manifest,
-    save_checkpoint,
-)
+from evit.checkpoint import MAGIC, load_checkpoint, read_manifest, save_checkpoint
 from evit.cli import main
 from evit.data import write_ppm
 from evit.errors import ConfigError, NonFiniteError, ShapeError
+
+
+def checkpoint_equal(path_a, path_b) -> bool:
+    """Byte-for-byte file comparison."""
+    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+        return fa.read() == fb.read()
 
 
 @pytest.fixture
@@ -121,7 +122,7 @@ def test_fine_tuning_a_loaded_graph_matches_the_saved_graph(saved, rng):
 
 def test_save_refuses_non_finite(saved, tmp_path):
     graph, _ = saved
-    graph.stages[1].blocks[0].ffn.fc1_bias.data[3] = np.inf
+    graph.params["stage2"]["block0"]["ffn"]["fc1"]["bias"].data[3] = np.inf
     target = tmp_path / "inf.ckpt"
     with pytest.raises(NonFiniteError, match="stage2.block0.ffn.fc1.bias"):
         save_checkpoint(graph, target)
@@ -212,11 +213,25 @@ def _nan_data(raw: bytes) -> bytes:
         pytest.param(_nan_data, id="all-nan-data"),
         pytest.param(_shift_offset(b"stem.conv2.weight", 1), id="offset-plus-1"),
         pytest.param(_shift_offset(b"stem.conv2.weight", 8), id="offset-plus-8"),
+        # 14.1 GiB for the first stem weight alone, were it allocated
+        pytest.param(
+            _replace(b"\nstem_channels: 7\n", b"\nstem_channels: 70000000\n"), id="huge-stem"
+        ),
     ],
 )
-def test_malformed_checkpoint_exits_2_with_one_line(corrupt, saved, tmp_path, capsys):
+def test_malformed_checkpoint_exits_2_with_one_line(
+    corrupt, saved, toy_spec, tmp_path, capsys, monkeypatch
+):
     _, path = saved
     raw = path.read_bytes()
+    assemble = evit.checkpoint._assemble
+
+    def assemble_saved_spec_only(spec, *args, **kwargs):
+        # a header whose model the data bytes cannot hold fails before allocating it
+        assert spec == toy_spec, f"load_checkpoint allocated for stem {spec.stem_channels}"
+        return assemble(spec, *args, **kwargs)
+
+    monkeypatch.setattr(evit.checkpoint, "_assemble", assemble_saved_spec_only)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(corrupt(raw))
     assert bad.read_bytes() != raw

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from evit.backbone import named_tensors
 from evit.errors import ConfigError
 from evit.feedforward import (
     FfnConfig,
@@ -19,8 +20,13 @@ from conftest import to_nchw, to_nhwc
 from reference import naive_dwconv2d, naive_gelu
 
 
+def _affine(t, params):
+    """``t @ weight + bias`` with one linear layer's parameters."""
+    return t @ params["weight"].data + params["bias"].data
+
+
 def _param_total(params):
-    return sum(p.size for _, p in params.named("f"))
+    return sum(p.size for _, p in named_tensors(params))
 
 
 class TestConfig:
@@ -56,8 +62,8 @@ class TestForwardOracles:
         ours = to_nchw(ffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
 
         t = self._tokens(x)
-        hidden = naive_gelu(t @ params.fc1_weight.data + params.fc1_bias.data)
-        expected = self._maps(hidden @ params.fc2_weight.data + params.fc2_bias.data, 4, 4)
+        hidden = naive_gelu(_affine(t, params["fc1"]))
+        expected = self._maps(_affine(hidden, params["fc2"]), 4, 4)
         np.testing.assert_allclose(ours, expected, atol=1e-12)
 
     def test_cffn_matches_manual(self, rng):
@@ -67,46 +73,44 @@ class TestForwardOracles:
         ours = to_nchw(cffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
 
         t = self._tokens(x)
-        hidden = self._maps(t @ params.fc1_weight.data + params.fc1_bias.data, 4, 4)
-        local = naive_dwconv2d(hidden, params.dw_weight.data, 1, 1)
-        local += params.dw_bias.data[None, :, None, None]
+        hidden = self._maps(_affine(t, params["fc1"]), 4, 4)
+        local = naive_dwconv2d(hidden, params["dw"]["weight"].data, 1, 1)
+        local += params["dw"]["bias"].data[None, :, None, None]
         activated = naive_gelu(hidden + local)
-        expected = self._maps(
-            self._tokens(activated) @ params.fc2_weight.data + params.fc2_bias.data, 4, 4
-        )
+        expected = self._maps(_affine(self._tokens(activated), params["fc2"]), 4, 4)
         np.testing.assert_allclose(ours, expected, atol=1e-12)
 
     @pytest.mark.parametrize("dim,expansion", [(6, 2.0), (3, 3.0)])  # even and odd hidden
     def test_bffn_matches_manual(self, dim, expansion, rng):
         cfg = FfnConfig(dim, expansion, FfnKind.BFFN)
         params = init_ffn_params(rng, cfg)
-        params.fuse_gate.data[:] = rng.normal(size=cfg.hidden)  # exercise a non-trivial gate
+        # exercise a non-trivial gate
+        params["fuse"]["weight"].data[:] = rng.normal(size=cfg.hidden)
         x = rng.normal(size=(2, dim, 4, 4))
         ours = to_nchw(bffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
 
         t = self._tokens(x)
-        hidden = self._maps(t @ params.fc1_weight.data + params.fc1_bias.data, 4, 4)
+        hidden = self._maps(_affine(t, params["fc1"]), 4, 4)
         hs, hd = cfg.shallow_width, cfg.deep_width
         shallow_in, deep_in = hidden[:, :hs], hidden[:, hs:]
-        shallow_out = naive_dwconv2d(shallow_in, params.shallow_weight.data, 1, 1)
-        shallow_out += params.shallow_bias.data[None, :, None, None]
-        deep_out = naive_dwconv2d(shallow_out[:, :hd] + deep_in, params.deep_weight.data, 1, 1)
-        deep_out += params.deep_bias.data[None, :, None, None]
+        shallow, deep = params["shallow_dw"], params["deep_dw"]
+        shallow_out = naive_dwconv2d(shallow_in, shallow["weight"].data, 1, 1)
+        shallow_out += shallow["bias"].data[None, :, None, None]
+        deep_out = naive_dwconv2d(shallow_out[:, :hd] + deep_in, deep["weight"].data, 1, 1)
+        deep_out += deep["bias"].data[None, :, None, None]
         merged = np.concatenate([shallow_out, deep_out], axis=1)
-        gated = merged * params.fuse_gate.data[None, :, None, None]
-        expected = self._maps(
-            self._tokens(naive_gelu(gated)) @ params.fc2_weight.data + params.fc2_bias.data, 4, 4
-        )
+        gated = merged * params["fuse"]["weight"].data[None, :, None, None]
+        expected = self._maps(_affine(self._tokens(naive_gelu(gated)), params["fc2"]), 4, 4)
         np.testing.assert_allclose(ours, expected, atol=1e-12)
 
     def test_zero_gate_leaves_only_bias(self, rng):
         cfg = FfnConfig(4, 2.0, FfnKind.BFFN)
         params = init_ffn_params(rng, cfg)
-        params.fuse_gate.data[:] = 0.0
-        params.fc2_bias.data[:] = rng.normal(size=4)
+        params["fuse"]["weight"].data[:] = 0.0
+        params["fc2"]["bias"].data[:] = rng.normal(size=4)
         x = rng.normal(size=(1, 4, 4, 4))
         out = to_nchw(bffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
-        expected = np.broadcast_to(params.fc2_bias.data[None, :, None, None], out.shape)
+        expected = np.broadcast_to(params["fc2"]["bias"].data[None, :, None, None], out.shape)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -135,4 +139,4 @@ class TestShapesAndCounts:
 
     def test_gate_initialized_to_ones(self, rng):
         params = init_ffn_params(rng, FfnConfig(8, 3.0, FfnKind.BFFN))
-        np.testing.assert_array_equal(params.fuse_gate.data, np.ones(24))
+        np.testing.assert_array_equal(params["fuse"]["weight"].data, np.ones(24))

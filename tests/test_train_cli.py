@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import evit.cli
 import evit.tensor as T
 from evit.backbone import build
 from evit.checkpoint import load_checkpoint, save_checkpoint
@@ -122,6 +123,22 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             main(["build", "--variant", "huge"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "exc,line",
+        [
+            (MemoryError("cannot allocate 14.1 GiB"), "error: out of memory: cannot allocate 14.1 GiB"),
+            (MemoryError(), "error: out of memory"),
+        ],
+    )
+    def test_memory_error_exits_2_with_one_line(self, exc, line, capsys, monkeypatch):
+        def out_of_memory(args):
+            raise exc
+
+        # a stand-in subcommand, so the test never makes a real huge allocation
+        monkeypatch.setitem(evit.cli._COMMANDS, "build", out_of_memory)
+        assert main(["build"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [line]
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--samples", "4", "--seed", "1"]) == 0

@@ -3,8 +3,8 @@
 The manifest names the build (stage table, seed, wiring) and lists every
 tensor with its shape and byte offset, so a file is self-describing and can
 be rebuilt without access to the variant registry. Tensor data is raw
-little-endian float64 in manifest order, which makes round trips bitwise
-exact. Layout:
+little-endian float64, packed back to back in manifest order, which makes
+round trips bitwise exact. Layout:
 
     EVIT-CKPT-V1
     name: tiny
@@ -15,12 +15,18 @@ exact. Layout:
     data: <total bytes>
     END
     <raw bytes>
+
+``_manifest`` is the only code that writes this header. A file loads only if
+its header is byte for byte what ``save_checkpoint`` writes for the model the
+header describes, so one comparison covers the tensor names, shapes, order,
+offsets and data size. Loading then reads each tensor straight into its
+parameter array, so its peak memory is about one model.
 """
 
 from __future__ import annotations
 
-import math
 import os
+import sys
 
 import numpy as np
 
@@ -31,7 +37,6 @@ from .errors import ConfigError, NonFiniteError
 from .feedforward import FfnKind
 
 MAGIC = "EVIT-CKPT-V1"
-_END = b"\nEND\n"
 
 
 def _stage_line(s: StageConfig) -> str:
@@ -53,6 +58,30 @@ def _parse_stage_line(text: str) -> StageConfig:
     )
 
 
+def _manifest(graph: ModuleGraph) -> bytes:
+    """The header through the ``END`` line, exactly as ``save_checkpoint`` writes it."""
+    spec = graph.spec
+    named = graph.named_parameters()
+    lines = [
+        MAGIC,
+        f"name: {spec.name}",
+        f"seed: {graph.seed}",
+        f"pattern: {graph.pattern.value}",
+        f"ffn: {graph.ffn_kind.value}",
+        f"stem_channels: {spec.stem_channels}",
+        f"head_channels: {spec.head_channels}",
+        f"num_classes: {spec.num_classes}",
+    ]
+    lines += [f"stage{i}: {_stage_line(s)}" for i, s in enumerate(spec.stages, start=1)]
+    lines.append(f"tensors: {len(named)}")
+    offset = 0
+    for name, p in named:
+        lines.append(f"{name} {','.join(str(d) for d in p.shape)} {offset}")
+        offset += 8 * p.size
+    lines += [f"data: {offset}", "END", ""]
+    return "\n".join(lines).encode("ascii")
+
+
 def save_checkpoint(graph: ModuleGraph, path: str | os.PathLike) -> None:
     """Write the graph's spec, seed, wiring and all parameters to one file.
 
@@ -61,97 +90,36 @@ def save_checkpoint(graph: ModuleGraph, path: str | os.PathLike) -> None:
     ever written.
     """
     named = graph.named_parameters()
-    lines = [MAGIC]
-    spec = graph.spec
-    lines.append(f"name: {spec.name}")
-    lines.append(f"seed: {graph.seed}")
-    lines.append(f"pattern: {graph.pattern.value}")
-    lines.append(f"ffn: {graph.ffn_kind.value}")
-    lines.append(f"stem_channels: {spec.stem_channels}")
-    lines.append(f"head_channels: {spec.head_channels}")
-    lines.append(f"num_classes: {spec.num_classes}")
-    for i, stage in enumerate(spec.stages, start=1):
-        lines.append(f"stage{i}: {_stage_line(stage)}")
-    lines.append(f"tensors: {len(named)}")
-
-    offset = 0
-    blobs = []
     for name, p in named:
         if not np.isfinite(p.data).all():
             raise NonFiniteError(f"{name} holds non-finite values; not writing {path}")
-        shape = ",".join(str(d) for d in p.shape)
-        lines.append(f"{name} {shape} {offset}")
-        blob = p.data.astype("<f8").tobytes()
-        blobs.append(blob)
-        offset += len(blob)
-    lines.append(f"data: {offset}")
-
     with open(path, "wb") as fh:
-        fh.write("\n".join(lines).encode("ascii"))
-        fh.write(_END)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(_manifest(graph))
+        for _, p in named:
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
 
 
-def read_manifest(path: str | os.PathLike) -> dict:
-    """Parse the header: build fields, the tensor table and a view of the data bytes.
+def read_manifest(fh, path: str | os.PathLike) -> tuple[bytes, dict[str, str]]:
+    """Read the header through the ``END`` line from an open checkpoint file.
 
-    Each tensor's offset must be the byte total of the tensors listed before
-    it, and the ``data:`` size the total of all of them; the data bytes then
-    hold exactly the listed tensors, each where the table says.
+    Returns the header bytes and its ``key: value`` fields, and leaves the
+    file positioned at the first data byte. The tensor table is not parsed:
+    ``load_checkpoint`` compares the whole header with ``_manifest`` instead.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    end = raw.find(_END)
-    if end < 0:
-        raise ConfigError(f"{path}: missing END marker, not a checkpoint file")
-    head = raw[:end]
-    data = memoryview(raw)[end + len(_END) :]  # a view: the tensor bytes are not copied
-    try:
-        lines = head.decode("ascii").split("\n")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: manifest is not ASCII (byte {exc.start})") from None
-    if lines[0] != MAGIC:
+    lines = [fh.readline(len(MAGIC) + 1)]
+    if lines[0] != f"{MAGIC}\n".encode():
         raise ConfigError(f"{path}: bad magic {lines[0]!r}, expected {MAGIC}")
-
-    fields: dict[str, str] = {}
-    table: list[tuple[str, tuple[int, ...], int]] = []
-    i = 1
-    while i < len(lines):
-        key, _, value = lines[i].partition(": ")
-        fields[key] = value
-        i += 1
-        if key == "tensors":
-            break
-    try:
-        count = int(fields.get("tensors", "0"))
-        for line in lines[i : i + count]:
-            name, shape_s, offset_s = line.rsplit(" ", 2)
-            shape = tuple(int(d) for d in shape_s.split(","))
-            table.append((name, shape, int(offset_s)))
-        key, _, value = lines[i + count].partition(": ")
-        nbytes = int(value) if key == "data" else None
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"{path}: malformed tensor table ({exc})") from None
-    if nbytes is None:
-        raise ConfigError(f"{path}: malformed manifest, expected data size line")
-
-    # tensors are packed back to back in table order: any other offset or
-    # total would read some tensor from the wrong bytes
-    total = 0
-    for name, shape, offset in table:
-        if any(d < 0 for d in shape):
-            raise ConfigError(f"{path}: {name} has a negative dimension in {shape}")
-        if offset != total:
-            raise ConfigError(
-                f"{path}: {name} starts at byte {offset}, but the tensors before it end at {total}"
-            )
-        total += 8 * math.prod(shape)
-    if nbytes != total:
-        raise ConfigError(f"{path}: data size {nbytes} does not match the {total} tensor bytes")
-    if len(data) != nbytes:
-        raise ConfigError(f"{path}: expected {nbytes} data bytes, found {len(data)}")
-    return {"fields": fields, "table": table, "data": data}
+    while lines[-1] != b"END\n":
+        line = fh.readline()
+        if not line:
+            raise ConfigError(f"{path}: missing END marker, not a checkpoint file")
+        # checked per line, so a lost END stops at the first binary data line
+        if not line.isascii():
+            raise ConfigError(f"{path}: manifest line {len(lines) + 1} is not ASCII")
+        lines.append(line)
+    head = b"".join(lines)
+    fields = dict(line.split(": ", 1) for line in head.decode("ascii").split("\n") if ": " in line)
+    return head, fields
 
 
 def _field(fields: dict[str, str], key: str, convert=str):
@@ -186,55 +154,55 @@ def load_checkpoint(path: str | os.PathLike) -> ModuleGraph:
 
     No random numbers are drawn: the parameter containers come from the same
     construction code as ``build``, left uninitialised, and every tensor is
-    filled from the file. The restored values are bitwise equal to what was
-    saved, so the loaded graph reproduces the original logits exactly. Any
-    malformed manifest line, a data section whose size is not the header
-    model's parameter count times 8 (checked before anything is allocated)
-    and any non-finite tensor value is a ConfigError.
+    read from the file straight into its array. The restored values are
+    bitwise equal to what was saved, so the loaded graph reproduces the
+    original logits exactly. A ConfigError is raised for a malformed manifest
+    line, a data section whose size is not the header model's parameter count
+    times 8 (checked before anything is allocated), a header that differs
+    from the one ``save_checkpoint`` writes for that model, and any
+    non-finite tensor value.
     """
-    manifest = read_manifest(path)
-    fields = manifest["fields"]
-    try:
-        spec = _spec_from_fields(fields)
-        validate_spec(spec)
-        ffn_kind = _field(fields, "ffn", FfnKind)
-        # size the model before allocating it, so a header that asks for more
-        # parameters than the file holds fails here rather than in numpy
-        needed = 8 * parameter_count(spec, ffn_kind)
-        if needed != len(manifest["data"]):
-            raise ConfigError(
-                f"the header's model needs {needed} data bytes, the file holds "
-                f"{len(manifest['data'])}"
+    with open(path, "rb") as fh:
+        head, fields = read_manifest(fh, path)
+        try:
+            spec = _spec_from_fields(fields)
+            validate_spec(spec)
+            ffn_kind = _field(fields, "ffn", FfnKind)
+            # size the model before allocating it, so a header that asks for
+            # more parameters than the file holds fails here rather than in numpy
+            needed = 8 * parameter_count(spec, ffn_kind)
+            held = os.fstat(fh.fileno()).st_size - len(head)
+            if needed != held:
+                raise ConfigError(
+                    f"the header's model needs {needed} data bytes, the file holds {held}"
+                )
+            graph = _assemble(
+                spec,
+                seed=_field(fields, "seed", int),
+                pattern=_field(fields, "pattern", ConnectionPattern),
+                ffn_kind=ffn_kind,
+                zero_classifier=True,
+                rng=None,
             )
-        graph = _assemble(
-            spec,
-            seed=_field(fields, "seed", int),
-            pattern=_field(fields, "pattern", ConnectionPattern),
-            ffn_kind=ffn_kind,
-            zero_classifier=True,
-            rng=None,
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
-    params = dict(graph.named_parameters())
-    stored = {name for name, _, _ in manifest["table"]}
-    if stored != set(params):
-        missing = sorted(set(params) - stored)[:3]
-        extra = sorted(stored - set(params))[:3]
-        raise ConfigError(
-            f"{path}: tensor names do not match the rebuilt graph "
-            f"(missing {missing}, unexpected {extra})"
-        )
+        expected = _manifest(graph)
+        if head != expected:
+            have, need = head.decode("ascii").split("\n"), expected.decode("ascii").split("\n")
+            # both end in "END", the only such line, so they differ before either ends
+            i = next(i for i, (a, b) in enumerate(zip(have, need)) if a != b)
+            raise ConfigError(
+                f"{path}: header line {i + 1} is {have[i]!r}, but the model it "
+                f"describes writes {need[i]!r}"
+            )
 
-    data = manifest["data"]
-    for name, shape, offset in manifest["table"]:
-        p = params[name]
-        if p.shape != shape:
-            raise ConfigError(f"{path}: {name} has shape {shape}, graph expects {p.shape}")
-        arr = np.frombuffer(data, dtype="<f8", count=math.prod(shape), offset=offset)
-        if not np.isfinite(arr).all():
-            raise ConfigError(f"{path}: {name} holds non-finite values")
-        np.copyto(p.data, arr.reshape(shape))
-        p.requires_grad = False
+        for name, p in graph.named_parameters():
+            if fh.readinto(p.data) != p.data.nbytes:
+                raise ConfigError(f"{path}: the data ends inside {name}")
+            if sys.byteorder == "big":
+                p.data.byteswap(inplace=True)  # the file is little-endian
+            if not np.isfinite(p.data).all():
+                raise ConfigError(f"{path}: {name} holds non-finite values")
+            p.requires_grad = False
     return graph

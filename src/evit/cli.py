@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 
-from . import tensor as T
 from .analysis import cost_report, export_attention_maps, measure_macs
 from .attention import ConnectionPattern
 from .backbone import VARIANTS, build, reduced_variant
@@ -71,8 +70,6 @@ def _add_gradcheck(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--width-divisor", type=int, default=4)
     p.add_argument("--pattern", choices=_PATTERNS, default="bifovea")
     p.add_argument("--ffn", choices=_FFNS, default="bffn")
-    # deliberately breaks one adjoint to prove the checker catches it
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
 
 def _add_train(sub: argparse._SubParsersAction) -> None:
@@ -143,21 +140,16 @@ def _cmd_gradcheck(args) -> int:
     spec = reduced_variant(
         VARIANTS[args.variant], width_divisor=args.width_divisor, num_classes=2
     )
-    if args.corrupt:
-        T.set_adjoint_corruption("gelu")
-    try:
-        result = run_gradcheck(
-            spec,
-            seed=args.seed,
-            input_size=args.input,
-            samples=args.samples,
-            h=args.step,
-            tolerance=args.tolerance,
-            pattern=pattern_from_string(args.pattern),
-            ffn_kind=ffn_from_string(args.ffn),
-        )
-    finally:
-        T.set_adjoint_corruption(None)
+    result = run_gradcheck(
+        spec,
+        seed=args.seed,
+        input_size=args.input,
+        samples=args.samples,
+        h=args.step,
+        tolerance=args.tolerance,
+        pattern=pattern_from_string(args.pattern),
+        ffn_kind=ffn_from_string(args.ffn),
+    )
 
     for s in result.samples:
         print(

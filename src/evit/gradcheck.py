@@ -69,6 +69,9 @@ class GradcheckResult:
         return self.finite and self.max_rel_error <= self.tolerance
 
 
+_BATCH = 4
+
+
 def run_gradcheck(
     spec: VariantSpec,
     seed: int = 0,
@@ -76,7 +79,6 @@ def run_gradcheck(
     samples: int = 12,
     h: float = 1e-3,
     tolerance: float = 1e-3,
-    batch_size: int = 4,
     pattern: ConnectionPattern = ConnectionPattern.BIFOVEA,
     ffn_kind: FfnKind = FfnKind.BFFN,
 ) -> GradcheckResult:
@@ -89,7 +91,7 @@ def run_gradcheck(
         zero_classifier=False,
         input_size=input_size,
     )
-    dataset = synthetic_shapes(batch_size, input_size, seed, noise=0.08)
+    dataset = synthetic_shapes(_BATCH, input_size, seed, noise=0.08)
     labels = dataset.labels % spec.num_classes
 
     def loss_fn():

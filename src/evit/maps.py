@@ -32,9 +32,9 @@ def tokens_to_map(x: Tensor, height: int, width: int) -> Tensor:
     return T.reshape(x, (n, height, width, c))
 
 
-def ln_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def ln_channels(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer norm over the channel axis at every spatial position of a map."""
-    return T.layernorm(x, gamma, beta, eps)
+    return T.layernorm(x, gamma, beta)
 
 
 def conv_bias(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

@@ -40,11 +40,6 @@ Array = np.ndarray
 
 _ACTIVE_COUNTERS: list["MacCounter"] = []
 
-# Name of an operator whose adjoint is deliberately mis-scaled. Used only as
-# test instrumentation so the gradient checker can prove it catches a broken
-# backward rule. Never set outside tests / the gradcheck CLI.
-_CORRUPT_ADJOINT: str | None = None
-
 
 class MacCounter:
     """Context manager that tallies multiply-accumulates of matmul/conv ops.
@@ -99,12 +94,6 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-def set_adjoint_corruption(op: str | None) -> None:
-    """Enable (or clear) deliberate corruption of one operator's adjoint."""
-    global _CORRUPT_ADJOINT
-    _CORRUPT_ADJOINT = op
-
-
 # ---------------------------------------------------------------------------
 # tensor
 # ---------------------------------------------------------------------------
@@ -149,46 +138,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
-    def mean(self) -> "Tensor":
-        return tensor_mean(self)
 
     # -- autodiff -----------------------------------------------------------
 
@@ -236,12 +185,6 @@ class Tensor:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = g
-
-
-def _coerce(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=np.float64))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -664,8 +607,6 @@ def gelu(x: Tensor) -> Tensor:
         local = 0.5 * (1.0 + tanh) + 0.5 * x.data * sech2 * _GELU_C * (
             1.0 + 3 * 0.044715 * x.data**2
         )
-        if _CORRUPT_ADJOINT == "gelu":
-            local = local * 1.5
         return (g * local,)
 
     return _make(data, (x,), backward)
@@ -684,7 +625,10 @@ def softmax(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5
+
+
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
@@ -694,7 +638,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv
     data = xhat * gamma.data + beta.data
 

@@ -39,19 +39,13 @@ class AdamW:
     parameters and gates (all 1-d) are left undecayed.
     """
 
-    def __init__(
-        self,
-        learning_rate: float,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, learning_rate: float, weight_decay: float = 0.0):
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -117,13 +111,16 @@ def load_dataset(config: RunConfig) -> ToyDataset:
     return dataset
 
 
-def evaluate(graph: ModuleGraph, dataset: ToyDataset, batch_size: int = 32) -> float:
+_EVAL_BATCH = 32
+
+
+def evaluate(graph: ModuleGraph, dataset: ToyDataset) -> float:
     """Accuracy of argmax predictions over a whole dataset (no backward tape)."""
     hits = 0
     with T.no_grad():
-        for start in range(0, len(dataset), batch_size):
-            images = dataset.images[start : start + batch_size]
-            labels = dataset.labels[start : start + batch_size]
+        for start in range(0, len(dataset), _EVAL_BATCH):
+            images = dataset.images[start : start + _EVAL_BATCH]
+            labels = dataset.labels[start : start + _EVAL_BATCH]
             logits = graph.forward(images)
             hits += int((logits.data.argmax(axis=1) == labels).sum())
     return hits / len(dataset)

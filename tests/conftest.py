@@ -7,6 +7,7 @@ import pytest
 # make the sibling reference module importable from every test file
 sys.path.insert(0, str(Path(__file__).parent))
 
+import evit.tensor as T
 from evit.backbone import VARIANTS, reduced_variant
 
 
@@ -29,3 +30,21 @@ def rng():
 def toy_spec():
     """Reduced two-class tiny spec shared by model-level tests."""
     return reduced_variant(VARIANTS["tiny"], num_classes=2)
+
+
+@pytest.fixture
+def scaled_gelu_adjoint(monkeypatch):
+    """Swap ``gelu`` for one whose backward returns 1.5 times the true gradient.
+
+    Gradient checks must flag it; the forward values are unchanged.
+    """
+    gelu = T.gelu
+
+    def broken_gelu(x):
+        out = gelu(x)
+        if out._backward_fn is not None:
+            backward = out._backward_fn
+            out._backward_fn = lambda g: tuple(1.5 * gx for gx in backward(g))
+        return out
+
+    monkeypatch.setattr(T, "gelu", broken_gelu)

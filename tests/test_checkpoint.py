@@ -131,14 +131,41 @@ def test_save_refuses_non_finite(saved, tmp_path):
 
 def test_manifest_contents(saved):
     graph, path = saved
-    manifest = read_manifest(path)
-    fields = manifest["fields"]
+    with open(path, "rb") as fh:
+        head, fields = read_manifest(fh, path)
     assert fields["name"] == "tiny-reduced"
     assert fields["seed"] == "21"
     assert fields["pattern"] == "bifovea" and fields["ffn"] == "bffn"
-    assert int(fields["tensors"]) == len(manifest["table"])
-    offsets = [off for _, _, off in manifest["table"]]
-    assert offsets == sorted(offsets) and offsets[0] == 0
+    # the tensor table, parsed here from the raw header: packed back to back
+    lines = head.decode("ascii").split("\n")
+    start = lines.index(f"tensors: {fields['tensors']}") + 1
+    table = lines[start : start + int(fields["tensors"])]
+    assert lines[start + len(table) :] == [f"data: {fields['data']}", "END", ""]
+    total = 0
+    for line, (name, p) in zip(table, graph.named_parameters(), strict=True):
+        stored_name, shape, offset = line.split(" ")
+        assert (stored_name, shape) == (name, ",".join(map(str, p.shape)))
+        assert int(offset) == total, name
+        total += 8 * p.size
+    assert int(fields["data"]) == total == path.stat().st_size - len(head)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_load_and_save_peak_memory(saved, tmp_path):
+    """Load reads into the parameters and save writes from them: no second model copy."""
+    graph, path = saved
+    data_bytes = sum(p.data.nbytes for _, p in graph.named_parameters())
+    assert _peak_bytes(lambda: load_checkpoint(path)) <= 1.25 * data_bytes
+    assert _peak_bytes(lambda: save_checkpoint(graph, tmp_path / "again.ckpt")) <= 0.25 * data_bytes
 
 
 def test_spec_rebuilt_from_manifest(saved):
@@ -198,6 +225,17 @@ def _shift_offset(name: bytes, by: int):
     return corrupt
 
 
+def _swap_names(a: bytes, b: bytes):
+    """Exchange two tensor names in the table, leaving shapes, offsets and data alone."""
+
+    def corrupt(raw: bytes) -> bytes:
+        head, sep, data = raw.partition(b"\nEND\n")
+        head = head.replace(a + b" ", b"\0").replace(b + b" ", a + b" ").replace(b"\0", b + b" ")
+        return head + sep + data
+
+    return corrupt
+
+
 def _nan_data(raw: bytes) -> bytes:
     head, sep, data = raw.partition(b"\nEND\n")
     return head + sep + np.full(len(data) // 8, np.nan).astype("<f8").tobytes()
@@ -213,6 +251,9 @@ def _nan_data(raw: bytes) -> bytes:
         pytest.param(_nan_data, id="all-nan-data"),
         pytest.param(_shift_offset(b"stem.conv2.weight", 1), id="offset-plus-1"),
         pytest.param(_shift_offset(b"stem.conv2.weight", 8), id="offset-plus-8"),
+        pytest.param(_swap_names(b"stage1.block0.bfsa.sfa.q_weight",
+                                 b"stage1.block0.bfsa.sfa.k_weight"), id="swapped-names"),
+        pytest.param(_replace(b"\nseed: 21\n", b"\nseed: 021\n"), id="seed-leading-zero"),
         # 14.1 GiB for the first stem weight alone, were it allocated
         pytest.param(
             _replace(b"\nstem_channels: 7\n", b"\nstem_channels: 70000000\n"), id="huge-stem"

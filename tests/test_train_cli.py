@@ -145,8 +145,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "max relative error" in out and "PASS" in out
 
-    def test_gradcheck_detects_corruption(self, capsys):
-        assert main(["gradcheck", "--samples", "4", "--seed", "1", "--corrupt"]) == 1
+    def test_gradcheck_detects_corruption(self, capsys, scaled_gelu_adjoint):
+        assert main(["gradcheck", "--samples", "4", "--seed", "1"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
     def test_train_and_attnmap_pipeline(self, tmp_path, capsys, monkeypatch):

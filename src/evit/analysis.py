@@ -36,7 +36,7 @@ from .backbone import (
     stage_sides,
     validate_input_size,
 )
-from .data import write_pgm
+from .data import write_image
 from .errors import ConfigError
 from .feedforward import FfnConfig, FfnKind
 from .tensor import MacCounter, no_grad
@@ -196,10 +196,6 @@ def _conv_cost(out_ch: int, in_ch: int, k: int, out_side: int) -> tuple[int, int
     return params, macs
 
 
-def _dwconv_cost(ch: int, k: int, out_side: int) -> tuple[int, int]:
-    return ch * k * k + ch, ch * k * k * out_side * out_side
-
-
 def _fovea_rows(dim: int, reduction: int, side: int) -> tuple[int, int, int]:
     """(params, dense macs, attention-product macs) for one pathway."""
     tokens = side * side
@@ -235,7 +231,7 @@ def _block_rows(tag: str, stage: StageConfig, ffn_kind: FfnKind, side: int) -> l
     dim = stage.channels
     ffn_cfg = FfnConfig(dim, stage.expansion, ffn_kind)
     return [
-        CostRow(f"{tag}.cpe", *_dwconv_cost(dim, 3, side)),
+        CostRow(f"{tag}.cpe", *_conv_cost(dim, 1, 3, side)),
         CostRow(f"{tag}.ln1", 2 * dim, 0),
         CostRow(f"{tag}.bfsa.sfa", *_fovea_rows(dim, stage.sfa_reduction, side)),
         CostRow(f"{tag}.bfsa.dfa", *_fovea_rows(dim, stage.dfa_reduction, side)),
@@ -370,6 +366,6 @@ def export_attention_maps(
         else:
             normed = np.full_like(grid, 0.5)
         path = out_dir / f"stage{stage}_block{block}_{fovea}_head{h}.pgm"
-        write_pgm(path, normed)
+        write_image(path, normed)
         paths.append(path)
     return paths

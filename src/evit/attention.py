@@ -152,13 +152,7 @@ def bfsa_forward(
     capture: dict | None = None,
 ) -> Tensor:
     """Combine the two foveae according to the connection pattern."""
-    if pattern is ConnectionPattern.PARALLEL:
-        return T.add(
-            sfa_forward(x, cfg, params["sfa"], capture),
-            dfa_forward(x, cfg, params["dfa"], capture),
-        )
-    if pattern is ConnectionPattern.CASCADE:
-        shallow = sfa_forward(x, cfg, params["sfa"], capture)
-        return dfa_forward(shallow, cfg, params["dfa"], capture)
     shallow = sfa_forward(x, cfg, params["sfa"], capture)
-    return T.add(shallow, dfa_forward(shallow, cfg, params["dfa"], capture))
+    deep_in = x if pattern is ConnectionPattern.PARALLEL else shallow
+    deep = dfa_forward(deep_in, cfg, params["dfa"], capture)
+    return deep if pattern is ConnectionPattern.CASCADE else T.add(shallow, deep)

@@ -26,12 +26,7 @@ from .analysis import cost_report, export_attention_maps, measure_macs
 from .attention import ConnectionPattern
 from .backbone import VARIANTS, build, reduced_variant
 from .checkpoint import load_checkpoint
-from .config import (
-    apply_env_overrides,
-    ffn_from_string,
-    pattern_from_string,
-    read_config,
-)
+from .config import apply_env_overrides, read_config
 from .data import read_image
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .feedforward import FfnKind
@@ -100,7 +95,7 @@ def _cmd_build(args) -> int:
     names = list(VARIANTS) if args.variant == "all" else [args.variant]
     if args.csv and len(names) > 1:
         raise ConfigError("--csv writes one variant's table; name a variant, not 'all'")
-    pattern, ffn_kind = pattern_from_string(args.pattern), ffn_from_string(args.ffn)
+    pattern, ffn_kind = ConnectionPattern(args.pattern), FfnKind(args.ffn)
     reports = []
     for name in names:
         report = cost_report(
@@ -147,8 +142,8 @@ def _cmd_gradcheck(args) -> int:
         samples=args.samples,
         h=args.step,
         tolerance=args.tolerance,
-        pattern=pattern_from_string(args.pattern),
-        ffn_kind=ffn_from_string(args.ffn),
+        pattern=ConnectionPattern(args.pattern),
+        ffn_kind=FfnKind(args.ffn),
     )
 
     for s in result.samples:
@@ -205,8 +200,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors (subcommands' too) as ConfigError: one ``error:`` line."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evit",
         description="bi-fovea vision backbone: cost reports, gradient checks, "
         "toy training and attention visualization",
@@ -216,9 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_gradcheck(sub)
     _add_train(sub)
     _add_attnmap(sub)
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

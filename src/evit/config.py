@@ -5,8 +5,9 @@ A config file is plain text, one ``section.field = value`` per line, with
 file only needs the fields it overrides. ``parse_config(render_config(c))``
 returns an equal config. The ``EVIT_SEED`` environment variable, when set,
 overrides ``train.seed`` after the file is read. ``check_config`` rejects
-every field outside its valid range; parsing runs it, so a bad file fails
-before anything is built.
+every field outside its valid range and returns the model fields resolved to
+a spec and two enums; parsing runs it, so a bad file fails before anything is
+built.
 """
 
 from __future__ import annotations
@@ -126,8 +127,11 @@ _MINIMUM = {
 }
 
 
-def check_config(config: RunConfig) -> None:
-    """Raise ConfigError for the first field outside its valid range."""
+def check_config(config: RunConfig) -> tuple[VariantSpec, ConnectionPattern, FfnKind]:
+    """Raise ConfigError for the first field outside its valid range.
+
+    Returns the model fields resolved: ``(spec, pattern, ffn_kind)``.
+    """
     for key, minimum in _MINIMUM.items():
         section, name = key.split(".")
         value = getattr(getattr(config, section), name)
@@ -135,9 +139,13 @@ def check_config(config: RunConfig) -> None:
             raise ConfigError(f"{key} must be finite, got {value!r}")
         if value < minimum:
             raise ConfigError(f"{key} must be >= {minimum}, got {value!r}")
-    validate_input_size(spec_from_model_config(config.model), config.model.input_size)
-    pattern_from_string(config.model.pattern)
-    ffn_from_string(config.model.ffn)
+    spec = spec_from_model_config(config.model)
+    validate_input_size(spec, config.model.input_size)
+    return (
+        spec,
+        _member(ConnectionPattern, config.model.pattern, "connection pattern"),
+        _member(FfnKind, config.model.ffn, "feedforward kind"),
+    )
 
 
 def read_config(path: str | os.PathLike) -> RunConfig:
@@ -167,20 +175,12 @@ def apply_env_overrides(config: RunConfig) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def pattern_from_string(name: str) -> ConnectionPattern:
+def _member(enum_cls, text: str, what: str):
     try:
-        return ConnectionPattern(name)
+        return enum_cls(text)
     except ValueError:
-        choices = sorted(p.value for p in ConnectionPattern)
-        raise ConfigError(f"unknown connection pattern {name!r}; choose from {choices}") from None
-
-
-def ffn_from_string(name: str) -> FfnKind:
-    try:
-        return FfnKind(name)
-    except ValueError:
-        choices = sorted(k.value for k in FfnKind)
-        raise ConfigError(f"unknown feedforward kind {name!r}; choose from {choices}") from None
+        choices = sorted(m.value for m in enum_cls)
+        raise ConfigError(f"unknown {what} {text!r}; choose from {choices}") from None
 
 
 def spec_from_model_config(model: ModelConfig) -> VariantSpec:

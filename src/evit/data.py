@@ -3,7 +3,8 @@
 The synthetic set is two-class (filled circles vs. filled squares) rendered
 on noisy backgrounds, generated deterministically from a seed. Directory
 ingestion mirrors the same contract: one subdirectory per class holding
-binary PGM (grayscale) or PPM (color) files.
+binary PGM (grayscale) or PPM (color) files. ``read_image`` and
+``write_image`` are the one netpbm reader and writer.
 """
 
 from __future__ import annotations
@@ -82,9 +83,12 @@ def synthetic_shapes(
 # ---------------------------------------------------------------------------
 
 
-def _read_header(raw: bytes, path) -> tuple[bytes, list[int], int]:
-    """Return (magic, [width, height, maxval], data offset)."""
-    magic = raw[:2]
+# channels stored per pixel, by magic number
+_CHANNELS = {b"P5": 1, b"P6": 3}
+
+
+def _read_header(raw: bytes, path) -> tuple[list[int], int]:
+    """Return ([width, height, maxval], data offset) of the header after the magic."""
     pos = 2
     values: list[int] = []
     while len(values) < 3:
@@ -98,76 +102,50 @@ def _read_header(raw: bytes, path) -> tuple[bytes, list[int], int]:
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         token = raw[start:pos]
-        if not token.isdigit():
-            raise ConfigError(f"{path}: malformed netpbm header token {token!r}")
+        # any value past 20 digits fails the pixel count anyway; int() refuses
+        # digit strings past 4300 with a ValueError
+        if not token.isdigit() or len(token) > 20:
+            raise ConfigError(f"{path}: malformed netpbm header token {token[:24]!r}")
         values.append(int(token))
-    return magic, values, pos + 1  # single whitespace after maxval
+    return values, pos + 1  # single whitespace after maxval
 
 
-def _pixels(raw: bytes, offset: int, count: int, path) -> np.ndarray:
-    """The ``count`` pixel bytes after the header; a short file is a ConfigError."""
+def read_image(path: str | os.PathLike) -> np.ndarray:
+    """Binary PGM (P5) or PPM (P6) -> (3, H, W) float64 in [0, 1].
+
+    The magic number, not the file name, decides the kind; grayscale is
+    replicated across the three channels.
+    """
+    raw = Path(path).read_bytes()
+    channels = _CHANNELS.get(raw[:2])
+    if channels is None:
+        raise ConfigError(f"{path}: expected P5 or P6 magic, got {raw[:2]!r}")
+    (w, h, maxval), offset = _read_header(raw, path)
+    if maxval != 255:
+        raise ConfigError(f"{path}: only maxval 255 is supported, got {maxval}")
+    count = channels * w * h
     if len(raw) - offset < count:
         raise ConfigError(
             f"{path}: header declares {count} pixel bytes, file has {max(len(raw) - offset, 0)}"
         )
-    return np.frombuffer(raw, dtype=np.uint8, count=count, offset=offset)
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=offset)
+    image = pixels.reshape(h, w, channels).transpose(2, 0, 1).astype(np.float64) / 255.0
+    return np.repeat(image, 3 // channels, axis=0)
 
 
-def read_pgm(path: str | os.PathLike) -> np.ndarray:
-    """Binary PGM (P5) -> (H, W) float64 in [0, 1]."""
-    raw = Path(path).read_bytes()
-    magic, (w, h, maxval), offset = _read_header(raw, path)
-    if magic != b"P5":
-        raise ConfigError(f"{path}: expected P5 magic, got {magic!r}")
-    if maxval != 255:
-        raise ConfigError(f"{path}: only maxval 255 is supported, got {maxval}")
-    pixels = _pixels(raw, offset, w * h, path)
-    return pixels.reshape(h, w).astype(np.float64) / 255.0
-
-
-def read_ppm(path: str | os.PathLike) -> np.ndarray:
-    """Binary PPM (P6) -> (3, H, W) float64 in [0, 1]."""
-    raw = Path(path).read_bytes()
-    magic, (w, h, maxval), offset = _read_header(raw, path)
-    if magic != b"P6":
-        raise ConfigError(f"{path}: expected P6 magic, got {magic!r}")
-    if maxval != 255:
-        raise ConfigError(f"{path}: only maxval 255 is supported, got {maxval}")
-    pixels = _pixels(raw, offset, 3 * w * h, path)
-    return pixels.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
-
-
-def read_image(path: str | os.PathLike) -> np.ndarray:
-    """PGM or PPM -> (3, H, W); grayscale is replicated across channels."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".pgm":
-        gray = read_pgm(path)
-        return np.repeat(gray[None], 3, axis=0)
-    if suffix == ".ppm":
-        return read_ppm(path)
-    raise ConfigError(f"{path}: unsupported image type {suffix!r} (want .pgm or .ppm)")
-
-
-def write_pgm(path: str | os.PathLike, image: np.ndarray) -> None:
-    """(H, W) floats in [0, 1] -> binary PGM with maxval 255."""
-    if image.ndim != 2:
-        raise ConfigError(f"write_pgm expects (H, W), got {image.shape}")
-    quantized = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    h, w = quantized.shape
+def write_image(path: str | os.PathLike, image: np.ndarray) -> None:
+    """(H, W) floats in [0, 1] -> binary PGM, (3, H, W) -> binary PPM; maxval 255."""
+    if image.ndim == 2:
+        magic, pixels = "P5", image
+    elif image.ndim == 3 and image.shape[0] == 3:
+        magic, pixels = "P6", image.transpose(1, 2, 0)
+    else:
+        raise ConfigError(f"write_image expects (H, W) or (3, H, W), got {image.shape}")
+    quantized = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
+    h, w = quantized.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
         fh.write(quantized.tobytes())
-
-
-def write_ppm(path: str | os.PathLike, image: np.ndarray) -> None:
-    """(3, H, W) floats in [0, 1] -> binary PPM with maxval 255."""
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise ConfigError(f"write_ppm expects (3, H, W), got {image.shape}")
-    quantized = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    _, h, w = quantized.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(quantized.transpose(1, 2, 0).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -28,26 +28,19 @@ def trunc_normal(
     return Tensor(x, requires_grad=True)
 
 
-def conv_fan_out(
-    rng: np.random.Generator | None, shape: tuple[int, ...], groups: int = 1
-) -> Tensor:
-    """Kaiming-style init for conv weights ``(O, C/groups, kh, kw)``."""
-    if rng is None:
-        return Tensor(np.empty(shape), requires_grad=True)
-    o, _, kh, kw = shape
-    fan_out = kh * kw * o // groups
-    std = math.sqrt(2.0 / fan_out)
-    return Tensor(rng.normal(0.0, std, shape), requires_grad=True)
-
-
 def conv_params(
     rng: np.random.Generator | None, out_ch: int, in_ch: int, k: int, groups: int = 1
 ) -> dict[str, Tensor]:
-    """A convolution's ``weight`` ``(out_ch, in_ch/groups, k, k)`` and zero ``bias``."""
-    return {
-        "weight": conv_fan_out(rng, (out_ch, in_ch // groups, k, k), groups=groups),
-        "bias": zeros((out_ch,)),
-    }
+    """A convolution's ``weight`` ``(out_ch, in_ch/groups, k, k)`` and zero ``bias``.
+
+    The weight is Kaiming-style normal with fan-out ``k*k*out_ch/groups``.
+    """
+    shape = (out_ch, in_ch // groups, k, k)
+    if rng is None:
+        weight = np.empty(shape)
+    else:
+        weight = rng.normal(0.0, math.sqrt(2.0 / (k * k * out_ch // groups)), shape)
+    return {"weight": Tensor(weight, requires_grad=True), "bias": zeros((out_ch,))}
 
 
 def zeros(shape: tuple[int, ...]) -> Tensor:

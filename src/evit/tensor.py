@@ -145,8 +145,10 @@ class Tensor:
         """Run reverse-mode accumulation from this scalar.
 
         Sets ``.grad`` (same shape as the leaf) on every reachable leaf with
-        ``requires_grad=True``. Each call starts from fresh gradients; values
-        from an earlier backward pass are overwritten, not accumulated.
+        ``requires_grad=True``. Each call starts from fresh gradients: a
+        reached leaf's value from an earlier backward pass is overwritten, not
+        accumulated. A leaf this pass does not reach keeps whatever ``.grad``
+        it had.
 
         Raises ``ValueError`` when the scalar itself does not require a
         gradient: then no tensor it was computed from needs one (for example
@@ -234,8 +236,13 @@ def gradients(loss: Tensor, named_params: Iterable[tuple[str, Tensor]]) -> dict[
     """Backward from ``loss`` and collect a name -> gradient map.
 
     Parameters that the loss does not reach get an all-zeros gradient of the
-    right shape, so the result always covers every requested name.
+    right shape, so the result always covers every requested name. Each
+    requested ``.grad`` is cleared first, because ``backward`` leaves the
+    gradient of a leaf it does not reach as an earlier pass set it.
     """
+    named_params = list(named_params)
+    for _, p in named_params:
+        p.grad = None
     loss.backward()
     out: dict[str, Array] = {}
     for name, p in named_params:
@@ -294,10 +301,8 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute axes (reversal when ``axes`` is None). Output is a fresh array."""
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute axes. Output is a fresh array."""
     axes = tuple(int(ax) for ax in axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"axes {axes} is not a permutation for ndim {a.ndim}")
@@ -476,15 +481,6 @@ def _check_conv_args(x: Tensor, w: Tensor, stride: int, padding: int) -> None:
         )
 
 
-def _scatter_into_padded(
-    g_padded: Array, g_out: Array, contrib, kh: int, kw: int, stride: int
-) -> None:
-    ho, wo = g_out.shape[1], g_out.shape[2]
-    for i in range(kh):
-        for j in range(kw):
-            _tap(g_padded, i, j, ho, wo, stride)[...] += contrib(i, j)
-
-
 def _unpad(g_padded: Array, padding: int) -> Array:
     if padding == 0:
         return g_padded
@@ -519,7 +515,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         gw = np.ascontiguousarray(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
         g_cols = (g_mat @ _conv_weight_matrix(weight.data).T).reshape(n, ho, wo, kh, kw, c)
         gp = np.zeros(padded.shape)
-        _scatter_into_padded(gp, g, lambda i, j: g_cols[:, :, :, i, j], kh, kw, stride)
+        for i in range(kh):
+            for j in range(kw):
+                _tap(gp, i, j, ho, wo, stride)[...] += g_cols[:, :, :, i, j]
         return (_unpad(gp, padding), gw)
 
     return _make(data, (x, weight), backward)

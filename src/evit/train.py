@@ -20,13 +20,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import ModuleGraph, build
 from .checkpoint import save_checkpoint
-from .config import (
-    RunConfig,
-    check_config,
-    ffn_from_string,
-    pattern_from_string,
-    spec_from_model_config,
-)
+from .config import RunConfig, check_config
 from .data import ToyDataset, load_image_dir, synthetic_shapes
 from .errors import ConfigError, NonFiniteError
 from .tensor import Tensor
@@ -133,16 +127,15 @@ def run_training(config: RunConfig, out_dir: str | os.PathLike) -> TrainResult:
     ``NonFiniteError`` at the first step whose loss is NaN or infinite; either
     way nothing is written.
     """
-    check_config(config)
+    spec, pattern, ffn_kind = check_config(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    spec = spec_from_model_config(config.model)
     graph = build(
         spec,
         seed=config.train.seed,
-        pattern=pattern_from_string(config.model.pattern),
-        ffn_kind=ffn_from_string(config.model.ffn),
+        pattern=pattern,
+        ffn_kind=ffn_kind,
         zero_classifier=config.model.zero_classifier,
         input_size=config.model.input_size,
     )

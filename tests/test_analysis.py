@@ -14,7 +14,7 @@ from evit.analysis import (
 )
 from evit.attention import ConnectionPattern
 from evit.backbone import VARIANTS, build, reduced_variant
-from evit.data import read_pgm
+from evit.data import read_image
 from evit.errors import ConfigError
 from evit.feedforward import FfnKind
 
@@ -161,14 +161,14 @@ class TestAttentionExport:
         assert len(paths) == stage.heads
         for p in paths:
             assert p.exists() and p.suffix == ".pgm"
-            grid = read_pgm(p)
-            assert grid.shape == (4, 4)  # 64px input -> stage3 side 4
+            grid = read_image(p)
+            assert grid.shape == (3, 4, 4)  # 64px input -> stage3 side 4
 
     def test_maps_are_minmax_normalized(self, toy_spec, tmp_path, rng):
         graph = build(toy_spec, seed=0)
         image = rng.uniform(size=(3, 64, 64))
         paths = export_attention_maps(graph, image, stage=1, block=0, out_dir=tmp_path)
-        grid = read_pgm(paths[0])
+        grid = read_image(paths[0])
         assert grid.min() == 0.0 and grid.max() == 1.0
 
     def test_single_kv_token_renders_mid_gray(self, toy_spec, tmp_path, rng):
@@ -176,7 +176,7 @@ class TestAttentionExport:
         graph = build(toy_spec, seed=0)
         image = rng.uniform(size=(3, 32, 32))
         paths = export_attention_maps(graph, image, stage=1, block=0, out_dir=tmp_path)
-        grid = read_pgm(paths[0])
+        grid = read_image(paths[0])
         np.testing.assert_allclose(grid, 128.0 / 255.0, atol=1e-12)
 
     def test_deep_fovea_and_bad_indices(self, toy_spec, tmp_path, rng):

@@ -192,6 +192,14 @@ class TestAutogradStructure:
         np.testing.assert_array_equal(grads["unused"], np.zeros(5))
         np.testing.assert_array_equal(grads["x"], np.ones((2, 2)))
 
+    def test_unreached_leaf_gets_zeros_after_an_earlier_backward(self, rng):
+        a = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        T.tensor_sum(T.mul(a, b)).backward()  # leaves a.grad == b.data
+        grads = T.gradients(T.tensor_sum(T.mul(b, b)), [("a", a), ("b", b)])
+        np.testing.assert_array_equal(grads["a"], np.zeros(3))
+        np.testing.assert_array_equal(grads["b"], 2.0 * b.data)
+
     def test_weighted_sum_gradient_is_the_data(self, rng):
         x = rng.normal(size=(4, 4))
         w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)

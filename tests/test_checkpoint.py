@@ -14,7 +14,7 @@ import evit.tensor as T
 from evit.backbone import build
 from evit.checkpoint import MAGIC, load_checkpoint, read_manifest, save_checkpoint
 from evit.cli import main
-from evit.data import write_ppm
+from evit.data import write_image
 from evit.errors import ConfigError, NonFiniteError, ShapeError
 
 
@@ -277,7 +277,7 @@ def test_malformed_checkpoint_exits_2_with_one_line(
     bad.write_bytes(corrupt(raw))
     assert bad.read_bytes() != raw
     image = tmp_path / "probe.ppm"
-    write_ppm(image, np.random.default_rng(0).uniform(size=(3, 32, 32)))
+    write_image(image, np.random.default_rng(0).uniform(size=(3, 32, 32)))
     code = main(["attnmap", "--checkpoint", str(bad), "--image", str(image),
                  "--out", str(tmp_path / "maps")])
     err = capsys.readouterr().err.strip().splitlines()
@@ -291,7 +291,7 @@ def fuzz_files(toy_spec, tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     graph = build(toy_spec, seed=21, zero_classifier=False)
     save_checkpoint(graph, root / "model.ckpt")
-    write_ppm(root / "probe.ppm", np.random.default_rng(0).uniform(size=(3, 32, 32)))
+    write_image(root / "probe.ppm", np.random.default_rng(0).uniform(size=(3, 32, 32)))
     return root, (root / "model.ckpt").read_bytes(), dict(graph.named_parameters())
 
 

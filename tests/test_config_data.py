@@ -1,5 +1,7 @@
 """Config file round trips, environment overrides, and the toy dataset."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,15 +16,7 @@ from evit.config import (
     spec_from_model_config,
     write_config,
 )
-from evit.data import (
-    load_image_dir,
-    read_image,
-    read_pgm,
-    read_ppm,
-    synthetic_shapes,
-    write_pgm,
-    write_ppm,
-)
+from evit.data import load_image_dir, read_image, synthetic_shapes, write_image
 from evit.cli import main
 from evit.errors import ConfigError
 
@@ -124,6 +118,27 @@ def test_out_of_range_field_exits_2_with_one_line(line, message, tmp_path, capsy
     assert not out_dir.exists()
 
 
+# characters that make a mutated line look like config syntax, plus any character
+_CONFIG_CHARS = st.sampled_from(list("=.# \n\t-+_e0123456789truefalsmodelint")) | st.characters()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_config_text_round_trips_or_raises_config_error(data):
+    """Up to three inserted, replaced or deleted characters in a rendered config."""
+    text = render_config(RunConfig())
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        at = data.draw(st.integers(0, len(text)), label="position")
+        edit = data.draw(st.sampled_from(["insert", "replace", "delete"]), label="edit")
+        char = "" if edit == "delete" else data.draw(_CONFIG_CHARS, label="char")
+        text = text[:at] + char + text[at + (edit != "insert") :]
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert parse_config(render_config(config)) == config
+
+
 class TestEnvOverride:
     def test_evit_seed_wins(self, monkeypatch):
         monkeypatch.setenv("EVIT_SEED", "4711")
@@ -199,21 +214,21 @@ class TestNetpbm:
     def test_pgm_round_trip(self, tmp_path, rng):
         img = rng.uniform(size=(9, 7))
         path = tmp_path / "x.pgm"
-        write_pgm(path, img)
-        back = read_pgm(path)
+        write_image(path, img)
+        back = read_image(path)[0]
         np.testing.assert_allclose(back, np.rint(img * 255) / 255, atol=1e-12)
 
     def test_ppm_round_trip(self, tmp_path, rng):
         img = rng.uniform(size=(3, 5, 8))
         path = tmp_path / "x.ppm"
-        write_ppm(path, img)
-        back = read_ppm(path)
+        write_image(path, img)
+        back = read_image(path)
         np.testing.assert_allclose(back, np.rint(img * 255) / 255, atol=1e-12)
 
     def test_read_image_replicates_gray(self, tmp_path, rng):
         img = rng.uniform(size=(4, 4))
         path = tmp_path / "g.pgm"
-        write_pgm(path, img)
+        write_image(path, img)
         out = read_image(path)
         assert out.shape == (3, 4, 4)
         assert np.array_equal(out[0], out[2])
@@ -222,20 +237,85 @@ class TestNetpbm:
         path = tmp_path / "c.pgm"
         payload = bytes(range(6))
         path.write_bytes(b"P5\n# a comment\n3 2\n255\n" + payload)
-        img = read_pgm(path)
-        assert img.shape == (2, 3)
+        img = read_image(path)
+        assert img.shape == (3, 2, 3)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P4\n2 2\n255\n\x00\x00\x00\x00")
         with pytest.raises(ConfigError):
-            read_pgm(path)
+            read_image(path)
 
     def test_unsupported_suffix_rejected(self, tmp_path):
         path = tmp_path / "img.png"
         path.write_bytes(b"\x89PNG")
         with pytest.raises(ConfigError):
             read_image(path)
+
+    def test_magic_number_decides_kind(self, tmp_path, rng):
+        img = rng.uniform(size=(3, 4, 6))
+        path = tmp_path / "color.pgm"
+        write_image(path, img)
+        assert path.read_bytes().startswith(b"P6\n6 4\n")
+        np.testing.assert_allclose(read_image(path), np.rint(img * 255) / 255, atol=1e-12)
+
+    def test_overlong_header_token_rejected(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n")
+        with pytest.raises(ConfigError, match="malformed netpbm header token"):
+            read_image(path)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 4), (3, 4, 4, 1)])
+    def test_write_rejects_other_shapes(self, tmp_path, shape):
+        with pytest.raises(ConfigError, match="write_image expects"):
+            write_image(tmp_path / "x.pgm", np.zeros(shape))
+        assert not (tmp_path / "x.pgm").exists()
+
+
+# read_image's header grammar: magic, then width, height and maxval, each after
+# any whitespace and '#' comments and ended by one whitespace byte
+_SEP = rb"(?:\s|#[^\n]*+)*"
+_NETPBM_HEADER = re.compile(rb"P[56]" + (_SEP + rb"(\d+)\s") * 3)
+_HEADER_CHARS = st.lists(st.sampled_from(list(b"0123456789 \t\n#P56")), min_size=1, max_size=6)
+
+
+@pytest.fixture(scope="module")
+def netpbm_files(tmp_path_factory):
+    """A written PGM and PPM, as bytes, and a directory for mutated copies."""
+    root = tmp_path_factory.mktemp("netpbm")
+    rng = np.random.default_rng(0)
+    write_image(root / "gray.pgm", rng.uniform(size=(3, 5)))
+    write_image(root / "color.ppm", rng.uniform(size=(3, 4, 2)))
+    return root, [(root / name).read_bytes() for name in ("gray.pgm", "color.ppm")]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_netpbm_reads_as_declared_or_raises_config_error(netpbm_files, data):
+    """One replaced header byte, inserted header-like bytes, or a cut at any length."""
+    root, originals = netpbm_files
+    raw = data.draw(st.sampled_from(originals), label="file")
+    header = raw.index(b"255\n") + 4
+    edit = data.draw(st.sampled_from(["replace", "insert", "truncate"]), label="edit")
+    if edit == "truncate":
+        bad = raw[: data.draw(st.integers(0, len(raw)), label="length")]
+    elif edit == "replace":
+        at = data.draw(st.integers(0, header - 1), label="position")
+        bad = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at + 1 :]
+    else:
+        at = data.draw(st.integers(0, header), label="position")
+        bad = raw[:at] + bytes(data.draw(_HEADER_CHARS, label="bytes")) + raw[at:]
+    path = root / "mutated"
+    path.write_bytes(bad)
+    try:
+        image = read_image(path)
+    except ConfigError:
+        return
+    match = _NETPBM_HEADER.match(bad)
+    assert match is not None and int(match[3]) == 255, bad[:header]
+    assert image.dtype == np.float64
+    assert image.shape == (3, int(match[2]), int(match[1]))
+    assert np.all((image >= 0.0) & (image <= 1.0))
 
 
 class TestImageDirIngestion:
@@ -244,7 +324,7 @@ class TestImageDirIngestion:
         for cls in ("a_circles", "b_squares"):
             (root / cls).mkdir(parents=True)
             for i in range(3):
-                write_ppm(root / cls / f"{i}.ppm", rng.uniform(size=(3, size, size)))
+                write_image(root / cls / f"{i}.ppm", rng.uniform(size=(3, size, size)))
 
     def test_loads_sorted_classes(self, tmp_path):
         self._write_tree(tmp_path)
@@ -255,7 +335,7 @@ class TestImageDirIngestion:
 
     def test_mixed_sizes_rejected(self, tmp_path):
         self._write_tree(tmp_path)
-        write_ppm(
+        write_image(
             tmp_path / "a_circles" / "odd.ppm",
             np.zeros((3, 16, 16)),
         )

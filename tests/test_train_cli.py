@@ -9,7 +9,7 @@ from evit.backbone import build
 from evit.checkpoint import load_checkpoint, save_checkpoint
 from evit.cli import main
 from evit.config import RunConfig, write_config
-from evit.data import read_pgm, synthetic_shapes, write_pgm, write_ppm
+from evit.data import read_image, synthetic_shapes, write_image
 from evit.errors import ConfigError
 from evit.tensor import Tensor
 from evit.train import AdamW, cosine_scale, evaluate, run_training
@@ -92,7 +92,7 @@ class TestTrainingLoop:
         rng = np.random.default_rng(0)
         for cls in ("c0", "c1"):
             (tmp_path / "imgs" / cls).mkdir(parents=True)
-            write_ppm(tmp_path / "imgs" / cls / "0.ppm", rng.uniform(size=(3, 32, 32)))
+            write_image(tmp_path / "imgs" / cls / "0.ppm", rng.uniform(size=(3, 32, 32)))
         with pytest.raises(ConfigError):
             run_training(config, tmp_path / "out")
 
@@ -119,10 +119,33 @@ class TestCli:
         assert main(["build", "--variant", "tiny", "--input", "223"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_flag_exits_2(self):
+    def test_unknown_flag_exits_2(self, capsys):
+        assert main(["build", "--variant", "huge"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["build", "--pattern", "bogus"], id="bad-choice"),
+            pytest.param(["build", "--input", "abc"], id="bad-int"),
+            pytest.param(["train"], id="missing-required-flag"),
+            pytest.param(["bogus"], id="unknown-subcommand"),
+            pytest.param([], id="missing-subcommand"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["build", "--variant", "huge"])
-        assert info.value.code == 2
+            main(["build", "--help"])
+        assert info.value.code == 0
+        assert "--pattern" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "exc,line",
@@ -158,7 +181,7 @@ class TestCli:
         assert (out_dir / "metrics.csv").exists()
 
         image_path = tmp_path / "probe.ppm"
-        write_ppm(image_path, np.random.default_rng(0).uniform(size=(3, 32, 32)))
+        write_image(image_path, np.random.default_rng(0).uniform(size=(3, 32, 32)))
         maps_dir = tmp_path / "maps"
         code = main([
             "attnmap",
@@ -171,7 +194,7 @@ class TestCli:
         assert code == 0
         written = sorted(maps_dir.glob("*.pgm"))
         assert len(written) == 2  # stage2 of the reduced tiny model has 2 heads
-        assert read_pgm(written[0]).shape == (4, 4)
+        assert read_image(written[0]).shape == (3, 4, 4)
 
     def test_train_class_mismatch_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("EVIT_SEED", raising=False)
@@ -220,8 +243,8 @@ def cli_files(tmp_path, toy_spec, monkeypatch):
     save_checkpoint(build(toy_spec, seed=0), tmp_path / "model.ckpt")
     write_config(_short_config(steps=1), tmp_path / "run.cfg")
     rng = np.random.default_rng(0)
-    write_ppm(tmp_path / "probe.ppm", rng.uniform(size=(3, 32, 32)))
-    write_pgm(tmp_path / "probe.pgm", rng.uniform(size=(32, 32)))
+    write_image(tmp_path / "probe.ppm", rng.uniform(size=(3, 32, 32)))
+    write_image(tmp_path / "probe.pgm", rng.uniform(size=(32, 32)))
     for name in ("probe.ppm", "probe.pgm"):
         raw = (tmp_path / name).read_bytes()
         (tmp_path / f"short{name[-4:]}").write_bytes(raw[:-5])

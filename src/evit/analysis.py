@@ -228,15 +228,15 @@ def _ffn_rows(cfg: FfnConfig, side: int) -> tuple[int, int]:
 
 def _block_rows(tag: str, stage: StageConfig, ffn_kind: FfnKind, side: int) -> list[CostRow]:
     """The six rows of one block on a ``side`` x ``side`` map."""
-    dim = stage.channels
-    ffn_cfg = FfnConfig(dim, stage.expansion, ffn_kind)
+    attn = stage.attention
+    dim = attn.dim
     return [
         CostRow(f"{tag}.cpe", *_conv_cost(dim, 1, 3, side)),
         CostRow(f"{tag}.ln1", 2 * dim, 0),
-        CostRow(f"{tag}.bfsa.sfa", *_fovea_rows(dim, stage.sfa_reduction, side)),
-        CostRow(f"{tag}.bfsa.dfa", *_fovea_rows(dim, stage.dfa_reduction, side)),
+        CostRow(f"{tag}.bfsa.sfa", *_fovea_rows(dim, attn.sfa_reduction, side)),
+        CostRow(f"{tag}.bfsa.dfa", *_fovea_rows(dim, attn.dfa_reduction, side)),
         CostRow(f"{tag}.ln2", 2 * dim, 0),
-        CostRow(f"{tag}.ffn", *_ffn_rows(ffn_cfg, side)),
+        CostRow(f"{tag}.ffn", *_ffn_rows(stage.ffn(ffn_kind), side)),
     ]
 
 

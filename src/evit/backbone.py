@@ -61,6 +61,15 @@ class StageConfig:
     dfa_reduction: int
     expansion: float
 
+    @property
+    def attention(self) -> AttentionConfig:
+        """The bi-fovea attention config of each block in this stage."""
+        return AttentionConfig(self.channels, self.heads, self.sfa_reduction, self.dfa_reduction)
+
+    def ffn(self, kind: FfnKind) -> FfnConfig:
+        """The ``kind`` feedforward config of each block in this stage."""
+        return FfnConfig(self.channels, self.expansion, kind)
+
 
 @dataclass(frozen=True)
 class VariantSpec:
@@ -89,6 +98,14 @@ VARIANTS: dict[str, VariantSpec] = {
 }
 
 
+def variant(name: str) -> VariantSpec:
+    """The published variant called ``name``."""
+    try:
+        return VARIANTS[name]
+    except KeyError:
+        raise ConfigError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}") from None
+
+
 def validate_spec(spec: VariantSpec) -> None:
     """Raise ConfigError on an internally inconsistent stage table."""
     if len(spec.stages) != 4:
@@ -101,24 +118,17 @@ def validate_spec(spec: VariantSpec) -> None:
     for i, stage in enumerate(spec.stages, start=1):
         if stage.blocks < 1:
             raise ConfigError(f"stage{i} needs at least one block, got {stage.blocks}")
-        # constructing the configs runs their own divisibility checks
-        AttentionConfig(stage.channels, stage.heads, stage.sfa_reduction, stage.dfa_reduction)
-        FfnConfig(stage.channels, stage.expansion, FfnKind.BFFN)
+        # constructing the configs runs their own checks; bffn has the strictest hidden minimum
+        stage.attention, stage.ffn(FfnKind.BFFN)
 
 
 def stage_sides(spec: VariantSpec, input_size: int) -> list[int]:
-    """Spatial side of each stage's map for a square input."""
-    sides = []
-    side = input_size
-    for _ in range(5):  # stem + four stage embeddings, each halves
-        if side % 2 != 0:
-            raise ConfigError(
-                f"input size {input_size} does not survive five halvings; "
-                f"sizes must be divisible by 32"
-            )
-        side //= 2
-        sides.append(side)
-    return sides[1:]
+    """Spatial side of each stage's map for a square input.
+
+    The stem and the four patch embeddings each halve the map. Callers check
+    ``validate_input_size`` first, so the input is a multiple of 32.
+    """
+    return [input_size // 4, input_size // 8, input_size // 16, input_size // 32]
 
 
 def validate_input_size(spec: VariantSpec, input_size: int) -> None:
@@ -140,7 +150,15 @@ def reduced_variant(
     blocks_per_stage: int | None = 1,
     num_classes: int | None = None,
 ) -> VariantSpec:
-    """Shrink a variant for cheap tests: narrower channels, fewer blocks."""
+    """Shrink a variant for cheap tests: narrower channels, fewer blocks.
+
+    ``blocks_per_stage=None`` keeps the variant's own depths.
+    """
+    if width_divisor < 1 or (blocks_per_stage is not None and blocks_per_stage < 1):
+        raise ConfigError(
+            f"width_divisor and blocks_per_stage must be >= 1, got "
+            f"{width_divisor}, {blocks_per_stage}"
+        )
     if spec.stem_channels % width_divisor != 0:
         raise ConfigError(
             f"stem channels {spec.stem_channels} not divisible by {width_divisor}"
@@ -206,14 +224,6 @@ class ModuleGraph:
     ffn_kind: FfnKind
     params: dict
 
-    def attention_config(self, stage_index: int) -> AttentionConfig:
-        s = self.spec.stages[stage_index]
-        return AttentionConfig(s.channels, s.heads, s.sfa_reduction, s.dfa_reduction)
-
-    def ffn_config(self, stage_index: int) -> FfnConfig:
-        s = self.spec.stages[stage_index]
-        return FfnConfig(s.channels, s.expansion, self.ffn_kind)
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return named_tensors(self.params)
 
@@ -256,8 +266,7 @@ class ModuleGraph:
         for i, stage_cfg in enumerate(self.spec.stages):
             stage = self.params[f"stage{i + 1}"]
             x = _conv(x, stage["embed"], stride=2, padding=0)
-            attn_cfg = self.attention_config(i)
-            ffn_cfg = self.ffn_config(i)
+            attn_cfg, ffn_cfg = stage_cfg.attention, stage_cfg.ffn(self.ffn_kind)
             for j in range(stage_cfg.blocks):
                 want = capture is not None and capture.stage == i + 1 and capture.block == j
                 x = bev_block_forward(
@@ -328,12 +337,7 @@ def build(
     gradient checking should pass ``False`` so gradients reach every layer.
     """
     if isinstance(spec, str):
-        try:
-            spec = VARIANTS[spec]
-        except KeyError:
-            raise ConfigError(
-                f"unknown variant {spec!r}; choose from {sorted(VARIANTS)}"
-            ) from None
+        spec = variant(spec)
     validate_spec(spec)
     if input_size is not None:
         validate_input_size(spec, input_size)
@@ -363,8 +367,7 @@ def _assemble(
     prev = st
     for i, s in enumerate(spec.stages, start=1):
         stage = params[f"stage{i}"] = {"embed": conv_params(rng, s.channels, prev, 2)}
-        attn_cfg = AttentionConfig(s.channels, s.heads, s.sfa_reduction, s.dfa_reduction)
-        ffn_cfg = FfnConfig(s.channels, s.expansion, ffn_kind)
+        attn_cfg, ffn_cfg = s.attention, s.ffn(ffn_kind)
         for j in range(s.blocks):
             stage[f"block{j}"] = {
                 "cpe": conv_params(rng, s.channels, s.channels, 3, groups=s.channels),

@@ -125,10 +125,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.samples < 1 or args.width_divisor < 1:
-        raise ConfigError(
-            f"--samples and --width-divisor must be >= 1, got {args.samples}, {args.width_divisor}"
-        )
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{flag} must be positive and finite, got {value}")

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 
 from .attention import ConnectionPattern
-from .backbone import VARIANTS, VariantSpec, reduced_variant, validate_input_size
+from .backbone import VariantSpec, reduced_variant, validate_input_size, variant
 from .errors import ConfigError
 from .feedforward import FfnKind
 
@@ -185,18 +185,8 @@ def _member(enum_cls, text: str, what: str):
 
 def spec_from_model_config(model: ModelConfig) -> VariantSpec:
     """Resolve a ModelConfig to a concrete stage table."""
-    if model.variant not in VARIANTS:
-        raise ConfigError(
-            f"unknown variant {model.variant!r}; choose from {sorted(VARIANTS)}"
-        )
-    base = VARIANTS[model.variant]
-    if model.width_divisor < 1 or model.blocks_per_stage < 0:
-        raise ConfigError(
-            f"width_divisor must be >= 1 and blocks_per_stage >= 0, got "
-            f"{model.width_divisor}, {model.blocks_per_stage}"
-        )
     return reduced_variant(
-        base,
+        variant(model.variant),
         width_divisor=model.width_divisor,
         blocks_per_stage=model.blocks_per_stage or None,
         num_classes=model.num_classes,

@@ -19,6 +19,7 @@ feed the deep branch.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class FfnConfig:
     kind: FfnKind = FfnKind.BFFN
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.expansion) and self.expansion > 0):
+            raise ConfigError(f"expansion must be finite and positive, got {self.expansion}")
         if self.dim <= 0:
             raise ConfigError(f"dim must be positive, got {self.dim}")
         minimum = 2 if self.kind is FfnKind.BFFN else 1

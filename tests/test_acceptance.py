@@ -221,7 +221,8 @@ def test_criterion_5_wiring_identities(capsys):
     blk["ffn"]["fc2"]["bias"].data[:] = 0.0
     xb = Tensor(to_nhwc(rng.normal(size=(1, toy.stages[0].channels, 8, 8))))
     out = bev_block_forward(
-        xb, blk, graph.attention_config(0), graph.ffn_config(0), ConnectionPattern.BIFOVEA
+        xb, blk, graph.spec.stages[0].attention, graph.spec.stages[0].ffn(graph.ffn_kind),
+        ConnectionPattern.BIFOVEA,
     )
     identity_err = np.abs(out.data - xb.data).max()
 

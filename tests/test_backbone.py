@@ -1,6 +1,7 @@
 """Backbone construction, variant table, forward shapes, block wiring."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ class TestVariantTable:
         with pytest.raises(ConfigError):
             validate_input_size(VARIANTS["tiny"], 0)
 
+    def test_reduction_must_divide_stage_side(self):
+        tiny = VARIANTS["tiny"]
+        stage1 = replace(tiny.stages[0], sfa_reduction=3)
+        spec = replace(tiny, stages=(stage1,) + tiny.stages[1:])
+        with pytest.raises(ConfigError, match="stage1 map side 56 .* sfa reduction 3"):
+            validate_input_size(spec, 224)
+
     def test_reduced_variant_arithmetic(self):
         spec = reduced_variant(VARIANTS["tiny"], width_divisor=4, num_classes=2)
         assert spec.stem_channels == 7
@@ -74,6 +82,11 @@ class TestVariantTable:
     def test_reduced_variant_bad_divisor(self):
         with pytest.raises(ConfigError):
             reduced_variant(VARIANTS["tiny"], width_divisor=3)
+
+    @pytest.mark.parametrize("argument", ["width_divisor", "blocks_per_stage"])
+    def test_reduced_variant_rejects_zero(self, argument):
+        with pytest.raises(ConfigError, match=argument):
+            reduced_variant(VARIANTS["tiny"], **{argument: 0})
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -194,7 +207,8 @@ class TestBlockWiring:
         self._zero_branches(blk)
         x = Tensor(to_nhwc(rng.normal(size=(2, toy_spec.stages[0].channels, 8, 8))))
         out = bev_block_forward(
-            x, blk, graph.attention_config(0), graph.ffn_config(0), ConnectionPattern.BIFOVEA
+            x, blk, graph.spec.stages[0].attention, graph.spec.stages[0].ffn(graph.ffn_kind),
+            ConnectionPattern.BIFOVEA,
         )
         assert np.abs(out.data - x.data).max() <= 1e-12
 
@@ -207,7 +221,8 @@ class TestBlockWiring:
         blk["cpe"]["weight"].data[:] = center
         x = Tensor(to_nhwc(rng.normal(size=(1, toy_spec.stages[0].channels, 8, 8))))
         out = bev_block_forward(
-            x, blk, graph.attention_config(0), graph.ffn_config(0), ConnectionPattern.BIFOVEA
+            x, blk, graph.spec.stages[0].attention, graph.spec.stages[0].ffn(graph.ffn_kind),
+            ConnectionPattern.BIFOVEA,
         )
         np.testing.assert_allclose(out.data, 2.0 * x.data, atol=1e-12)
 
@@ -217,7 +232,7 @@ class TestBlockWiring:
         x = Tensor(to_nhwc(rng.normal(size=(1, toy_spec.stages[0].channels, 8, 8))))
         outs = {
             p: bev_block_forward(
-                x, blk, graph.attention_config(0), graph.ffn_config(0), p
+                x, blk, graph.spec.stages[0].attention, graph.spec.stages[0].ffn(graph.ffn_kind), p
             ).data
             for p in ConnectionPattern
         }
@@ -265,7 +280,7 @@ def _reference_logits(graph, images):
         x = naive_gelu(conv(x, graph.params["stem"][f"conv{i}"], stride, 1))
     for i, stage_cfg in enumerate(graph.spec.stages):
         stage = graph.params[f"stage{i + 1}"]
-        cfg, ffn_cfg = graph.attention_config(i), graph.ffn_config(i)
+        cfg, ffn_cfg = graph.spec.stages[i].attention, graph.spec.stages[i].ffn(graph.ffn_kind)
         x = conv(x, stage["embed"], 2, 0)
         for j in range(stage_cfg.blocks):
             blk = stage[f"block{j}"]

@@ -258,6 +258,11 @@ def _nan_data(raw: bytes) -> bytes:
         pytest.param(
             _replace(b"\nstem_channels: 7\n", b"\nstem_channels: 70000000\n"), id="huge-stem"
         ),
+        pytest.param(_replace(b"expansion=3.0", b"expansion=inf"), id="expansion-inf"),
+        pytest.param(_replace(b"expansion=3.0", b"expansion=nan"), id="expansion-nan"),
+        pytest.param(_replace(b"stage1: blocks=1", b"stage1: blocks=0"), id="blocks-0"),
+        pytest.param(_replace(b"stage1: blocks=1 channels=14 heads=1",
+                              b"stage1: blocks=1 channels=14 heads=0"), id="heads-0"),
     ],
 )
 def test_malformed_checkpoint_exits_2_with_one_line(

@@ -45,6 +45,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             FfnConfig(2, 0.5, FfnKind.BFFN)  # hidden 1, cannot split
 
+    @pytest.mark.parametrize(
+        "dim,expansion,match",
+        [
+            (4, float("inf"), "expansion"),
+            (4, float("-inf"), "expansion"),
+            (4, float("nan"), "expansion"),
+            (4, -1.0, "expansion"),
+            (0, 3.0, "dim"),
+        ],
+    )
+    def test_non_finite_or_non_positive_rejected(self, dim, expansion, match):
+        with pytest.raises(ConfigError, match=match):
+            FfnConfig(dim, expansion, FfnKind.FFN)
+
 
 class TestForwardOracles:
     def _tokens(self, x):

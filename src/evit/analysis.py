@@ -34,7 +34,7 @@ from .backbone import (
     StageConfig,
     VariantSpec,
     stage_sides,
-    validate_input_size,
+    validate_spec,
 )
 from .data import write_image
 from .errors import ConfigError
@@ -264,7 +264,7 @@ def cost_report(
     ffn_kind: FfnKind = FfnKind.BFFN,
 ) -> CostReport:
     """Analytic per-module parameter and MAC budget for one forward image."""
-    validate_input_size(spec, input_size)
+    validate_spec(spec, input_size)
     sides = stage_sides(spec, input_size)
     stem_side = input_size // 2
     rows: list[CostRow] = []

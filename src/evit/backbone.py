@@ -106,8 +106,13 @@ def variant(name: str) -> VariantSpec:
         raise ConfigError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}") from None
 
 
-def validate_spec(spec: VariantSpec) -> None:
-    """Raise ConfigError on an internally inconsistent stage table."""
+def validate_spec(spec: VariantSpec, input_size: int | None = None) -> None:
+    """Raise ConfigError on an inconsistent stage table, or one that cannot take ``input_size``.
+
+    An error from a stage's own layer configs is prefixed with that stage. With
+    an ``input_size``, it must be a multiple of 32 and every stage's attention
+    reductions must divide its map side.
+    """
     if len(spec.stages) != 4:
         raise ConfigError(f"expected 4 stages, got {len(spec.stages)}")
     if spec.stem_channels < 1 or spec.head_channels < 1 or spec.num_classes < 1:
@@ -118,21 +123,13 @@ def validate_spec(spec: VariantSpec) -> None:
     for i, stage in enumerate(spec.stages, start=1):
         if stage.blocks < 1:
             raise ConfigError(f"stage{i} needs at least one block, got {stage.blocks}")
-        # constructing the configs runs their own checks; bffn has the strictest hidden minimum
-        stage.attention, stage.ffn(FfnKind.BFFN)
-
-
-def stage_sides(spec: VariantSpec, input_size: int) -> list[int]:
-    """Spatial side of each stage's map for a square input.
-
-    The stem and the four patch embeddings each halve the map. Callers check
-    ``validate_input_size`` first, so the input is a multiple of 32.
-    """
-    return [input_size // 4, input_size // 8, input_size // 16, input_size // 32]
-
-
-def validate_input_size(spec: VariantSpec, input_size: int) -> None:
-    """Check that every stage's attention reductions divide its map side."""
+        try:
+            # constructing the configs runs their own checks; bffn has the strictest hidden minimum
+            stage.attention, stage.ffn(FfnKind.BFFN)
+        except ConfigError as exc:
+            raise ConfigError(f"stage{i}: {exc}") from None
+    if input_size is None:
+        return
     if input_size < 32 or input_size % 32 != 0:
         raise ConfigError(f"input size must be a positive multiple of 32, got {input_size}")
     for i, (stage, side) in enumerate(zip(spec.stages, stage_sides(spec, input_size)), start=1):
@@ -142,6 +139,15 @@ def validate_input_size(spec: VariantSpec, input_size: int) -> None:
                     f"stage{i} map side {side} (input {input_size}) not divisible "
                     f"by {label} reduction {red}"
                 )
+
+
+def stage_sides(spec: VariantSpec, input_size: int) -> list[int]:
+    """Spatial side of each stage's map for a square input.
+
+    The stem and the four patch embeddings each halve the map. Callers check
+    ``validate_spec`` first, so the input is a multiple of 32.
+    """
+    return [input_size // 4, input_size // 8, input_size // 16, input_size // 32]
 
 
 def reduced_variant(
@@ -256,7 +262,7 @@ class ModuleGraph:
             raise ShapeError(f"expected (N, 3, H, W) images, got {x.shape}")
         if x.shape[2] != x.shape[3]:
             raise ShapeError(f"expected square images, got {x.shape[2]}x{x.shape[3]}")
-        validate_input_size(self.spec, x.shape[2])
+        validate_spec(self.spec, x.shape[2])
         x = T.transpose(x, (0, 2, 3, 1))
 
         for i, stride in enumerate((2, 1, 1), start=1):
@@ -338,9 +344,7 @@ def build(
     """
     if isinstance(spec, str):
         spec = variant(spec)
-    validate_spec(spec)
-    if input_size is not None:
-        validate_input_size(spec, input_size)
+    validate_spec(spec, input_size)
     return _assemble(spec, seed, pattern, ffn_kind, zero_classifier, np.random.default_rng(seed))
 
 

@@ -35,6 +35,9 @@ from .train import run_training
 
 _PATTERNS = tuple(p.value for p in ConnectionPattern)
 _FFNS = tuple(k.value for k in FfnKind)
+# a run that goes non-finite ends in one error or FAIL line; numpy's overflow
+# warnings on the way there would only repeat it
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 def _add_build(sub: argparse._SubParsersAction) -> None:
@@ -133,16 +136,17 @@ def _cmd_gradcheck(args) -> int:
     spec = reduced_variant(
         VARIANTS[args.variant], width_divisor=args.width_divisor, num_classes=2
     )
-    result = run_gradcheck(
-        spec,
-        seed=args.seed,
-        input_size=args.input,
-        samples=args.samples,
-        h=args.step,
-        tolerance=args.tolerance,
-        pattern=ConnectionPattern(args.pattern),
-        ffn_kind=FfnKind(args.ffn),
-    )
+    with np.errstate(**_QUIET):
+        result = run_gradcheck(
+            spec,
+            seed=args.seed,
+            input_size=args.input,
+            samples=args.samples,
+            h=args.step,
+            tolerance=args.tolerance,
+            pattern=ConnectionPattern(args.pattern),
+            ffn_kind=FfnKind(args.ffn),
+        )
 
     for s in result.samples:
         print(
@@ -165,9 +169,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_train(args) -> int:
     config = apply_env_overrides(read_config(args.config))
-    # a diverging run ends in one NonFiniteError line; numpy's overflow
-    # warnings on the way there would only repeat it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(**_QUIET):
         result = run_training(config, args.out)
     print(
         f"finished {result.steps} steps: final loss {result.final_loss:.4f}, "

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 
 from .attention import ConnectionPattern
-from .backbone import VariantSpec, reduced_variant, validate_input_size, variant
+from .backbone import VariantSpec, reduced_variant, validate_spec, variant
 from .errors import ConfigError
 from .feedforward import FfnKind
 
@@ -140,7 +140,7 @@ def check_config(config: RunConfig) -> tuple[VariantSpec, ConnectionPattern, Ffn
         if value < minimum:
             raise ConfigError(f"{key} must be >= {minimum}, got {value!r}")
     spec = spec_from_model_config(config.model)
-    validate_input_size(spec, config.model.input_size)
+    validate_spec(spec, config.model.input_size)
     return (
         spec,
         _member(ConnectionPattern, config.model.pattern, "connection pattern"),

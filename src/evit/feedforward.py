@@ -93,38 +93,16 @@ def _dwconv(x: Tensor, params: dict) -> Tensor:
     return dwconv_bias(x, params["weight"], params["bias"], stride=1, padding=1)
 
 
-def _project(hidden: Tensor, params: dict) -> Tensor:
-    return _linear(T.gelu(hidden), params["fc2"])
-
-
-def ffn_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
-    return _project(_linear(x, params["fc1"]), params)
-
-
-def cffn_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
-    hidden = _linear(x, params["fc1"])
-    return _project(T.add(hidden, _dwconv(hidden, params["dw"])), params)
-
-
-def bffn_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
-    hidden = _linear(x, params["fc1"])
-    hs, hd = cfg.shallow_width, cfg.deep_width
-    shallow_in, deep_in = T.split(hidden, [hs, hd])
-
-    shallow_out = _dwconv(shallow_in, params["shallow_dw"])
-    feed = shallow_out if hs == hd else T.split(shallow_out, [hd, hs - hd])[0]
-    deep_out = _dwconv(T.add(feed, deep_in), params["deep_dw"])
-
-    gated = T.mul(T.concat([shallow_out, deep_out]), params["fuse"]["weight"])
-    return _project(gated, params)
-
-
-_FORWARDS = {
-    FfnKind.FFN: ffn_forward,
-    FfnKind.CFFN: cffn_forward,
-    FfnKind.BFFN: bffn_forward,
-}
-
-
 def feedforward_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
-    return _FORWARDS[cfg.kind](x, cfg, params)
+    """fc1, then the ``cfg.kind`` hidden-layer branch, then GELU and fc2."""
+    hidden = _linear(x, params["fc1"])
+    if cfg.kind is FfnKind.CFFN:
+        hidden = T.add(hidden, _dwconv(hidden, params["dw"]))
+    elif cfg.kind is FfnKind.BFFN:
+        hs, hd = cfg.shallow_width, cfg.deep_width
+        shallow_in, deep_in = T.split(hidden, [hs, hd])
+        shallow_out = _dwconv(shallow_in, params["shallow_dw"])
+        feed = shallow_out if hs == hd else T.split(shallow_out, [hd, hs - hd])[0]
+        deep_out = _dwconv(T.add(feed, deep_in), params["deep_dw"])
+        hidden = T.mul(T.concat([shallow_out, deep_out]), params["fuse"]["weight"])
+    return _linear(T.gelu(hidden), params["fc2"])

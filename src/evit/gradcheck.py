@@ -56,7 +56,8 @@ class GradcheckResult:
 
     @property
     def max_rel_error(self) -> float:
-        return max((s.rel_error for s in self.samples), default=0.0)
+        """The largest sample error, or NaN if any sample's error is NaN."""
+        return float(np.max([s.rel_error for s in self.samples], initial=0.0))
 
     @property
     def finite(self) -> bool:

@@ -192,3 +192,9 @@ class TestAttentionExport:
             export_attention_maps(graph, image, stage=1, block=3, out_dir=tmp_path)
         with pytest.raises(ConfigError):
             export_attention_maps(graph, image, stage=1, block=0, out_dir=tmp_path, fovea="x")
+
+    @pytest.mark.parametrize("shape", [(32, 32), (1, 32, 32), (3, 32, 64)])
+    def test_rejects_image_not_3_s_s(self, toy_spec, tmp_path, shape):
+        graph = build(toy_spec, seed=0)
+        with pytest.raises(ConfigError, match=r"expected one \(3, S, S\) image"):
+            export_attention_maps(graph, np.zeros(shape), stage=1, block=0, out_dir=tmp_path)

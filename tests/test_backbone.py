@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import evit.tensor as T
+from evit.analysis import cost_report
 from evit.attention import ConnectionPattern
 from evit.backbone import (
     VARIANTS,
@@ -15,7 +16,7 @@ from evit.backbone import (
     build,
     reduced_variant,
     stage_sides,
-    validate_input_size,
+    validate_spec,
 )
 from evit.errors import ConfigError, ShapeError
 from evit.feedforward import FfnKind
@@ -29,6 +30,37 @@ from reference import (
     naive_fovea_attention,
     naive_gelu,
 )
+
+
+def _with_stage1(**changes):
+    """Full-width tiny with its first stage row changed."""
+    tiny = VARIANTS["tiny"]
+    return replace(tiny, stages=(replace(tiny.stages[0], **changes),) + tiny.stages[1:])
+
+
+# stage tables that every path refuses at 224px: (spec, a fragment of the error)
+BAD_SPECS = [
+    pytest.param(replace(VARIANTS["tiny"], stages=VARIANTS["tiny"].stages[:3]),
+                 "expected 4 stages, got 3", id="three-stages"),
+    pytest.param(replace(VARIANTS["tiny"], stem_channels=0, num_classes=0),
+                 "stem/head/classes must be positive", id="stem-0-classes-0"),
+    pytest.param(_with_stage1(blocks=0), "stage1 needs at least one block", id="blocks-0"),
+    pytest.param(_with_stage1(heads=0), "stage1: dim and heads must be positive", id="heads-0"),
+    pytest.param(_with_stage1(expansion=float("inf")), "stage1: expansion must be finite",
+                 id="expansion-inf"),
+    pytest.param(_with_stage1(sfa_reduction=3), "stage1 map side 56 .* sfa reduction 3",
+                 id="sfa-reduction-3"),
+]
+
+
+@pytest.mark.parametrize("spec,message", BAD_SPECS)
+def test_bad_spec_refused_by_validate_build_and_cost_report(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        validate_spec(spec, 224)
+    with pytest.raises(ConfigError, match=message):
+        build(spec, seed=0, input_size=224)
+    with pytest.raises(ConfigError, match=message):
+        cost_report(spec, 224)
 
 
 class TestVariantTable:
@@ -59,18 +91,18 @@ class TestVariantTable:
         assert stage_sides(VARIANTS["tiny"], 224) == [56, 28, 14, 7]
 
     def test_input_size_must_be_multiple_of_32(self):
-        validate_input_size(VARIANTS["tiny"], 64)
+        validate_spec(VARIANTS["tiny"], 64)
         with pytest.raises(ConfigError):
-            validate_input_size(VARIANTS["tiny"], 48)
+            validate_spec(VARIANTS["tiny"], 48)
         with pytest.raises(ConfigError):
-            validate_input_size(VARIANTS["tiny"], 0)
+            validate_spec(VARIANTS["tiny"], 0)
 
     def test_reduction_must_divide_stage_side(self):
         tiny = VARIANTS["tiny"]
         stage1 = replace(tiny.stages[0], sfa_reduction=3)
         spec = replace(tiny, stages=(stage1,) + tiny.stages[1:])
         with pytest.raises(ConfigError, match="stage1 map side 56 .* sfa reduction 3"):
-            validate_input_size(spec, 224)
+            validate_spec(spec, 224)
 
     def test_reduced_variant_arithmetic(self):
         spec = reduced_variant(VARIANTS["tiny"], width_divisor=4, num_classes=2)
@@ -82,6 +114,10 @@ class TestVariantTable:
     def test_reduced_variant_bad_divisor(self):
         with pytest.raises(ConfigError):
             reduced_variant(VARIANTS["tiny"], width_divisor=3)
+
+    def test_reduced_variant_stage_width_not_divisible(self):
+        with pytest.raises(ConfigError, match="stage1 channels 58 not divisible by 4"):
+            reduced_variant(_with_stage1(channels=58), width_divisor=4)
 
     @pytest.mark.parametrize("argument", ["width_divisor", "blocks_per_stage"])
     def test_reduced_variant_rejects_zero(self, argument):

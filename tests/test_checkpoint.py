@@ -290,6 +290,27 @@ def test_malformed_checkpoint_exits_2_with_one_line(
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(_replace(b"expansion=3.0", b"expansion=inf"), id="expansion-inf"),
+        pytest.param(_replace(b"stage1: blocks=1 channels=14 heads=1",
+                              b"stage1: blocks=1 channels=14 heads=0"), id="heads-0"),
+    ],
+)
+def test_bad_stage_row_error_names_its_stage(corrupt, saved, tmp_path, capsys):
+    _, path = saved
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(path.read_bytes()))
+    image = tmp_path / "probe.ppm"
+    write_image(image, np.zeros((3, 32, 32)))
+    code = main(["attnmap", "--checkpoint", str(bad), "--image", str(image),
+                 "--out", str(tmp_path / "maps")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: stage1: "), err
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(toy_spec, tmp_path_factory):
     """One saved reduced-tiny checkpoint, its parameters and a probe image."""

@@ -203,6 +203,11 @@ class TestSyntheticData:
         assert data.labels.tolist() == [0, 1, 0, 1, 0, 1]
         assert data.class_names == ("circle", "square")
 
+    @pytest.mark.parametrize("count,size", [(0, 32), (4, 7)])
+    def test_rejects_empty_or_tiny(self, count, size):
+        with pytest.raises(ConfigError, match="count >= 1 and size >= 8"):
+            synthetic_shapes(count, size, seed=0)
+
     def test_classes_visually_distinct(self):
         # circles fill ~78% of the bounding square; squares fill it fully,
         # so mean foreground mass separates the classes on average
@@ -340,6 +345,19 @@ class TestImageDirIngestion:
             np.zeros((3, 16, 16)),
         )
         with pytest.raises(ConfigError):
+            load_image_dir(tmp_path)
+
+    def test_empty_class_dir_rejected(self, tmp_path):
+        self._write_tree(tmp_path)
+        (tmp_path / "c_empty").mkdir()
+        with pytest.raises(ConfigError, match="holds no .pgm/.ppm files"):
+            load_image_dir(tmp_path)
+
+    def test_non_square_images_rejected(self, tmp_path):
+        for cls in ("a", "b"):
+            (tmp_path / cls).mkdir()
+            write_image(tmp_path / cls / "0.ppm", np.zeros((3, 32, 16)))
+        with pytest.raises(ConfigError, match="must be square, got 32x16"):
             load_image_dir(tmp_path)
 
     def test_empty_root_rejected(self, tmp_path):

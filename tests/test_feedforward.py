@@ -8,10 +8,7 @@ from evit.errors import ConfigError
 from evit.feedforward import (
     FfnConfig,
     FfnKind,
-    bffn_forward,
-    cffn_forward,
     feedforward_forward,
-    ffn_forward,
     init_ffn_params,
 )
 from evit.tensor import Tensor
@@ -73,7 +70,7 @@ class TestForwardOracles:
         cfg = FfnConfig(6, 2.0, FfnKind.FFN)
         params = init_ffn_params(rng, cfg)
         x = rng.normal(size=(2, 6, 4, 4))
-        ours = to_nchw(ffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
+        ours = to_nchw(feedforward_forward(Tensor(to_nhwc(x)), cfg, params).data)
 
         t = self._tokens(x)
         hidden = naive_gelu(_affine(t, params["fc1"]))
@@ -84,7 +81,7 @@ class TestForwardOracles:
         cfg = FfnConfig(6, 2.0, FfnKind.CFFN)
         params = init_ffn_params(rng, cfg)
         x = rng.normal(size=(2, 6, 4, 4))
-        ours = to_nchw(cffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
+        ours = to_nchw(feedforward_forward(Tensor(to_nhwc(x)), cfg, params).data)
 
         t = self._tokens(x)
         hidden = self._maps(_affine(t, params["fc1"]), 4, 4)
@@ -101,7 +98,7 @@ class TestForwardOracles:
         # exercise a non-trivial gate
         params["fuse"]["weight"].data[:] = rng.normal(size=cfg.hidden)
         x = rng.normal(size=(2, dim, 4, 4))
-        ours = to_nchw(bffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
+        ours = to_nchw(feedforward_forward(Tensor(to_nhwc(x)), cfg, params).data)
 
         t = self._tokens(x)
         hidden = self._maps(_affine(t, params["fc1"]), 4, 4)
@@ -123,7 +120,7 @@ class TestForwardOracles:
         params["fuse"]["weight"].data[:] = 0.0
         params["fc2"]["bias"].data[:] = rng.normal(size=4)
         x = rng.normal(size=(1, 4, 4, 4))
-        out = to_nchw(bffn_forward(Tensor(to_nhwc(x)), cfg, params).data)
+        out = to_nchw(feedforward_forward(Tensor(to_nhwc(x)), cfg, params).data)
         expected = np.broadcast_to(params["fc2"]["bias"].data[None, :, None, None], out.shape)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 

@@ -1,6 +1,7 @@
 """Forward-value contracts of the tensor kernel, checked against oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,11 +49,48 @@ def test_matmul_batched(rng):
         ((3, 4), (3, 4)),
         ((2, 3, 4), (3, 3, 4, 5)),
         ((2, 3, 4), (3, 4, 5)),
+        ((3,), (3, 4)),
     ],
 )
 def test_matmul_shape_errors(bad_a, bad_b, rng):
     with pytest.raises(ShapeError):
         T.matmul(Tensor(rng.normal(size=bad_a)), Tensor(rng.normal(size=bad_b)))
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+# one row per operand check: (call, a fragment of its ShapeError message)
+SHAPE_ERRORS = [
+    pytest.param(lambda: T.transpose(_zeros(2, 3), (0, 0)), "not a permutation", id="transpose"),
+    pytest.param(lambda: T.concat([]), "at least one tensor", id="concat-empty"),
+    pytest.param(lambda: T.linear(_zeros(2, 3), _zeros(3), _zeros(3)), "must be 2-d",
+                 id="linear-weight-1d"),
+    pytest.param(lambda: T.linear(_zeros(2, 3), _zeros(4, 5), _zeros(5)), "does not match",
+                 id="linear-width"),
+    pytest.param(lambda: T.conv2d(_zeros(4, 4, 2), _zeros(2, 2, 1, 1)), "4-d input",
+                 id="conv-3d-input"),
+    pytest.param(lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(2, 2, 1, 1), stride=0),
+                 "bad stride/padding", id="conv-stride-0"),
+    pytest.param(lambda: T.dwconv2d(_zeros(1, 4, 4, 2), _zeros(2, 1, 3, 3), padding=-1),
+                 "bad stride/padding", id="dwconv-padding-negative"),
+    pytest.param(lambda: T.layernorm(_zeros(2, 3), _zeros(4), _zeros(3)), "scale/shift",
+                 id="layernorm-gamma"),
+    pytest.param(lambda: T.avgpool_global(_zeros(2, 3, 4)), "expects (N,H,W,C)",
+                 id="avgpool-3d"),
+    pytest.param(lambda: T.cross_entropy(_zeros(2, 3, 4), np.array([0, 1])), "(N,K) logits",
+                 id="cross-entropy-3d"),
+    pytest.param(lambda: T.cross_entropy(_zeros(2, 3), np.array([0, 1, 2])), "does not match",
+                 id="cross-entropy-labels"),
+    pytest.param(lambda: _zeros(2).item(), "single-element", id="item"),
+]
+
+
+@pytest.mark.parametrize("call,message", SHAPE_ERRORS)
+def test_operand_shape_errors(call, message):
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        call()
 
 
 # (stride, padding, kernel, input H x W); the 9x11 rows put tap slices at

@@ -172,6 +172,14 @@ class TestCli:
         assert main(["gradcheck", "--samples", "4", "--seed", "1"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_gradcheck_non_finite_exits_3_with_one_line(self, capsys):
+        # a step of 1e308 overflows the perturbed loss, so some numeric estimates are NaN
+        assert main(["gradcheck", "--step", "1e308"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == ["FAIL: non-finite gradient encountered"]
+        assert "rel_err=nan" in captured.out
+        assert "max relative error nan over 12 samples" in captured.out
+
     def test_train_and_attnmap_pipeline(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("EVIT_SEED", raising=False)
         config_path = tmp_path / "run.cfg"
@@ -269,6 +277,7 @@ def _attnmap(d, checkpoint="model.ckpt", image="probe.ppm", out="maps"):
         pytest.param(lambda d: _attnmap(d, image="short.ppm"), id="attnmap-truncated-ppm"),
         pytest.param(lambda d: _attnmap(d, image="short.pgm"), id="attnmap-truncated-pgm"),
         pytest.param(lambda d: ["gradcheck", "--width-divisor", "0"], id="gradcheck-width-divisor-0"),
+        pytest.param(lambda d: ["gradcheck", "--samples", "0"], id="gradcheck-samples-0"),
         pytest.param(lambda d: ["gradcheck", "--step", "0"], id="gradcheck-step-0"),
         pytest.param(lambda d: ["gradcheck", "--step", "nan"], id="gradcheck-step-nan"),
         pytest.param(lambda d: ["gradcheck", "--tolerance", "nan"], id="gradcheck-tolerance-nan"),

@@ -2,8 +2,9 @@
 
 ``cost_report`` walks a stage table and predicts, per module, the parameter
 count and the multiply-accumulates of one forward image. The arithmetic
-mirrors the executed graph exactly: a test can build the model, run a forward
-under ``MacCounter``, and match the analytic totals integer for integer.
+mirrors the executed graph exactly: ``measure_macs`` observes an executed
+forward (``tensor.observe``) and matches the analytic totals integer for
+integer. Rows are named like the ``tensor.scope`` their operators run in.
 
 Conventions (stated here once, printed with every report):
 
@@ -24,22 +25,16 @@ import csv
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import tensor as T
 from .attention import ConnectionPattern
-from .backbone import (
-    AttentionCapture,
-    ModuleGraph,
-    StageConfig,
-    VariantSpec,
-    stage_sides,
-    validate_spec,
-)
+from .backbone import ModuleGraph, StageConfig, VariantSpec, stage_sides, validate_spec
 from .data import write_image
 from .errors import ConfigError
 from .feedforward import FfnConfig, FfnKind
-from .tensor import MacCounter, no_grad
 
 # Published reference budgets for the variant family (224x224 input).
 REFERENCE_PARAMS = {
@@ -303,13 +298,22 @@ def cost_report(
     )
 
 
-def measure_macs(graph: ModuleGraph, input_size: int) -> MacCounter:
-    """Run one instrumented forward image (no backward tape) and return the MAC tally."""
-    counter = MacCounter()
-    images = np.zeros((1, 3, input_size, input_size))
-    with counter, no_grad():
-        graph.forward(images)
-    return counter
+class MacCount(NamedTuple):
+    by_op: dict[str, int]  # every dense operator that ran, with its MACs
+    total: int
+
+
+def measure_macs(graph: ModuleGraph, input_size: int) -> MacCount:
+    """Observe one forward image (no backward tape) and tally its MACs by operator."""
+    by_op: dict[str, int] = {}
+
+    def tally(op: str, scope: str, out: T.Tensor, macs: int) -> None:
+        if macs:
+            by_op[op] = by_op.get(op, 0) + macs
+
+    with T.observe(tally), T.no_grad():
+        graph.forward(np.zeros((1, 3, input_size, input_size)))
+    return MacCount(by_op, sum(by_op.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +331,12 @@ def export_attention_maps(
 ) -> list[Path]:
     """Write one PGM heat map per head for the chosen block's attention.
 
-    The per-head weights are averaged over query positions, reshaped to the
-    key/value grid, nearest-neighbor upsampled to the stage grid and min-max
-    normalized into [0, 1] (a constant map renders mid-gray). ``stage`` is
-    1-based, ``block`` 0-based, ``fovea`` is ``"sfa"`` or ``"dfa"``.
+    The weights are the ``softmax`` output observed in scope
+    ``stage{stage}.block{block}.bfsa.{fovea}``. Per head they are averaged
+    over query positions, reshaped to the key/value grid, nearest-neighbor
+    upsampled to the stage grid and min-max normalized into [0, 1] (a
+    constant map renders mid-gray). ``stage`` is 1-based, ``block`` 0-based,
+    ``fovea`` is ``"sfa"`` or ``"dfa"``.
     """
     if fovea not in ("sfa", "dfa"):
         raise ConfigError(f"fovea must be 'sfa' or 'dfa', got {fovea!r}")
@@ -344,11 +350,16 @@ def export_attention_maps(
     if image.ndim != 3 or image.shape[0] != 3 or image.shape[1] != image.shape[2]:
         raise ConfigError(f"expected one (3, S, S) image, got {image.shape}")
 
-    capture = AttentionCapture(stage=stage, block=block)
-    with no_grad():
-        graph.forward(image[None], capture=capture)
-    weights = capture.weights[fovea][0]  # (heads, queries, keys)
-    mean_over_queries = weights.mean(axis=1)
+    where = f"stage{stage}.block{block}.bfsa.{fovea}"
+    found = []
+
+    def keep(op: str, scope: str, out: T.Tensor, macs: int) -> None:
+        if op == "softmax" and scope == where:
+            found.append(out.data)
+
+    with T.observe(keep), T.no_grad():
+        graph.forward(image[None])
+    mean_over_queries = found[0][0].mean(axis=1)
 
     side = stage_sides(graph.spec, image.shape[1])[stage - 1]
     reduction = stage_cfg.sfa_reduction if fovea == "sfa" else stage_cfg.dfa_reduction

@@ -11,8 +11,9 @@ strided depthwise convolution that pools ``reduction x reduction`` patches
 * ``bifovea``   - shallow(x) + deep(shallow(x)), the default
 
 Projections carry no bias terms; the strided reduction convolution keeps its
-bias. Attention weights can be captured for visualization via an optional
-dict argument.
+bias. Each pathway runs inside ``T.scope("sfa")`` or ``T.scope("dfa")``, so
+an observer (``T.observe``) sees its attention weights as the output of the
+``softmax`` operator in that scope.
 """
 
 from __future__ import annotations
@@ -85,14 +86,7 @@ def _split_heads(x: Tensor, heads: int) -> Tensor:
     return T.transpose(T.reshape(x, (n, t, heads, c // heads)), (0, 2, 1, 3))
 
 
-def _fovea_attention(
-    x: Tensor,
-    heads: int,
-    reduction: int,
-    params: dict,
-    capture: dict | None = None,
-    capture_key: str = "",
-) -> Tensor:
+def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Tensor:
     """Multi-head attention over a ``(N,H,W,C)`` map, with strided key/value pooling."""
     n, h, w, c = x.shape
     if params["q_weight"].shape != (c, c):
@@ -121,27 +115,22 @@ def _fovea_attention(
     scale = 1.0 / math.sqrt(c // heads)
     scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), Tensor(scale))
     weights = T.softmax(scores)
-    if capture is not None:
-        capture[capture_key] = weights.numpy()
-
     mixed = T.matmul(weights, vh)
     merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (n, h * w, c))
     out = T.linear(merged, params["out_weight"])
     return tokens_to_map(out, h, w)
 
 
-def sfa_forward(
-    x: Tensor, cfg: AttentionConfig, params: dict, capture: dict | None = None
-) -> Tensor:
+def sfa_forward(x: Tensor, cfg: AttentionConfig, params: dict) -> Tensor:
     """Shallow fovea: light key/value pooling, sees the finer grid."""
-    return _fovea_attention(x, cfg.heads, cfg.sfa_reduction, params, capture, "sfa")
+    with T.scope("sfa"):
+        return _fovea_attention(x, cfg.heads, cfg.sfa_reduction, params)
 
 
-def dfa_forward(
-    x: Tensor, cfg: AttentionConfig, params: dict, capture: dict | None = None
-) -> Tensor:
+def dfa_forward(x: Tensor, cfg: AttentionConfig, params: dict) -> Tensor:
     """Deep fovea: same attention with its own weights and (coarser) pooling."""
-    return _fovea_attention(x, cfg.heads, cfg.dfa_reduction, params, capture, "dfa")
+    with T.scope("dfa"):
+        return _fovea_attention(x, cfg.heads, cfg.dfa_reduction, params)
 
 
 def bfsa_forward(
@@ -149,10 +138,9 @@ def bfsa_forward(
     cfg: AttentionConfig,
     params: dict,
     pattern: ConnectionPattern = ConnectionPattern.BIFOVEA,
-    capture: dict | None = None,
 ) -> Tensor:
     """Combine the two foveae according to the connection pattern."""
-    shallow = sfa_forward(x, cfg, params["sfa"], capture)
+    shallow = sfa_forward(x, cfg, params["sfa"])
     deep_in = x if pattern is ConnectionPattern.PARALLEL else shallow
-    deep = dfa_forward(deep_in, cfg, params["dfa"], capture)
+    deep = dfa_forward(deep_in, cfg, params["dfa"])
     return deep if pattern is ConnectionPattern.CASCADE else T.add(shallow, deep)

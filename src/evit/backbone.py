@@ -35,7 +35,7 @@ and ``fuse`` (a gate, ``fuse.weight``) only in a ``bffn``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,19 +191,6 @@ def reduced_variant(
     return out
 
 
-@dataclass
-class AttentionCapture:
-    """Request to record attention weights at one block during a forward pass.
-
-    ``stage`` is 1-based, ``block`` 0-based. After the pass, ``weights`` maps
-    ``"sfa"``/``"dfa"`` to arrays of shape (N, heads, queries, keys).
-    """
-
-    stage: int
-    block: int
-    weights: dict[str, np.ndarray] = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # the module graph
 # ---------------------------------------------------------------------------
@@ -240,17 +227,14 @@ class ModuleGraph:
         """Backward pass returning one gradient array per parameter name."""
         return T.gradients(loss, self.named_parameters())
 
-    def forward(
-        self,
-        images,
-        capture: AttentionCapture | None = None,
-        return_stage_maps: bool = False,
-    ):
+    def forward(self, images, return_stage_maps: bool = False):
         """Run the backbone. ``images`` is (N, 3, H, W) with H = W divisible by 32.
 
         Returns logits (N, num_classes), or ``(logits, stage_maps)`` when
         ``return_stage_maps`` is set; stage maps are the four per-stage output
-        tensors in (N, C, H, W), useful for dense downstream heads.
+        tensors in (N, C, H, W), useful for dense downstream heads. Each block
+        runs in ``T.scope(f"stage{i}.block{j}")``, its ``cost_report`` row
+        prefix.
 
         This is the only place that knows the (N, C, H, W) layout: the images
         are transposed once on the way in, every layer inside runs on
@@ -274,15 +258,8 @@ class ModuleGraph:
             x = _conv(x, stage["embed"], stride=2, padding=0)
             attn_cfg, ffn_cfg = stage_cfg.attention, stage_cfg.ffn(self.ffn_kind)
             for j in range(stage_cfg.blocks):
-                want = capture is not None and capture.stage == i + 1 and capture.block == j
-                x = bev_block_forward(
-                    x,
-                    stage[f"block{j}"],
-                    attn_cfg,
-                    ffn_cfg,
-                    self.pattern,
-                    capture.weights if want else None,
-                )
+                with T.scope(f"stage{i + 1}.block{j}"):
+                    x = bev_block_forward(x, stage[f"block{j}"], attn_cfg, ffn_cfg, self.pattern)
             stage_maps.append(x)
 
         head = self.params["head"]
@@ -304,13 +281,17 @@ def bev_block_forward(
     attn_cfg: AttentionConfig,
     ffn_cfg: FfnConfig,
     pattern: ConnectionPattern = ConnectionPattern.BIFOVEA,
-    capture: dict | None = None,
 ) -> Tensor:
-    """One residual block on a ``(N,H,W,C)`` map: position encoding, attention, feedforward."""
+    """One residual block on a ``(N,H,W,C)`` map: position encoding, attention, feedforward.
+
+    The attention runs in ``T.scope("bfsa")``.
+    """
     cpe, ln1, ln2 = blk["cpe"], blk["ln1"], blk["ln2"]
     x = T.add(dwconv_bias(x, cpe["weight"], cpe["bias"], stride=1, padding=1), x)
     normed = ln_channels(x, ln1["gamma"], ln1["beta"])
-    y = T.add(bfsa_forward(normed, attn_cfg, blk["bfsa"], pattern, capture), x)
+    with T.scope("bfsa"):
+        y = bfsa_forward(normed, attn_cfg, blk["bfsa"], pattern)
+    y = T.add(y, x)  # rebound: a no_grad forward frees the attention output here
     normed = ln_channels(y, ln2["gamma"], ln2["beta"])
     z = T.add(feedforward_forward(normed, ffn_cfg, blk["ffn"]), y)
     return z
@@ -341,9 +322,12 @@ def build(
     build time rather than mid-forward. ``zero_classifier`` starts the final
     fully connected layer at zero, the usual choice for fine-tuning stability;
     gradient checking should pass ``False`` so gradients reach every layer.
+    A negative ``seed`` is a ``ConfigError``.
     """
     if isinstance(spec, str):
         spec = variant(spec)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     validate_spec(spec, input_size)
     return _assemble(spec, seed, pattern, ffn_kind, zero_classifier, np.random.default_rng(seed))
 

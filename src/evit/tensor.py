@@ -8,6 +8,9 @@ topological order with ``Tensor.backward()``. Only leaves created with
 all lack ``requires_grad``, or any operator called inside ``no_grad()``,
 records nothing, so a forward pass over constants keeps no tape alive.
 
+``observe`` is the one instrumentation hook; MAC counting and attention-map
+export are observers of every operator's result.
+
 Feature maps are channels-last, ``(N, H, W, C)``: the convolutions and
 ``avgpool_global`` read that layout, so a linear or a layer norm over the
 last axis applies to a map with no data movement. Convolution weights keep
@@ -38,36 +41,40 @@ Array = np.ndarray
 # instrumentation
 # ---------------------------------------------------------------------------
 
-_ACTIVE_COUNTERS: list["MacCounter"] = []
+# what ``_make`` calls with every result, and the open ``scope`` names, outermost first
+_OBSERVERS: list[Callable[[str, str, "Tensor", int], None]] = []
+_SCOPES: list[str] = []
 
 
-class MacCounter:
-    """Context manager that tallies multiply-accumulates of matmul/conv ops.
+@contextlib.contextmanager
+def observe(fn: Callable[[str, str, "Tensor", int], None]):
+    """Call ``fn(op, scope, out, macs)`` after every operator run inside the block.
 
-    Only the three dense operators (``matmul``, ``conv2d``, ``dwconv2d``)
-    contribute; elementwise work, softmax and normalizations are not counted.
-    Counts reflect forward passes executed while the counter is active.
+    ``op`` is the operator's function name, ``scope`` the dot-joined names of
+    the enclosing ``scope`` blocks (``""`` outside any), ``out`` the result
+    (each piece of a ``split``) and ``macs`` its multiply-accumulates, nonzero
+    only for ``matmul``, ``conv2d`` and ``dwconv2d``. Observers nest and all
+    fire; each is removed on exit, also when the block raises.
     """
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.by_op: dict[str, int] = {}
-
-    def _add(self, op: str, n: int) -> None:
-        self.total += n
-        self.by_op[op] = self.by_op.get(op, 0) + n
-
-    def __enter__(self) -> "MacCounter":
-        _ACTIVE_COUNTERS.append(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _ACTIVE_COUNTERS.remove(self)
+    _OBSERVERS.append(fn)
+    try:
+        yield
+    finally:
+        _OBSERVERS.pop()
 
 
-def _record_macs(op: str, n: int) -> None:
-    for counter in _ACTIVE_COUNTERS:
-        counter._add(op, n)
+@contextlib.contextmanager
+def scope(name: str):
+    """Name the operators run inside the block for ``observe``; nested names join with dots.
+
+    A fovea's operators run under its ``cost_report`` row and parameter
+    prefix, such as ``stage3.block0.bfsa.sfa``. Restored on exit, also on error.
+    """
+    _SCOPES.append(name)
+    try:
+        yield
+    finally:
+        _SCOPES.pop()
 
 
 # False inside ``no_grad()``: operators then record no parents and no closure.
@@ -130,10 +137,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> Array:
-        """Copy of the underlying array, safe to mutate."""
-        return np.array(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -210,12 +213,16 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _make(data: Array, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+def _make(op: str, data: Array, parents: tuple[Tensor, ...], backward_fn, macs: int = 0) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
+    if _OBSERVERS:
+        where = ".".join(_SCOPES)
+        for fn in _OBSERVERS:
+            fn(op, where, out, macs)
     return out
 
 
@@ -261,7 +268,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g: Array):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
 
-    return _make(data, (a, b), backward)
+    return _make("add", data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -270,7 +277,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def backward(g: Array):
         return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
 
-    return _make(data, (a, b), backward)
+    return _make("sub", data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -282,11 +289,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape),
         )
 
-    return _make(data, (a, b), backward)
+    return _make("mul", data, (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
+    return _make("neg", -a.data, (a,), lambda g: (-g,))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -298,7 +305,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def backward(g: Array):
         return (g.reshape(a.data.shape),)
 
-    return _make(data, (a,), backward)
+    return _make("reshape", data, (a,), backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -312,7 +319,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     def backward(g: Array):
         return (np.ascontiguousarray(np.transpose(g, inverse)),)
 
-    return _make(data, (a,), backward)
+    return _make("transpose", data, (a,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -331,7 +338,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             pieces.append(np.ascontiguousarray(g[tuple(index)]))
         return tuple(pieces)
 
-    return _make(data, tuple(tensors), backward)
+    return _make("concat", data, tuple(tensors), backward)
 
 
 def split(a: Tensor, sizes: Sequence[int], axis: int = -1) -> tuple[Tensor, ...]:
@@ -356,7 +363,7 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = -1) -> tuple[Tensor, ...]
             full[tuple(index)] = g
             return (full,)
 
-        outs.append(_make(piece, (a,), backward))
+        outs.append(_make("split", piece, (a,), backward))
         offset += size
     return tuple(outs)
 
@@ -367,7 +374,7 @@ def tensor_sum(a: Tensor) -> Tensor:
     def backward(g: Array):
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    return _make(data, (a,), backward)
+    return _make("tensor_sum", data, (a,), backward)
 
 
 def tensor_mean(a: Tensor) -> Tensor:
@@ -377,7 +384,7 @@ def tensor_mean(a: Tensor) -> Tensor:
     def backward(g: Array):
         return (np.broadcast_to(g / n, a.data.shape).copy(),)
 
-    return _make(data, (a,), backward)
+    return _make("tensor_mean", data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +404,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
     data = np.matmul(a.data, b.data)
-    batch = math.prod(a.data.shape[:-2])
-    _record_macs("matmul", batch * a.data.shape[-2] * a.data.shape[-1] * b.data.shape[-1])
 
     def backward(g: Array):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return (ga, gb)
 
-    return _make(data, (a, b), backward)
+    return _make("matmul", data, (a, b), backward, a.data.size * b.data.shape[-1])
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -504,7 +509,6 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     wo = (w + 2 * padding - kw) // stride + 1
     cols = _conv_windows(_pad(x.data, padding), kh, kw, stride)
     data = (cols @ _conv_weight_matrix(weight.data)).reshape(n, ho, wo, o)
-    _record_macs("conv2d", n * o * c * kh * kw * ho * wo)
 
     # rebuilt in backward, not captured: a captured matrix would stay alive as
     # long as the tape does
@@ -520,7 +524,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
                 _tap(gp, i, j, ho, wo, stride)[...] += g_cols[:, :, :, i, j]
         return (_unpad(gp, padding), gw)
 
-    return _make(data, (x, weight), backward)
+    return _make("conv2d", data, (x, weight), backward, n * o * c * kh * kw * ho * wo)
 
 
 def _dw_taps(padded: Array, weight: Array, ho: int, wo: int, stride: int):
@@ -568,7 +572,6 @@ def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Te
     rows = data.reshape(n, ho, wo * c) if stride == 1 else data
     for view, tap_weights in _dw_taps(_pad(x.data, padding), weight.data, ho, wo, stride):
         rows += view * tap_weights
-    _record_macs("dwconv2d", n * c * kh * kw * ho * wo)
 
     def backward(g: Array):
         padded = _pad(x.data, padding)
@@ -583,7 +586,7 @@ def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Te
             view += g_rows * tap_weights
         return (_unpad(gp, padding), gw)
 
-    return _make(data, (x, weight), backward)
+    return _make("dwconv2d", data, (x, weight), backward, n * c * kh * kw * ho * wo)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +610,7 @@ def gelu(x: Tensor) -> Tensor:
         )
         return (g * local,)
 
-    return _make(data, (x,), backward)
+    return _make("gelu", data, (x,), backward)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -620,7 +623,7 @@ def softmax(x: Tensor) -> Tensor:
         dot = (g * data).sum(axis=-1, keepdims=True)
         return (data * (g - dot),)
 
-    return _make(data, (x,), backward)
+    return _make("softmax", data, (x,), backward)
 
 
 _LN_EPS = 1e-5
@@ -650,7 +653,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         gbeta = g.sum(axis=axes)
         return (gx, ggamma, gbeta)
 
-    return _make(data, (x, gamma, beta), backward)
+    return _make("layernorm", data, (x, gamma, beta), backward)
 
 
 def avgpool_global(x: Tensor) -> Tensor:
@@ -663,7 +666,7 @@ def avgpool_global(x: Tensor) -> Tensor:
     def backward(g: Array):
         return (np.broadcast_to(g[:, None, None, :] / (h * w), x.data.shape).copy(),)
 
-    return _make(data, (x,), backward)
+    return _make("avgpool_global", data, (x,), backward)
 
 
 def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
@@ -692,7 +695,7 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
         p[np.arange(n), labels] -= 1.0
         return (g * p / n, )
 
-    return _make(data, (logits,), backward)
+    return _make("cross_entropy", data, (logits,), backward)
 
 
 # ---------------------------------------------------------------------------

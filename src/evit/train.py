@@ -59,14 +59,23 @@ class AdamW:
             g = grads[name]
             m = self._m.setdefault(name, np.zeros_like(p.data))
             v = self._v.setdefault(name, np.zeros_like(p.data))
+            # update = (m / c1) / (sqrt(v / c2) + eps) (+ decay * p), the same
+            # operations in the same order, in place in two scratch arrays
+            scratch = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += scratch
+            np.multiply(g, 1.0 - self.beta2, out=scratch)
+            scratch *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+            v += scratch
+            np.sqrt(np.divide(v, correction2, out=scratch), out=scratch)
+            scratch += self.eps
+            update = np.divide(m, correction1)
+            update /= scratch
             if self.weight_decay and p.data.ndim >= 2:
-                update = update + self.weight_decay * p.data
-            p.data -= lr * update
+                update += np.multiply(p.data, self.weight_decay, out=scratch)
+            update *= lr
+            p.data -= update
 
 
 def cosine_scale(step: int, total_steps: int) -> float:

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 from pathlib import Path
 
@@ -19,6 +20,19 @@ def to_nhwc(x):
 def to_nchw(x):
     """(N,H,W,C) array -> (N,C,H,W), the layout of the oracles in reference.py."""
     return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+
+
+@contextlib.contextmanager
+def softmax_outputs():
+    """Collect the ``softmax`` outputs run inside the block, keyed by ``T.scope``."""
+    seen = {}
+
+    def keep(op, scope, out, macs):
+        if op == "softmax":
+            seen[scope] = out.data
+
+    with T.observe(keep):
+        yield seen
 
 
 @pytest.fixture

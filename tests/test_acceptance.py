@@ -29,7 +29,7 @@ from evit.gradcheck import run_gradcheck
 from evit.tensor import Tensor
 from evit.train import run_training
 
-from conftest import to_nchw, to_nhwc
+from conftest import softmax_outputs, to_nchw, to_nhwc
 from reference import layernorm_twopass, naive_fovea_attention, softmax_longdouble
 from test_autograd import check_against_fd
 
@@ -206,8 +206,8 @@ def test_criterion_5_wiring_identities(capsys):
     ca = bfsa_forward(x, cfg, params, ConnectionPattern.CASCADE).data
     worst = max(worst, np.abs(ca - dfa_forward(shallow, cfg, dfa).data).max())
 
-    capture = {}
-    bfsa_forward(x, cfg, params, ConnectionPattern.BIFOVEA, capture)
+    with softmax_outputs() as capture:
+        bfsa_forward(x, cfg, params, ConnectionPattern.BIFOVEA)
     row_err = max(np.abs(w.sum(axis=-1) - 1.0).max() for w in capture.values())
 
     toy = reduced_variant(VARIANTS["tiny"], num_classes=2)

@@ -1,8 +1,9 @@
-"""Cost model: analytic counts against built models and the instrumented counter."""
+"""Cost model: analytic counts against built models and observed forward passes."""
 
 import numpy as np
 import pytest
 
+import evit.tensor as T
 from evit import cli
 from evit.analysis import (
     REFERENCE_FLOPS,
@@ -103,6 +104,31 @@ class TestMacCounts:
         assert len(verdicts) == len(VARIANTS)
         assert all(line.endswith("[OK]") for line in verdicts)
 
+    @pytest.mark.parametrize("ffn_kind", list(FfnKind))
+    @pytest.mark.parametrize("pattern", list(ConnectionPattern))
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_scope_macs_equal_cost_rows(self, name, pattern, ffn_kind):
+        """Ops run under the scope named like their row: each fovea scope's MACs
+        are its row's ``macs + attn_macs``, each block scope's the sum of its rows."""
+        spec = reduced_variant(VARIANTS[name], blocks_per_stage=2, num_classes=10)
+        graph = build(spec, seed=0, pattern=pattern, ffn_kind=ffn_kind)
+        by_scope = {}
+
+        def tally(op, scope, out, macs):
+            by_scope[scope] = by_scope.get(scope, 0) + macs
+
+        with T.observe(tally), T.no_grad():
+            graph.forward(np.zeros((1, 3, 32, 32)))
+        rows = cost_report(spec, 32, pattern, ffn_kind).rows
+        foveae = {r.name: r.macs + r.attn_macs for r in rows if ".bfsa." in r.name}
+        assert {s: m for s, m in by_scope.items() if s.endswith(("sfa", "dfa"))} == foveae
+        blocks = {".".join(r.name.split(".")[:2]) for r in rows if ".block" in r.name}
+        assert len(blocks) == 8
+        for block in blocks:
+            observed = sum(m for s, m in by_scope.items() if f"{s}.".startswith(f"{block}."))
+            expected = sum(r.macs + r.attn_macs for r in rows if r.name.startswith(f"{block}."))
+            assert observed == expected, block
+
     def test_attention_products_accounted_separately(self, toy_spec):
         report = cost_report(toy_spec, input_size=32)
         assert report.total_attn_macs > 0
@@ -153,6 +179,15 @@ class TestReportSurface:
 
 
 class TestAttentionExport:
+    def test_no_observer_left_registered(self, toy_spec, tmp_path, rng):
+        graph = build(toy_spec, seed=0)
+        measure_macs(graph, 32)
+        export_attention_maps(graph, rng.uniform(size=(3, 32, 32)), 1, 0, tmp_path)
+        assert T._OBSERVERS == [] and T._SCOPES == []
+        with pytest.raises(ConfigError):  # raised inside the forward: 48 is no multiple of 32
+            export_attention_maps(graph, rng.uniform(size=(3, 48, 48)), 1, 0, tmp_path)
+        assert T._OBSERVERS == [] and T._SCOPES == []
+
     def test_export_writes_per_head_maps(self, toy_spec, tmp_path, rng):
         graph = build(toy_spec, seed=0)
         image = rng.uniform(size=(3, 64, 64))

@@ -18,7 +18,7 @@ from evit.backbone import named_tensors
 from evit.errors import ConfigError, ShapeError
 from evit.tensor import Tensor
 
-from conftest import to_nchw, to_nhwc
+from conftest import softmax_outputs, to_nchw, to_nhwc
 from reference import naive_fovea_attention, naive_single_head_attention
 
 
@@ -93,8 +93,8 @@ class TestCaptureAndShapes:
         cfg = AttentionConfig(dim=8, heads=2, sfa_reduction=2, dfa_reduction=1)
         params = init_bfsa_params(rng, cfg)
         x = Tensor(to_nhwc(rng.normal(size=(3, 8, 4, 4))))
-        capture = {}
-        bfsa_forward(x, cfg, params, ConnectionPattern.BIFOVEA, capture)
+        with softmax_outputs() as capture:
+            bfsa_forward(x, cfg, params, ConnectionPattern.BIFOVEA)
         assert set(capture) == {"sfa", "dfa"}
         assert capture["sfa"].shape == (3, 2, 16, 4)
         assert capture["dfa"].shape == (3, 2, 16, 16)
@@ -134,8 +134,8 @@ class TestCaptureAndShapes:
         cfg = AttentionConfig(dim, heads, reduction, reduction)
         params = init_fovea_params(local, dim, reduction)
         x = Tensor(to_nhwc(local.normal(size=(1, dim, 4, 4))))
-        capture = {}
-        out = sfa_forward(x, cfg, params, capture)
+        with softmax_outputs() as capture:
+            out = sfa_forward(x, cfg, params)
         assert out.shape == (1, 4, 4, dim)
         assert np.abs(capture["sfa"].sum(axis=-1) - 1.0).max() <= 1e-9
 

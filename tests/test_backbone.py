@@ -11,7 +11,6 @@ from evit.analysis import cost_report
 from evit.attention import ConnectionPattern
 from evit.backbone import (
     VARIANTS,
-    AttentionCapture,
     bev_block_forward,
     build,
     reduced_variant,
@@ -22,7 +21,7 @@ from evit.errors import ConfigError, ShapeError
 from evit.feedforward import FfnKind
 from evit.tensor import Tensor
 
-from conftest import to_nhwc
+from conftest import softmax_outputs, to_nhwc
 from reference import (
     layernorm_twopass,
     naive_conv2d,
@@ -168,6 +167,10 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build(toy_spec, seed=0, input_size=40)
 
+    def test_negative_seed_rejected(self, toy_spec):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            build(toy_spec, seed=-1)
+
     # sha256 of the "<name> <d0,d1,...>" lines of full-width tiny, in order;
     # a checkpoint's tensor table follows this list, so it must not move
     NAME_SHAPE_SHA256 = {
@@ -212,13 +215,13 @@ class TestForward:
 
     def test_capture_records_requested_block(self, toy_spec, rng):
         graph = build(toy_spec, seed=0)
-        capture = AttentionCapture(stage=2, block=0)
-        graph.forward(rng.uniform(size=(1, 3, 32, 32)), capture=capture)
+        with softmax_outputs() as capture:
+            graph.forward(rng.uniform(size=(1, 3, 32, 32)))
         stage = toy_spec.stages[1]
         tokens = 4 * 4
         kv = (4 // stage.sfa_reduction) ** 2
-        assert capture.weights["sfa"].shape == (1, stage.heads, tokens, kv)
-        assert capture.weights["dfa"].shape[0:2] == (1, stage.heads)
+        assert capture["stage2.block0.bfsa.sfa"].shape == (1, stage.heads, tokens, kv)
+        assert capture["stage2.block0.bfsa.dfa"].shape[0:2] == (1, stage.heads)
 
     def test_forward_deterministic(self, toy_spec, rng):
         graph = build(toy_spec, seed=0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import evit.tensor as T
 from evit.errors import ShapeError
-from evit.tensor import MacCounter, Tensor
+from evit.tensor import Tensor
 
 from conftest import to_nchw, to_nhwc
 
@@ -324,26 +324,60 @@ class TestPurity:
         assert np.array_equal(s1.data, s2.data)
 
 
-class TestMacCounter:
+def _observed_macs(run) -> int:
+    """The MACs that an observer sees while ``run()`` executes."""
+    seen = []
+    with T.observe(lambda op, scope, out, macs: seen.append(macs)):
+        run()
+    return sum(seen)
+
+
+class TestObservedMacs:
     def test_matmul_count(self, rng):
-        with MacCounter() as counter:
-            T.matmul(Tensor(rng.normal(size=(7, 5))), Tensor(rng.normal(size=(5, 3))))
-        assert counter.total == 7 * 5 * 3
+        a, b = Tensor(rng.normal(size=(7, 5))), Tensor(rng.normal(size=(5, 3)))
+        assert _observed_macs(lambda: T.matmul(a, b)) == 7 * 5 * 3
 
     def test_conv_counts(self, rng):
-        with MacCounter() as counter:
-            T.conv2d(Tensor(to_nhwc(rng.normal(size=(2, 3, 8, 8)))),
-                     Tensor(rng.normal(size=(4, 3, 3, 3))), stride=1, padding=1)
-        assert counter.total == 2 * 4 * 3 * 9 * 8 * 8
-        with MacCounter() as counter:
-            T.dwconv2d(Tensor(to_nhwc(rng.normal(size=(1, 6, 8, 8)))),
-                       Tensor(rng.normal(size=(6, 1, 2, 2))), stride=2)
-        assert counter.total == 6 * 4 * 4 * 4
+        x = Tensor(to_nhwc(rng.normal(size=(2, 3, 8, 8))))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+        macs = _observed_macs(lambda: T.conv2d(x, w, stride=1, padding=1))
+        assert macs == 2 * 4 * 3 * 9 * 8 * 8
+        x = Tensor(to_nhwc(rng.normal(size=(1, 6, 8, 8))))
+        w = Tensor(rng.normal(size=(6, 1, 2, 2)))
+        assert _observed_macs(lambda: T.dwconv2d(x, w, stride=2)) == 6 * 4 * 4 * 4
 
     def test_elementwise_not_counted(self, rng):
         x = Tensor(rng.normal(size=(4, 4)))
-        with MacCounter() as counter:
+
+        def run():
             T.gelu(T.mul(x, x))
             T.softmax(x)
             T.layernorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
-        assert counter.total == 0
+
+        assert _observed_macs(run) == 0
+
+
+class TestObserve:
+    def test_nested_observers_both_fire_under_nested_scopes(self, rng):
+        x = Tensor(rng.normal(size=(2, 2)))
+        outer, inner = [], []
+        with T.observe(lambda op, scope, out, macs: outer.append((op, scope, out, macs))):
+            with T.scope("a"):
+                added = T.add(x, x)
+                with T.observe(lambda *args: inner.append(args)), T.scope("b.c"):
+                    product = T.matmul(x, x)
+        assert outer == [("add", "a", added, 0), ("matmul", "a.b.c", product, 8)]
+        assert inner == outer[1:]
+
+    def test_observe_and_scope_restore_after_an_error(self, rng):
+        x = Tensor(rng.normal(size=(2,)))
+        seen = []
+        with pytest.raises(ShapeError):
+            with T.observe(lambda op, scope, out, macs: seen.append(scope)), T.scope("outer"):
+                T.mul(x, x)
+                T.reshape(x, (3,))
+        T.mul(x, x)
+        assert seen == ["outer"]
+        with T.observe(lambda op, scope, out, macs: seen.append(scope)):
+            T.mul(x, x)
+        assert seen == ["outer", ""]

@@ -45,6 +45,29 @@ class TestOptimizer:
         assert (matrix.data < 4.0).all()  # decayed
         np.testing.assert_array_equal(bias.data, np.full(2, 4.0))  # untouched
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_steps_bitwise_equal_to_textbook_expressions(self, weight_decay, rng):
+        shapes = {"w": (3, 4), "b": (4,)}
+        params = [(n, Tensor(rng.normal(size=s), requires_grad=True)) for n, s in shapes.items()]
+        expected = {n: p.data.copy() for n, p in params}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        opt = AdamW(learning_rate=0.01, weight_decay=weight_decay)
+        b1, b2, eps = AdamW.beta1, AdamW.beta2, AdamW.eps
+        for t in range(1, 5):
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            lr = 0.01 * 0.5**t
+            opt.step(params, grads, lr_scale=0.5**t)
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                update = (m[n] / (1.0 - b1**t)) / (np.sqrt(v[n] / (1.0 - b2**t)) + eps)
+                if weight_decay and g.ndim >= 2:
+                    update = update + weight_decay * expected[n]
+                expected[n] = expected[n] - lr * update
+            for n, p in params:
+                assert np.array_equal(p.data, expected[n]), (t, n)
+
     def test_cosine_scale_endpoints(self):
         assert cosine_scale(1, 100) == 1.0
         assert cosine_scale(100, 100) < 0.001
@@ -278,6 +301,7 @@ def _attnmap(d, checkpoint="model.ckpt", image="probe.ppm", out="maps"):
         pytest.param(lambda d: _attnmap(d, image="short.pgm"), id="attnmap-truncated-pgm"),
         pytest.param(lambda d: ["gradcheck", "--width-divisor", "0"], id="gradcheck-width-divisor-0"),
         pytest.param(lambda d: ["gradcheck", "--samples", "0"], id="gradcheck-samples-0"),
+        pytest.param(lambda d: ["gradcheck", "--seed", "-1"], id="gradcheck-seed-negative"),
         pytest.param(lambda d: ["gradcheck", "--step", "0"], id="gradcheck-step-0"),
         pytest.param(lambda d: ["gradcheck", "--step", "nan"], id="gradcheck-step-nan"),
         pytest.param(lambda d: ["gradcheck", "--tolerance", "nan"], id="gradcheck-tolerance-nan"),

@@ -224,7 +224,7 @@ class ModuleGraph:
         return sum(p.size for _, p in self.named_parameters())
 
     def gradients(self, loss: Tensor) -> dict[str, np.ndarray]:
-        """Backward pass returning one gradient array per parameter name."""
+        """Backward pass returning one gradient array per parameter name; frees the loss's tape."""
         return T.gradients(loss, self.named_parameters())
 
     def forward(self, images, return_stage_maps: bool = False):

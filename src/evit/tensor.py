@@ -1,12 +1,17 @@
 """Reverse-mode autodiff tensor kernel backed by float64 numpy arrays.
 
 Every operator is pure: inputs are never written to and each call returns a
-fresh ``Tensor``. Calling an operator records the inputs and a backward
-closure on the result, so a scalar loss can replay adjoints in reverse
-topological order with ``Tensor.backward()``. Only leaves created with
-``requires_grad=True`` receive a ``.grad`` array. An operator whose inputs
-all lack ``requires_grad``, or any operator called inside ``no_grad()``,
-records nothing, so a forward pass over constants keeps no tape alive.
+fresh ``Tensor``. Calling an operator records a node on the result: the
+backward closure, the result's shape and, per input, where that input's
+gradient goes. The closure holds only the arrays and shapes its adjoint
+reads, never an input tensor, so an activation that no adjoint reads is freed
+as soon as the forward code drops it. A scalar loss replays the adjoints in
+reverse topological order with ``Tensor.backward()``, which keeps the tape,
+or with ``gradients()``, which frees each node once its adjoint has run. Only
+leaves created with ``requires_grad=True`` receive a ``.grad`` array. An
+operator whose inputs all lack ``requires_grad``, or any operator called
+inside ``no_grad()``, records nothing, so a forward pass over constants keeps
+no tape alive.
 
 ``observe`` is the one instrumentation hook; MAC counting and attention-map
 export are observers of every operator's result.
@@ -21,10 +26,9 @@ float64 so finite-difference checks have headroom. A dense convolution is one
 matrix product of its patch matrix (every output pixel's window as a row) with
 the reshaped weight, and its backward pass is two more; depthwise convolution
 is a per-tap accumulation of slices, a whole ``(W, C)`` row per call at stride
-1. Convolution closures keep their input tensor, not a padded copy or a patch
+1. Convolution closures keep their input array, not a padded copy or a patch
 matrix, and rebuild what they need in ``backward``.
 """
-
 from __future__ import annotations
 
 import contextlib
@@ -106,18 +110,34 @@ def no_grad():
 # ---------------------------------------------------------------------------
 
 
+class _Node:
+    """One recorded operator: its adjoint, its output's shape and its inputs.
+
+    ``parents`` has one entry per input: the input's node when the input was
+    computed, the leaf ``Tensor`` when it is a trainable leaf, and ``None``
+    when it needs no gradient. ``gradients()`` clears ``backward_fn`` and
+    ``parents`` once the adjoint has run, which frees what the closure held.
+    """
+
+    __slots__ = ("backward_fn", "shape", "parents")
+
+    def __init__(self, backward_fn, shape: tuple[int, ...], parents: tuple):
+        self.backward_fn: Callable[[Array], Sequence[Array | None]] | None = backward_fn
+        self.shape = shape
+        self.parents = parents
+
+
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse-mode autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[Array], Sequence[Array | None]] | None = None
+        self._node: _Node | None = None
 
     # -- introspection ------------------------------------------------------
 
@@ -144,59 +164,42 @@ class Tensor:
 
     # -- autodiff -----------------------------------------------------------
 
+    @property
+    def _backward_fn(self) -> Callable[[Array], Sequence[Array | None]] | None:
+        """The adjoint recorded on an operator's result; ``None`` on a constant or a leaf."""
+        return None if self._node is None else self._node.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn: Callable[[Array], Sequence[Array | None]]) -> None:
+        self._node.backward_fn = fn
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
+
     def backward(self) -> None:
-        """Run reverse-mode accumulation from this scalar.
+        """Run reverse-mode accumulation from this scalar and keep the tape.
 
         Sets ``.grad`` (same shape as the leaf) on every reachable leaf with
         ``requires_grad=True``. Each call starts from fresh gradients: a
         reached leaf's value from an earlier backward pass is overwritten, not
         accumulated. A leaf this pass does not reach keeps whatever ``.grad``
-        it had.
+        it had. The tape stays alive as long as this scalar does, so a second
+        call gives the same gradients; ``gradients()`` frees it instead.
 
         Raises ``ValueError`` when the scalar itself does not require a
         gradient: then no tensor it was computed from needs one (for example
         every parameter of a graph from ``load_checkpoint``, or a loss
         computed inside ``no_grad()``), and there is nothing to differentiate.
         """
-        if self.data.size != 1:
-            raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
-        if not self.requires_grad:
-            raise ValueError(
-                "backward() on a scalar that needs no gradient: no tensor in the "
-                "loss needs a gradient (set requires_grad = True on the "
-                "parameters to train, and compute the loss outside no_grad())"
-            )
-
-        order = _topo_order(self)
-        grads: dict[int, Array] = {id(self): np.ones_like(self.data)}
-        for node in order:
-            gout = grads.pop(id(node), None)
-            if gout is None:
-                continue
-            if node._backward_fn is None:
-                if node.requires_grad:
-                    node.grad = gout
-                continue
-            for parent, g in zip(node._parents, node._backward_fn(gout)):
-                if g is None or not parent.requires_grad:
-                    continue
-                if g.shape != parent.data.shape:
-                    raise ShapeError(
-                        f"adjoint produced gradient of shape {g.shape} for a "
-                        f"parent of shape {parent.data.shape}"
-                    )
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = g
+        _walk(self, consume=False)
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order DFS, returned in reverse (root first)."""
-    order: list[Tensor] = []
+def _topo_order(root: _Node) -> list[_Node]:
+    """Iterative post-order DFS over the computed nodes: inputs first, ``root`` last."""
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -206,19 +209,64 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
+        for parent in node.parents:
+            if type(parent) is _Node and id(parent) not in seen:
                 stack.append((parent, False))
-    order.reverse()
     return order
 
 
-def _make(op: str, data: Array, parents: tuple[Tensor, ...], backward_fn, macs: int = 0) -> Tensor:
+def _walk(root: Tensor, consume: bool) -> None:
+    """Replay the adjoints from scalar ``root`` and set ``.grad`` on the leaves it reaches.
+
+    With ``consume`` each node's adjoint and parent entries are cleared once
+    the adjoint has run, so the tape is freed as the walk goes.
+    """
+    if root.data.size != 1:
+        raise ShapeError(f"backward() needs a scalar, got shape {root.shape}")
+    if not root.requires_grad:
+        raise ValueError(
+            "backward() on a scalar that needs no gradient: no tensor in the "
+            "loss needs a gradient (set requires_grad = True on the "
+            "parameters to train, and compute the loss outside no_grad())"
+        )
+    if root._node is None:  # the scalar is itself a trainable leaf
+        root.grad = np.ones_like(root.data)
+        return
+    order = _topo_order(root._node)
+    # keyed by node or leaf; once every node has run, only leaves are left
+    grads: dict[_Node | Tensor, Array] = {root._node: np.ones_like(root.data)}
+    while order:
+        node = order.pop()
+        if node.backward_fn is None:
+            raise ValueError(
+                "the loss's tape was consumed by an earlier gradients() call; "
+                "recompute the loss to differentiate it again"
+            )
+        gout = grads.pop(node, None)
+        input_grads = () if gout is None else node.backward_fn(gout)
+        parents = node.parents
+        if consume:
+            node.backward_fn, node.parents = None, ()
+        for parent, g in zip(parents, input_grads):
+            if g is None or parent is None:
+                continue
+            shape = parent.shape
+            if g.shape != shape:
+                raise ShapeError(
+                    f"adjoint produced gradient of shape {g.shape} for a "
+                    f"parent of shape {shape}"
+                )
+            grads[parent] = grads[parent] + g if parent in grads else g
+    for leaf, g in grads.items():
+        leaf.grad = g
+
+
+def _make(op: str, data: Array, inputs: tuple[Tensor, ...], backward_fn, macs: int = 0) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward_fn
+        parents = tuple((t._node or t) if t.requires_grad else None for t in inputs)
+        out._node = _Node(backward_fn, data.shape, parents)
     if _OBSERVERS:
         where = ".".join(_SCOPES)
         for fn in _OBSERVERS:
@@ -240,17 +288,22 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def gradients(loss: Tensor, named_params: Iterable[tuple[str, Tensor]]) -> dict[str, Array]:
-    """Backward from ``loss`` and collect a name -> gradient map.
+    """Backward from ``loss``, freeing its tape as it goes, and collect a name -> gradient map.
 
     Parameters that the loss does not reach get an all-zeros gradient of the
     right shape, so the result always covers every requested name. Each
-    requested ``.grad`` is cleared first, because ``backward`` leaves the
-    gradient of a leaf it does not reach as an earlier pass set it.
+    requested ``.grad`` is cleared first, because a walk leaves the gradient
+    of a leaf it does not reach as an earlier pass set it.
+
+    Unlike ``Tensor.backward``, this consumes the tape: each node is freed
+    once its adjoint has run, so after the call ``loss`` and the forward
+    outputs hold their values but no closures. A second call on the same
+    loss raises ``ValueError``; recompute the loss instead.
     """
     named_params = list(named_params)
     for _, p in named_params:
         p.grad = None
-    loss.backward()
+    _walk(loss, consume=True)
     out: dict[str, Array] = {}
     for name, p in named_params:
         out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -264,29 +317,36 @@ def gradients(loss: Tensor, named_params: Iterable[tuple[str, Tensor]]) -> dict[
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g: Array):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+        return (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
 
     return _make("add", data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g: Array):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
+        return (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape))
 
     return _make("sub", data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each operand is kept only for the other's gradient, so scaling by a
+    # constant does not keep the scaled array alive
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g: Array):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            None if b_data is None else _unbroadcast(g * b_data, a_shape),
+            None if a_data is None else _unbroadcast(g * a_data, b_shape),
         )
 
     return _make("mul", data, (a, b), backward)
@@ -301,9 +361,10 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     if math.prod(shape) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} ({a.size} elements) to {shape}")
     data = a.data.reshape(shape)
+    a_shape = a.data.shape
 
     def backward(g: Array):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(a_shape),)
 
     return _make("reshape", data, (a,), backward)
 
@@ -348,6 +409,7 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = -1) -> tuple[Tensor, ...]
         raise ShapeError(
             f"split sizes {tuple(sizes)} do not cover axis {axis_pos} of shape {a.shape}"
         )
+    a_shape = a.data.shape
     outs = []
     offset = 0
     for size in sizes:
@@ -357,8 +419,8 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = -1) -> tuple[Tensor, ...]
         lo = offset
 
         def backward(g: Array, lo=lo, size=size):
-            full = np.zeros_like(a.data)
-            index = [slice(None)] * a.ndim
+            full = np.zeros(a_shape)
+            index = [slice(None)] * len(a_shape)
             index[axis_pos] = slice(lo, lo + size)
             full[tuple(index)] = g
             return (full,)
@@ -370,9 +432,10 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = -1) -> tuple[Tensor, ...]
 
 def tensor_sum(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum())
+    a_shape = a.data.shape
 
     def backward(g: Array):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, a_shape).copy(),)
 
     return _make("tensor_sum", data, (a,), backward)
 
@@ -380,9 +443,10 @@ def tensor_sum(a: Tensor) -> Tensor:
 def tensor_mean(a: Tensor) -> Tensor:
     n = a.data.size
     data = np.asarray(a.data.mean())
+    a_shape = a.data.shape
 
     def backward(g: Array):
-        return (np.broadcast_to(g / n, a.data.shape).copy(),)
+        return (np.broadcast_to(g / n, a_shape).copy(),)
 
     return _make("tensor_mean", data, (a,), backward)
 
@@ -404,10 +468,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
     data = np.matmul(a.data, b.data)
+    # as in ``mul``: each operand is kept only for the other's gradient
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g: Array):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        ga = None if b_data is None else np.matmul(g, np.swapaxes(b_data, -1, -2))
+        gb = None if a_data is None else np.matmul(np.swapaxes(a_data, -1, -2), g)
         return (ga, gb)
 
     return _make("matmul", data, (a, b), backward, a.data.size * b.data.shape[-1])
@@ -510,19 +577,26 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     cols = _conv_windows(_pad(x.data, padding), kh, kw, stride)
     data = (cols @ _conv_weight_matrix(weight.data)).reshape(n, ho, wo, o)
 
-    # rebuilt in backward, not captured: a captured matrix would stay alive as
-    # long as the tape does
+    # each operand is kept only for the other's gradient; the padded input and
+    # the patch matrix are rebuilt in backward, not captured, since a captured
+    # matrix would stay alive as long as the tape does
+    x_data = x.data if weight.requires_grad else None
+    w_data = weight.data if x.requires_grad else None
+
     def backward(g: Array):
-        padded = _pad(x.data, padding)
         g_mat = g.reshape(n * ho * wo, o)
-        gw = _conv_windows(padded, kh, kw, stride).T @ g_mat
-        gw = np.ascontiguousarray(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
-        g_cols = (g_mat @ _conv_weight_matrix(weight.data).T).reshape(n, ho, wo, kh, kw, c)
-        gp = np.zeros(padded.shape)
-        for i in range(kh):
-            for j in range(kw):
-                _tap(gp, i, j, ho, wo, stride)[...] += g_cols[:, :, :, i, j]
-        return (_unpad(gp, padding), gw)
+        gx = gw = None
+        if x_data is not None:
+            gw = _conv_windows(_pad(x_data, padding), kh, kw, stride).T @ g_mat
+            gw = np.ascontiguousarray(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
+        if w_data is not None:
+            g_cols = (g_mat @ _conv_weight_matrix(w_data).T).reshape(n, ho, wo, kh, kw, c)
+            gp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+            for i in range(kh):
+                for j in range(kw):
+                    _tap(gp, i, j, ho, wo, stride)[...] += g_cols[:, :, :, i, j]
+            gx = _unpad(gp, padding)
+        return (gx, gw)
 
     return _make("conv2d", data, (x, weight), backward, n * o * c * kh * kw * ho * wo)
 
@@ -573,18 +647,27 @@ def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Te
     for view, tap_weights in _dw_taps(_pad(x.data, padding), weight.data, ho, wo, stride):
         rows += view * tap_weights
 
+    # as in ``conv2d``: each operand is kept only for the other's gradient
+    x_data = x.data if weight.requires_grad else None
+    w_data = weight.data if x.requires_grad else None
+
     def backward(g: Array):
-        padded = _pad(x.data, padding)
-        gw = np.empty_like(weight.data)
-        for i in range(kh):
-            for j in range(kw):
-                gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", _tap(padded, i, j, ho, wo, stride), g)
-        # a fresh C-ordered buffer, so the row views in _dw_taps write into it
-        gp = np.zeros(padded.shape)
-        g_rows = g.reshape(n, ho, wo * c) if stride == 1 else g
-        for view, tap_weights in _dw_taps(gp, weight.data, ho, wo, stride):
-            view += g_rows * tap_weights
-        return (_unpad(gp, padding), gw)
+        gx = gw = None
+        if x_data is not None:
+            padded = _pad(x_data, padding)
+            gw = np.empty((c, 1, kh, kw))
+            for i in range(kh):
+                for j in range(kw):
+                    tap = _tap(padded, i, j, ho, wo, stride)
+                    gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", tap, g)
+        if w_data is not None:
+            # a fresh C-ordered buffer, so the row views in _dw_taps write into it
+            gp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+            g_rows = g.reshape(n, ho, wo * c) if stride == 1 else g
+            for view, tap_weights in _dw_taps(gp, w_data, ho, wo, stride):
+                view += g_rows * tap_weights
+            gx = _unpad(gp, padding)
+        return (gx, gw)
 
     return _make("dwconv2d", data, (x, weight), backward, n * c * kh * kw * ho * wo)
 
@@ -599,14 +682,15 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form."""
     # x * x * x, not x**3: numpy's pow has no fast path for a cube
-    inner = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
+    xd = x.data
+    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     tanh = np.tanh(inner)
-    data = 0.5 * x.data * (1.0 + tanh)
+    data = 0.5 * xd * (1.0 + tanh)
 
     def backward(g: Array):
         sech2 = 1.0 - tanh**2
-        local = 0.5 * (1.0 + tanh) + 0.5 * x.data * sech2 * _GELU_C * (
-            1.0 + 3 * 0.044715 * x.data**2
+        local = 0.5 * (1.0 + tanh) + 0.5 * xd * sech2 * _GELU_C * (
+            1.0 + 3 * 0.044715 * xd**2
         )
         return (g * local,)
 
@@ -641,10 +725,11 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = (centered**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv
-    data = xhat * gamma.data + beta.data
+    gamma_data = gamma.data
+    data = xhat * gamma_data + beta.data
 
     def backward(g: Array):
-        gxhat = g * gamma.data
+        gxhat = g * gamma_data
         mean_g = gxhat.mean(axis=-1, keepdims=True)
         mean_gx = (gxhat * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (gxhat - mean_g - xhat * mean_gx)
@@ -664,7 +749,7 @@ def avgpool_global(x: Tensor) -> Tensor:
     data = x.data.mean(axis=(1, 2))
 
     def backward(g: Array):
-        return (np.broadcast_to(g[:, None, None, :] / (h * w), x.data.shape).copy(),)
+        return (np.broadcast_to(g[:, None, None, :] / (h * w), (n, h, w, c)).copy(),)
 
     return _make("avgpool_global", data, (x,), backward)
 

@@ -1,9 +1,13 @@
 """Adjoint correctness: every primitive against central finite differences."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 import evit.tensor as T
+from evit.backbone import VARIANTS, build, reduced_variant
 from evit.errors import ShapeError
 from evit.tensor import Tensor, finite_difference, relative_error
 
@@ -219,6 +223,15 @@ class TestAutogradStructure:
         loss.backward()
         np.testing.assert_array_equal(x.grad, first)
 
+    def test_gradients_on_a_consumed_loss_raises(self, rng):
+        x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        loss = T.tensor_sum(T.mul(x, x))
+        grads = T.gradients(loss, [("x", x)])
+        np.testing.assert_array_equal(grads["x"], 2.0 * x.data)
+        for again in (lambda: T.gradients(loss, [("x", x)]), loss.backward):
+            with pytest.raises(ValueError, match="consumed by an earlier gradients"):
+                again()
+
     def test_requires_grad_propagation(self, rng):
         a = Tensor(rng.normal(size=(2, 2)))
         out = T.mul(a, a)
@@ -252,6 +265,54 @@ class TestAutogradStructure:
             with T.no_grad():
                 T.reshape(x, (3,))
         assert T.mul(x, x)._backward_fn is not None
+
+
+class TestTapeMemory:
+    def test_activation_no_adjoint_reads_is_freed(self, rng):
+        x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+        b = Tensor(rng.normal(size=(8,)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=(8,)), requires_grad=True)
+        beta = Tensor(rng.normal(size=(8,)), requires_grad=True)
+        mix = _mixer(rng, (3, 8))
+        leaves = (x, b, gamma, beta)
+
+        summed = T.add(x, b)
+        loss = T.tensor_sum(T.mul(T.layernorm(summed, gamma, beta), mix))
+        loss.backward()
+        kept = [leaf.grad.copy() for leaf in leaves]
+
+        summed = T.add(x, b)
+        alive = weakref.ref(summed.data)
+        loss = T.tensor_sum(T.mul(T.layernorm(summed, gamma, beta), mix))
+        del summed
+        assert alive() is None  # layernorm's adjoint reads xhat, not its input
+        loss.backward()
+        for leaf, want in zip(leaves, kept):
+            np.testing.assert_array_equal(leaf.grad, want)
+
+    def test_gradients_leaves_only_gradients_and_outputs(self):
+        graph = build(reduced_variant(VARIANTS["tiny"]), seed=0, zero_classifier=False)
+        images = np.random.default_rng(0).normal(size=(2, 3, 64, 64))
+        labels = np.array([1, 2])
+
+        def step():
+            logits = graph.forward(images)
+            loss = T.cross_entropy(logits, labels)
+            return logits, loss, graph.gradients(loss)
+
+        step()  # let lazy set-up finish before tracing
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            logits, loss, grads = step()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the slack covers the dict, the array headers and the loss's node;
+        # a forward tape kept alive would add megabytes
+        slack = 256 * 1024
+        expected = sum(g.nbytes for g in grads.values()) + logits.data.nbytes
+        assert retained <= expected + slack, (retained, expected)
 
 
 def test_corrupted_adjoint_is_detected(rng, scaled_gelu_adjoint):

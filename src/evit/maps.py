@@ -38,10 +38,10 @@ def ln_channels(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def conv_bias(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    return T.add(T.conv2d(x, weight, stride=stride, padding=padding), bias)
+    return T.conv2d(x, weight, stride=stride, padding=padding, bias=bias)
 
 
 def dwconv_bias(
     x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 ) -> Tensor:
-    return T.add(T.dwconv2d(x, weight, stride=stride, padding=padding), bias)
+    return T.dwconv2d(x, weight, stride=stride, padding=padding, bias=bias)

@@ -26,8 +26,16 @@ float64 so finite-difference checks have headroom. A dense convolution is one
 matrix product of its patch matrix (every output pixel's window as a row) with
 the reshaped weight, and its backward pass is two more; depthwise convolution
 is a per-tap accumulation of slices, a whole ``(W, C)`` row per call at stride
-1. Convolution closures keep their input array, not a padded copy or a patch
+1. Both take an optional bias, added in place to the fresh product.
+Convolution closures keep their input array, not a padded copy or a patch
 matrix, and rebuild what they need in ``backward``.
+
+The memory-bound forward kernels make few passes over memory: a stride-1
+depthwise convolution larger than ``_BLOCK_BYTES`` sums its taps one block of
+output rows at a time, ``gelu`` works through blocks of the flattened array,
+and ``softmax`` and ``layernorm`` work inside their output arrays. Each runs
+the ufuncs of the whole-array expression in the same order, so its results
+are bitwise those of that expression, and no buffer outlives its call.
 """
 from __future__ import annotations
 
@@ -505,6 +513,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+# bytes of output a blocked kernel works on at a time: a block, its inputs and
+# one scratch block stay inside a core's L2 cache
+_BLOCK_BYTES = 1 << 18
+
+
 def _pad(x: Array, padding: int) -> Array:
     """Zero-pad the two spatial axes; ``np.pad`` copies even at zero padding."""
     if padding == 0:
@@ -540,7 +553,9 @@ def _tap(padded: Array, i: int, j: int, ho: int, wo: int, stride: int) -> Array:
     return padded[:, i : i + ho * stride : stride, j : j + wo * stride : stride]
 
 
-def _check_conv_args(x: Tensor, w: Tensor, stride: int, padding: int) -> None:
+def _check_conv_args(
+    x: Tensor, w: Tensor, stride: int, padding: int, bias: Tensor | None
+) -> None:
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv expects 4-d input and weight, got {x.shape}, {w.shape}")
     if stride < 1 or padding < 0:
@@ -551,6 +566,9 @@ def _check_conv_args(x: Tensor, w: Tensor, stride: int, padding: int) -> None:
             f"kernel {kh}x{kw} larger than padded input "
             f"{x.data.shape[1] + 2 * padding}x{x.data.shape[2] + 2 * padding}"
         )
+    # checked here, since an in-place add would broadcast a (1,) bias
+    if bias is not None and bias.data.shape != w.data.shape[:1]:
+        raise ShapeError(f"conv bias must have shape ({w.data.shape[0]},), got {bias.shape}")
 
 
 def _unpad(g_padded: Array, padding: int) -> Array:
@@ -559,13 +577,16 @@ def _unpad(g_padded: Array, padding: int) -> Array:
     return np.ascontiguousarray(g_padded[:, padding:-padding, padding:-padding])
 
 
-def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(
+    x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None
+) -> Tensor:
     """2-d cross-correlation. ``x (N,H,W,C)``, ``weight (O,C,kh,kw)``, output ``(N,ho,wo,O)``.
 
-    Output spatial size follows floor((H + 2p - kh)/stride) + 1. Bias is not
-    part of the primitive; add a broadcast bias tensor on top.
+    Output spatial size follows floor((H + 2p - kh)/stride) + 1. A ``bias``
+    of shape ``(O,)`` is added in place to the fresh product: the values of a
+    separate ``add``, without a second map.
     """
-    _check_conv_args(x, weight, stride, padding)
+    _check_conv_args(x, weight, stride, padding, bias)
     if x.data.shape[3] != weight.data.shape[1]:
         raise ShapeError(
             f"conv2d channel mismatch: input {x.shape} vs weight {weight.shape}"
@@ -576,12 +597,15 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     wo = (w + 2 * padding - kw) // stride + 1
     cols = _conv_windows(_pad(x.data, padding), kh, kw, stride)
     data = (cols @ _conv_weight_matrix(weight.data)).reshape(n, ho, wo, o)
+    if bias is not None:
+        data += bias.data
 
     # each operand is kept only for the other's gradient; the padded input and
     # the patch matrix are rebuilt in backward, not captured, since a captured
     # matrix would stay alive as long as the tape does
     x_data = x.data if weight.requires_grad else None
     w_data = weight.data if x.requires_grad else None
+    b_grad = bias is not None and bias.requires_grad
 
     def backward(g: Array):
         g_mat = g.reshape(n * ho * wo, o)
@@ -596,9 +620,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
                 for j in range(kw):
                     _tap(gp, i, j, ho, wo, stride)[...] += g_cols[:, :, :, i, j]
             gx = _unpad(gp, padding)
-        return (gx, gw)
+        return (gx, gw, g.sum(axis=(0, 1, 2)) if b_grad else None)
 
-    return _make("conv2d", data, (x, weight), backward, n * o * c * kh * kw * ho * wo)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _make("conv2d", data, inputs, backward, n * o * c * kh * kw * ho * wo)
 
 
 def _dw_taps(padded: Array, weight: Array, ho: int, wo: int, stride: int):
@@ -625,15 +650,21 @@ def _dw_taps(padded: Array, weight: Array, ho: int, wo: int, stride: int):
             yield _tap(padded, i, j, ho, wo, stride), taps[k]
 
 
-def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def dwconv2d(
+    x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None
+) -> Tensor:
     """Depthwise 2-d cross-correlation. ``x (N,H,W,C)``, ``weight (C,1,kh,kw)``.
 
-    One filter per channel; the output is ``(N,ho,wo,C)``.
+    One filter per channel; the output is ``(N,ho,wo,C)``, plus ``bias (C,)``
+    when given, added in place as in ``conv2d``.
 
     Computed as a sum over the ``kh*kw`` taps: each tap adds one slice of the
     padded input, scaled by that tap's per-channel weight (see ``_dw_taps``).
+    At stride 1 a map larger than ``_BLOCK_BYTES`` is walked in blocks of
+    output rows, each block summing every tap while it stays in cache; each
+    output element still adds its taps in the same order.
     """
-    _check_conv_args(x, weight, stride, padding)
+    _check_conv_args(x, weight, stride, padding, bias)
     if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[3]:
         raise ShapeError(
             f"dwconv2d weight must be (C,1,kh,kw) with C={x.data.shape[3]}, got {weight.shape}"
@@ -643,13 +674,28 @@ def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Te
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     data = np.zeros((n, ho, wo, c))
+    taps = _dw_taps(_pad(x.data, padding), weight.data, ho, wo, stride)
+    step = max(1, _BLOCK_BYTES // max(1, data.nbytes // ho))  # output rows per block
     rows = data.reshape(n, ho, wo * c) if stride == 1 else data
-    for view, tap_weights in _dw_taps(_pad(x.data, padding), weight.data, ho, wo, stride):
-        rows += view * tap_weights
+    if stride != 1 or step >= ho:  # strided, or one block: a single pass per tap
+        for view, tap_weights in taps:
+            rows += view * tap_weights
+    else:
+        taps = list(taps)
+        scratch = np.empty((n, step, wo * c))
+        for lo in range(0, ho, step):
+            block = rows[:, lo : lo + step]
+            product = scratch[:, : block.shape[1]]
+            for view, tap_weights in taps:
+                np.multiply(view[:, lo : lo + step], tap_weights, out=product)
+                block += product
+    if bias is not None:
+        data += bias.data
 
     # as in ``conv2d``: each operand is kept only for the other's gradient
     x_data = x.data if weight.requires_grad else None
     w_data = weight.data if x.requires_grad else None
+    b_grad = bias is not None and bias.requires_grad
 
     def backward(g: Array):
         gx = gw = None
@@ -667,9 +713,10 @@ def dwconv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Te
             for view, tap_weights in _dw_taps(gp, w_data, ho, wo, stride):
                 view += g_rows * tap_weights
             gx = _unpad(gp, padding)
-        return (gx, gw)
+        return (gx, gw, g.sum(axis=(0, 1, 2)) if b_grad else None)
 
-    return _make("dwconv2d", data, (x, weight), backward, n * c * kh * kw * ho * wo)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _make("dwconv2d", data, inputs, backward, n * c * kh * kw * ho * wo)
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +727,32 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh form."""
-    # x * x * x, not x**3: numpy's pow has no fast path for a cube
-    xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    tanh = np.tanh(inner)
-    data = 0.5 * xd * (1.0 + tanh)
+    """Gaussian error linear unit, tanh form.
+
+    The output and the ``tanh`` array the adjoint reads are filled block by
+    block through one block-sized scratch, by the same ufuncs in the same
+    order as the whole-array expression, so the values are identical.
+    """
+    xd = np.ascontiguousarray(x.data)
+    data, tanh = np.empty(xd.shape), np.empty(xd.shape)
+    flat_x, flat_out, flat_tanh = xd.reshape(-1), data.reshape(-1), tanh.reshape(-1)
+    step = _BLOCK_BYTES // 8
+    scratch = np.empty(min(step, xd.size))
+    for lo in range(0, xd.size, step):
+        xb, out, t = flat_x[lo : lo + step], flat_out[lo : lo + step], flat_tanh[lo : lo + step]
+        s = scratch[: xb.size]
+        # t = tanh(_GELU_C * (x + 0.044715 * (x * x * x))); x * x * x, not
+        # x**3: numpy's pow has no fast path for a cube
+        np.multiply(xb, xb, out=s)
+        np.multiply(s, xb, out=s)
+        np.multiply(0.044715, s, out=s)
+        np.add(xb, s, out=s)
+        np.multiply(_GELU_C, s, out=s)
+        np.tanh(s, out=t)
+        # out = 0.5 * x * (1.0 + t)
+        np.multiply(0.5, xb, out=out)
+        np.add(1.0, t, out=s)
+        np.multiply(out, s, out=out)
 
     def backward(g: Array):
         sech2 = 1.0 - tanh**2
@@ -698,10 +765,14 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, max-subtracted for stability.
+
+    Subtracts, exponentiates and divides inside the output array.
+    """
+    xd = np.ascontiguousarray(x.data)
+    data = np.subtract(xd, xd.max(axis=-1, keepdims=True))
+    np.exp(data, out=data)
+    np.divide(data, data.sum(axis=-1, keepdims=True), out=data)
 
     def backward(g: Array):
         dot = (g * data).sum(axis=-1, keepdims=True)
@@ -714,19 +785,24 @@ _LN_EPS = 1e-5
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    The centred array becomes ``xhat`` in place, and the output array holds
+    the squares before it holds the result.
+    """
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(
             f"layernorm scale/shift must have shape ({d},), got {gamma.shape}, {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv
+    xd = np.ascontiguousarray(x.data)
+    xhat = np.subtract(xd, xd.mean(axis=-1, keepdims=True))
+    data = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(data.mean(axis=-1, keepdims=True) + _LN_EPS)
+    np.multiply(xhat, inv, out=xhat)
     gamma_data = gamma.data
-    data = xhat * gamma_data + beta.data
+    np.multiply(xhat, gamma_data, out=data)
+    np.add(data, beta.data, out=data)
 
     def backward(g: Array):
         gxhat = g * gamma_data

@@ -99,22 +99,24 @@ class TestDenseAdjoints:
     def test_conv2d(self, stride, padding, kernel, channels, hw, rng):
         x = Tensor(to_nhwc(rng.normal(size=(2, channels[0]) + hw)), requires_grad=True)
         w = Tensor(rng.normal(size=(channels[1], channels[0]) + kernel), requires_grad=True)
+        b = Tensor(rng.normal(size=(channels[1],)), requires_grad=True)
         out_shape = T.conv2d(x, w, stride=stride, padding=padding).shape
         mix = _mixer(rng, out_shape)
         check_against_fd(
-            lambda: T.tensor_sum(T.mul(T.conv2d(x, w, stride=stride, padding=padding), mix)),
-            [x, w], rng, count=6,
+            lambda: T.tensor_sum(T.mul(T.conv2d(x, w, stride, padding, bias=b), mix)),
+            [x, w, b], rng, count=6,
         )
 
     @pytest.mark.parametrize("stride,padding,kernel,hw", DW_CASES)
     def test_dwconv2d(self, stride, padding, kernel, hw, rng):
         x = Tensor(to_nhwc(rng.normal(size=(2, 4) + hw)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 1, kernel, kernel)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
         out_shape = T.dwconv2d(x, w, stride=stride, padding=padding).shape
         mix = _mixer(rng, out_shape)
         check_against_fd(
-            lambda: T.tensor_sum(T.mul(T.dwconv2d(x, w, stride=stride, padding=padding), mix)),
-            [x, w], rng, count=6,
+            lambda: T.tensor_sum(T.mul(T.dwconv2d(x, w, stride, padding, bias=b), mix)),
+            [x, w, b], rng, count=6,
         )
 
 
@@ -289,6 +291,24 @@ class TestTapeMemory:
         loss.backward()
         for leaf, want in zip(leaves, kept):
             np.testing.assert_array_equal(leaf.grad, want)
+
+    def test_no_grad_forward_retains_no_buffer(self):
+        """Two no-grad forwards at 224 px, whose stage-1 maps span several
+        ``T._BLOCK_BYTES`` blocks, keep nothing alive between calls: a scratch
+        buffer cached by either call would show here."""
+        graph = build(reduced_variant(VARIANTS["tiny"]), seed=0, zero_classifier=False)
+        image = np.random.default_rng(0).normal(size=(1, 3, 224, 224))
+        assert 56 * 56 * graph.spec.stages[0].channels * 8 > T._BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                graph.forward(image)
+                graph.forward(image)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # about 45 KB of interpreter and allocator state; one block is 256 KiB
+        assert retained < 64 * 1024, retained
 
     def test_gradients_leaves_only_gradients_and_outputs(self):
         graph = build(reduced_variant(VARIANTS["tiny"]), seed=0, zero_classifier=False)

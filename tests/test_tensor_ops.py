@@ -75,6 +75,12 @@ SHAPE_ERRORS = [
                  "bad stride/padding", id="conv-stride-0"),
     pytest.param(lambda: T.dwconv2d(_zeros(1, 4, 4, 2), _zeros(2, 1, 3, 3), padding=-1),
                  "bad stride/padding", id="dwconv-padding-negative"),
+    pytest.param(lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(3, 2, 1, 1), bias=_zeros(1)),
+                 "bias must have shape (3,)", id="conv-bias-1"),
+    pytest.param(lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(3, 2, 1, 1), bias=_zeros(1, 3)),
+                 "bias must have shape (3,)", id="conv-bias-2d"),
+    pytest.param(lambda: T.dwconv2d(_zeros(1, 4, 4, 2), _zeros(2, 1, 3, 3), bias=_zeros(3)),
+                 "bias must have shape (2,)", id="dwconv-bias-width"),
     pytest.param(lambda: T.layernorm(_zeros(2, 3), _zeros(4), _zeros(3)), "scale/shift",
                  id="layernorm-gamma"),
     pytest.param(lambda: T.avgpool_global(_zeros(2, 3, 4)), "expects (N,H,W,C)",
@@ -137,6 +143,67 @@ class TestConv:
         out = T.dwconv2d(Tensor(to_nhwc(x)), Tensor(w), stride=stride, padding=padding)
         expected = naive_dwconv2d(x, w, stride=stride, padding=padding)
         np.testing.assert_allclose(to_nchw(out.data), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,padding,full_blocks,extra_rows,width,channels", [
+        pytest.param(3, 1, 2, 3, 16, 4, id="3-1-ragged"),
+        pytest.param(2, 0, 3, 0, 16, 4, id="2-0-whole-blocks"),
+        pytest.param(3, 1, 0, 7, 16, 4, id="3-1-one-block"),
+        pytest.param(3, 1, 0, 3, 130, 128, id="3-1-row-over-a-block"),
+    ])
+    def test_dwconv2d_row_blocks(self, kernel, padding, full_blocks, extra_rows, width,
+                                 channels, rng):
+        """Stride-1 maps over ``T._BLOCK_BYTES`` run in output-row blocks; a
+        row wider than a block is one row per block."""
+        n = 2
+        wo = width + 2 * padding - kernel + 1
+        rows_per_block = max(1, T._BLOCK_BYTES // (n * wo * channels * 8))
+        ho = full_blocks * rows_per_block + extra_rows
+        x = rng.normal(size=(n, ho - 2 * padding + kernel - 1, width, channels))
+        w = rng.normal(size=(channels, 1, kernel, kernel))
+        out = T.dwconv2d(Tensor(x), Tensor(w), stride=1, padding=padding).data
+        assert out.shape == (n, ho, wo, channels)
+
+        # the same products added in the same tap order, over the whole map at once
+        padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+        expected = np.zeros_like(out)
+        for i in range(kernel):
+            for j in range(kernel):
+                expected += padded[:, i : i + ho, j : j + wo] * w[:, 0, i, j]
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_allclose(
+            to_nchw(out), naive_dwconv2d(to_nchw(x), w, padding=padding), atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "conv,x_shape,w_shape,stride,padding",
+        [
+            pytest.param(T.conv2d, (2,) + hw + (c,), (o, c) + kernel, stride, padding,
+                         id=f"conv-{case.id}")
+            for case in CONV_CASES
+            for stride, padding, kernel, (c, o), hw in [case.values]
+        ]
+        + [
+            pytest.param(T.dwconv2d, (2,) + hw + (5,), (5, 1, kernel, kernel), stride, padding,
+                         id=f"dwconv-{case.id}")
+            for case in DW_CASES
+            for stride, padding, kernel, hw in [case.values]
+        ],
+    )
+    def test_bias_fold_equals_add(self, conv, x_shape, w_shape, stride, padding, rng):
+        """``bias=`` gives the bits of adding the bias as its own operator, forward and back."""
+        x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+        mix = Tensor(rng.normal(size=conv(Tensor(x), Tensor(w), stride, padding).shape))
+        results = []
+        for fold in (True, False):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            if fold:
+                out = conv(xt, wt, stride, padding, bias=bt)
+            else:
+                out = T.add(conv(xt, wt, stride, padding), bt)
+            T.tensor_sum(T.mul(out, mix)).backward()
+            results.append((out.data, xt.grad, wt.grad, bt.grad))
+        for folded, added in zip(*results):
+            np.testing.assert_array_equal(folded, added)
 
     def test_stride2_halves_224(self, rng):
         x = to_nhwc(rng.normal(size=(1, 3, 224, 224)))
@@ -238,6 +305,102 @@ def test_gelu_values(rng):
     x = rng.normal(scale=2.0, size=(5, 7))
     np.testing.assert_allclose(T.gelu(Tensor(x)).data, naive_gelu(x), atol=1e-12)
     assert T.gelu(Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
+
+
+# The whole-array expressions the kernels compute, written out once more: each
+# returns the output and an adjoint. The kernels fill reused buffers instead and
+# must give the same bits.
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def textbook_gelu(x):
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
+    tanh = np.tanh(inner)
+
+    def backward(g):
+        sech2 = 1.0 - tanh**2
+        local = 0.5 * (1.0 + tanh) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        return (g * local,)
+
+    return 0.5 * x * (1.0 + tanh), backward
+
+
+def textbook_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
+
+    return out, backward
+
+
+def textbook_layernorm(x, gamma, beta):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = centered * inv
+
+    def backward(g):
+        gxhat = g * gamma
+        mean_g = gxhat.mean(axis=-1, keepdims=True)
+        mean_gx = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        axes = tuple(range(g.ndim - 1))
+        return (inv * (gxhat - mean_g - xhat * mean_gx), (g * xhat).sum(axis=axes),
+                g.sum(axis=axes))
+
+    return xhat * gamma + beta, backward
+
+
+def _over_one_block(rng):
+    """Rows of 97 values, in total more than a block with a ragged tail."""
+    return rng.normal(scale=3.0, size=(T._BLOCK_BYTES // 8 // 97 + 3, 97))
+
+
+ELEMENTWISE_INPUTS = [
+    pytest.param(_over_one_block, id="over-one-block"),
+    pytest.param(lambda rng: rng.normal(scale=3.0, size=(97, 60)).T, id="transposed"),
+    pytest.param(lambda rng: rng.normal(scale=3.0, size=(1, 97)), id="one-row"),
+    pytest.param(lambda rng: rng.normal(scale=3.0, size=(1, 7, 5, 12)), id="map"),
+]
+
+
+class TestElementwiseKernelsBitwise:
+    """``gelu``, ``softmax`` and ``layernorm`` against the textbook expressions.
+
+    A non-C-contiguous input is read through a C-ordered copy, so its
+    reductions run as for that copy: the expected values come from the
+    textbook expression on ``np.ascontiguousarray(x)``.
+    """
+
+    @staticmethod
+    def _check(op, textbook, x, extra, rng):
+        leaves = [Tensor(x, requires_grad=True)] + [Tensor(a, requires_grad=True) for a in extra]
+        out = op(*leaves)
+        assert out.data.flags.c_contiguous
+        mix = rng.normal(size=x.shape)
+        T.tensor_sum(T.mul(out, Tensor(mix))).backward()
+        expected, backward = textbook(np.ascontiguousarray(x), *extra)
+        np.testing.assert_array_equal(out.data, expected)
+        for leaf, grad in zip(leaves, backward(mix)):
+            np.testing.assert_array_equal(leaf.grad, grad)
+
+    @pytest.mark.parametrize("make", ELEMENTWISE_INPUTS)
+    def test_gelu(self, make, rng):
+        x = make(rng)
+        self._check(T.gelu, textbook_gelu, x, [], rng)
+        # elementwise, so the layout cannot change a value
+        np.testing.assert_array_equal(T.gelu(Tensor(x)).data, textbook_gelu(x)[0])
+
+    @pytest.mark.parametrize("make", ELEMENTWISE_INPUTS)
+    def test_softmax(self, make, rng):
+        self._check(T.softmax, textbook_softmax, make(rng), [], rng)
+
+    @pytest.mark.parametrize("make", ELEMENTWISE_INPUTS)
+    def test_layernorm(self, make, rng):
+        x = make(rng)
+        d = x.shape[-1]
+        self._check(T.layernorm, textbook_layernorm, x,
+                    [rng.normal(size=d), rng.normal(size=d)], rng)
 
 
 def test_avgpool_global_constant():

@@ -6,9 +6,9 @@ backward closure, the result's shape and, per input, where that input's
 gradient goes. The closure holds only the arrays and shapes its adjoint
 reads, never an input tensor, so an activation that no adjoint reads is freed
 as soon as the forward code drops it. A scalar loss replays the adjoints in
-reverse topological order with ``Tensor.backward()``, which keeps the tape,
-or with ``gradients()``, which frees each node once its adjoint has run. Only
-leaves created with ``requires_grad=True`` receive a ``.grad`` array. An
+reverse topological order with ``Tensor.backward()``, which frees each node
+once its adjoint has run and returns the gradient of every leaf created with
+``requires_grad=True`` that the loss reaches; leaves hold no gradient state. An
 operator whose inputs all lack ``requires_grad``, or any operator called
 inside ``no_grad()``, records nothing, so a forward pass over constants keeps
 no tape alive.
@@ -30,10 +30,10 @@ is a per-tap accumulation of slices, a whole ``(W, C)`` row per call at stride
 Convolution closures keep their input array, not a padded copy or a patch
 matrix, and rebuild what they need in ``backward``.
 
-The memory-bound forward kernels make few passes over memory: a stride-1
-depthwise convolution larger than ``_BLOCK_BYTES`` sums its taps one block of
-output rows at a time, ``gelu`` works through blocks of the flattened array,
-and ``softmax`` and ``layernorm`` work inside their output arrays. Each runs
+The memory-bound forward kernels make few passes over memory: a depthwise
+convolution sums its taps one ``_BLOCK_BYTES`` block of output rows at a
+time, ``gelu`` works through blocks of the flattened array, and ``softmax``
+and ``layernorm`` work inside their output arrays. Each runs
 the ufuncs of the whole-array expression in the same order, so its results
 are bitwise those of that expression, and no buffer outlives its call.
 """
@@ -123,8 +123,8 @@ class _Node:
 
     ``parents`` has one entry per input: the input's node when the input was
     computed, the leaf ``Tensor`` when it is a trainable leaf, and ``None``
-    when it needs no gradient. ``gradients()`` clears ``backward_fn`` and
-    ``parents`` once the adjoint has run, which frees what the closure held.
+    when it needs no gradient. ``Tensor.backward()`` clears ``backward_fn``
+    and ``parents`` once the adjoint has run, which frees what the closure held.
     """
 
     __slots__ = ("backward_fn", "shape", "parents")
@@ -138,13 +138,12 @@ class _Node:
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse-mode autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
         self._node: _Node | None = None
 
     # -- introspection ------------------------------------------------------
@@ -181,26 +180,57 @@ class Tensor:
     def _backward_fn(self, fn: Callable[[Array], Sequence[Array | None]]) -> None:
         self._node.backward_fn = fn
 
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node.parents
+    def backward(self) -> dict[Tensor, Array]:
+        """Replay the adjoints from this scalar and return ``{leaf: gradient}``.
 
-    def backward(self) -> None:
-        """Run reverse-mode accumulation from this scalar and keep the tape.
-
-        Sets ``.grad`` (same shape as the leaf) on every reachable leaf with
-        ``requires_grad=True``. Each call starts from fresh gradients: a
-        reached leaf's value from an earlier backward pass is overwritten, not
-        accumulated. A leaf this pass does not reach keeps whatever ``.grad``
-        it had. The tape stays alive as long as this scalar does, so a second
-        call gives the same gradients; ``gradients()`` frees it instead.
+        The dict has an entry, of the leaf's shape, for every leaf with
+        ``requires_grad=True`` that the scalar was computed from; a scalar
+        that is itself such a leaf gets ``{self: ones}``. Each node's adjoint
+        and parents are cleared once the adjoint has run, so the tape is freed
+        as the walk goes: afterwards the scalar and the forward outputs hold
+        their values but no closures, and a second call raises ``ValueError``;
+        recompute the loss instead.
 
         Raises ``ValueError`` when the scalar itself does not require a
         gradient: then no tensor it was computed from needs one (for example
         every parameter of a graph from ``load_checkpoint``, or a loss
         computed inside ``no_grad()``), and there is nothing to differentiate.
         """
-        _walk(self, consume=False)
+        if self.data.size != 1:
+            raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise ValueError(
+                "backward() on a scalar that needs no gradient: no tensor in the "
+                "loss needs a gradient (set requires_grad = True on the "
+                "parameters to train, and compute the loss outside no_grad())"
+            )
+        if self._node is None:  # the scalar is itself a trainable leaf
+            return {self: np.ones_like(self.data)}
+        order = _topo_order(self._node)
+        # keyed by node or leaf; once every node has run, only leaves are left
+        grads: dict[_Node | Tensor, Array] = {self._node: np.ones_like(self.data)}
+        while order:
+            node = order.pop()
+            if node.backward_fn is None:
+                raise ValueError(
+                    "the loss's tape was consumed by an earlier backward pass; "
+                    "recompute the loss to differentiate it again"
+                )
+            gout = grads.pop(node, None)
+            input_grads = () if gout is None else node.backward_fn(gout)
+            parents = node.parents
+            node.backward_fn, node.parents = None, ()
+            for parent, g in zip(parents, input_grads):
+                if g is None or parent is None:
+                    continue
+                shape = parent.shape
+                if g.shape != shape:
+                    raise ShapeError(
+                        f"adjoint produced gradient of shape {g.shape} for a "
+                        f"parent of shape {shape}"
+                    )
+                grads[parent] = grads[parent] + g if parent in grads else g
+        return grads
 
 
 def _topo_order(root: _Node) -> list[_Node]:
@@ -221,52 +251,6 @@ def _topo_order(root: _Node) -> list[_Node]:
             if type(parent) is _Node and id(parent) not in seen:
                 stack.append((parent, False))
     return order
-
-
-def _walk(root: Tensor, consume: bool) -> None:
-    """Replay the adjoints from scalar ``root`` and set ``.grad`` on the leaves it reaches.
-
-    With ``consume`` each node's adjoint and parent entries are cleared once
-    the adjoint has run, so the tape is freed as the walk goes.
-    """
-    if root.data.size != 1:
-        raise ShapeError(f"backward() needs a scalar, got shape {root.shape}")
-    if not root.requires_grad:
-        raise ValueError(
-            "backward() on a scalar that needs no gradient: no tensor in the "
-            "loss needs a gradient (set requires_grad = True on the "
-            "parameters to train, and compute the loss outside no_grad())"
-        )
-    if root._node is None:  # the scalar is itself a trainable leaf
-        root.grad = np.ones_like(root.data)
-        return
-    order = _topo_order(root._node)
-    # keyed by node or leaf; once every node has run, only leaves are left
-    grads: dict[_Node | Tensor, Array] = {root._node: np.ones_like(root.data)}
-    while order:
-        node = order.pop()
-        if node.backward_fn is None:
-            raise ValueError(
-                "the loss's tape was consumed by an earlier gradients() call; "
-                "recompute the loss to differentiate it again"
-            )
-        gout = grads.pop(node, None)
-        input_grads = () if gout is None else node.backward_fn(gout)
-        parents = node.parents
-        if consume:
-            node.backward_fn, node.parents = None, ()
-        for parent, g in zip(parents, input_grads):
-            if g is None or parent is None:
-                continue
-            shape = parent.shape
-            if g.shape != shape:
-                raise ShapeError(
-                    f"adjoint produced gradient of shape {g.shape} for a "
-                    f"parent of shape {shape}"
-                )
-            grads[parent] = grads[parent] + g if parent in grads else g
-    for leaf, g in grads.items():
-        leaf.grad = g
 
 
 def _make(op: str, data: Array, inputs: tuple[Tensor, ...], backward_fn, macs: int = 0) -> Tensor:
@@ -296,26 +280,15 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def gradients(loss: Tensor, named_params: Iterable[tuple[str, Tensor]]) -> dict[str, Array]:
-    """Backward from ``loss``, freeing its tape as it goes, and collect a name -> gradient map.
+    """``loss.backward()`` as a name -> gradient map over ``named_params``.
 
     Parameters that the loss does not reach get an all-zeros gradient of the
-    right shape, so the result always covers every requested name. Each
-    requested ``.grad`` is cleared first, because a walk leaves the gradient
-    of a leaf it does not reach as an earlier pass set it.
-
-    Unlike ``Tensor.backward``, this consumes the tape: each node is freed
-    once its adjoint has run, so after the call ``loss`` and the forward
-    outputs hold their values but no closures. A second call on the same
+    right shape, so the result always covers every requested name. The walk
+    frees the tape as ``Tensor.backward`` does, so a second call on the same
     loss raises ``ValueError``; recompute the loss instead.
     """
-    named_params = list(named_params)
-    for _, p in named_params:
-        p.grad = None
-    _walk(loss, consume=True)
-    out: dict[str, Array] = {}
-    for name, p in named_params:
-        out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-    return out
+    found = loss.backward()
+    return {name: found[p] if p in found else np.zeros_like(p.data) for name, p in named_params}
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +633,9 @@ def dwconv2d(
 
     Computed as a sum over the ``kh*kw`` taps: each tap adds one slice of the
     padded input, scaled by that tap's per-channel weight (see ``_dw_taps``).
-    At stride 1 a map larger than ``_BLOCK_BYTES`` is walked in blocks of
-    output rows, each block summing every tap while it stays in cache; each
-    output element still adds its taps in the same order.
+    The output is walked in blocks of rows of about ``_BLOCK_BYTES`` (one
+    block when it is smaller), each block summing every tap while it stays in
+    cache; each output element adds its taps in row-major tap order.
     """
     _check_conv_args(x, weight, stride, padding, bias)
     if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[3]:
@@ -674,21 +647,16 @@ def dwconv2d(
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     data = np.zeros((n, ho, wo, c))
-    taps = _dw_taps(_pad(x.data, padding), weight.data, ho, wo, stride)
-    step = max(1, _BLOCK_BYTES // max(1, data.nbytes // ho))  # output rows per block
+    taps = list(_dw_taps(_pad(x.data, padding), weight.data, ho, wo, stride))
     rows = data.reshape(n, ho, wo * c) if stride == 1 else data
-    if stride != 1 or step >= ho:  # strided, or one block: a single pass per tap
+    step = min(ho, max(1, _BLOCK_BYTES // max(1, data.nbytes // ho)))  # output rows per block
+    scratch = np.empty((n, step) + rows.shape[2:])
+    for lo in range(0, ho, step):
+        block = rows[:, lo : lo + step]
+        product = scratch[:, : block.shape[1]]
         for view, tap_weights in taps:
-            rows += view * tap_weights
-    else:
-        taps = list(taps)
-        scratch = np.empty((n, step, wo * c))
-        for lo in range(0, ho, step):
-            block = rows[:, lo : lo + step]
-            product = scratch[:, : block.shape[1]]
-            for view, tap_weights in taps:
-                np.multiply(view[:, lo : lo + step], tap_weights, out=product)
-                block += product
+            np.multiply(view[:, lo : lo + step], tap_weights, out=product)
+            block += product
     if bias is not None:
         data += bias.data
 

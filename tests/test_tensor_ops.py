@@ -144,23 +144,25 @@ class TestConv:
         expected = naive_dwconv2d(x, w, stride=stride, padding=padding)
         np.testing.assert_allclose(to_nchw(out.data), expected, atol=1e-12)
 
-    @pytest.mark.parametrize("kernel,padding,full_blocks,extra_rows,width,channels", [
-        pytest.param(3, 1, 2, 3, 16, 4, id="3-1-ragged"),
-        pytest.param(2, 0, 3, 0, 16, 4, id="2-0-whole-blocks"),
-        pytest.param(3, 1, 0, 7, 16, 4, id="3-1-one-block"),
-        pytest.param(3, 1, 0, 3, 130, 128, id="3-1-row-over-a-block"),
+    @pytest.mark.parametrize("stride,kernel,padding,full_blocks,extra_rows,width,channels", [
+        pytest.param(1, 3, 1, 2, 3, 16, 4, id="3-1-ragged"),
+        pytest.param(1, 2, 0, 3, 0, 16, 4, id="2-0-whole-blocks"),
+        pytest.param(1, 3, 1, 0, 7, 16, 4, id="3-1-one-block"),
+        pytest.param(1, 3, 1, 0, 3, 130, 128, id="3-1-row-over-a-block"),
+        pytest.param(2, 3, 1, 2, 3, 16, 4, id="s2-3-1-ragged"),
+        pytest.param(4, 4, 0, 3, 0, 32, 8, id="s4-4-0-whole-blocks"),
     ])
-    def test_dwconv2d_row_blocks(self, kernel, padding, full_blocks, extra_rows, width,
+    def test_dwconv2d_row_blocks(self, stride, kernel, padding, full_blocks, extra_rows, width,
                                  channels, rng):
-        """Stride-1 maps over ``T._BLOCK_BYTES`` run in output-row blocks; a
-        row wider than a block is one row per block."""
+        """Maps over ``T._BLOCK_BYTES`` run in output-row blocks, strided ones
+        too; a row wider than a block is one row per block."""
         n = 2
-        wo = width + 2 * padding - kernel + 1
+        wo = (width + 2 * padding - kernel) // stride + 1
         rows_per_block = max(1, T._BLOCK_BYTES // (n * wo * channels * 8))
         ho = full_blocks * rows_per_block + extra_rows
-        x = rng.normal(size=(n, ho - 2 * padding + kernel - 1, width, channels))
+        x = rng.normal(size=(n, (ho - 1) * stride + kernel - 2 * padding, width, channels))
         w = rng.normal(size=(channels, 1, kernel, kernel))
-        out = T.dwconv2d(Tensor(x), Tensor(w), stride=1, padding=padding).data
+        out = T.dwconv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
         assert out.shape == (n, ho, wo, channels)
 
         # the same products added in the same tap order, over the whole map at once
@@ -168,10 +170,12 @@ class TestConv:
         expected = np.zeros_like(out)
         for i in range(kernel):
             for j in range(kernel):
-                expected += padded[:, i : i + ho, j : j + wo] * w[:, 0, i, j]
+                tap = padded[:, i : i + ho * stride : stride, j : j + wo * stride : stride]
+                expected += tap * w[:, 0, i, j]
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_allclose(
-            to_nchw(out), naive_dwconv2d(to_nchw(x), w, padding=padding), atol=1e-12
+            to_nchw(out), naive_dwconv2d(to_nchw(x), w, stride=stride, padding=padding),
+            atol=1e-12,
         )
 
     @pytest.mark.parametrize(
@@ -200,8 +204,8 @@ class TestConv:
                 out = conv(xt, wt, stride, padding, bias=bt)
             else:
                 out = T.add(conv(xt, wt, stride, padding), bt)
-            T.tensor_sum(T.mul(out, mix)).backward()
-            results.append((out.data, xt.grad, wt.grad, bt.grad))
+            grads = T.tensor_sum(T.mul(out, mix)).backward()
+            results.append((out.data, grads[xt], grads[wt], grads[bt]))
         for folded, added in zip(*results):
             np.testing.assert_array_equal(folded, added)
 
@@ -378,11 +382,11 @@ class TestElementwiseKernelsBitwise:
         out = op(*leaves)
         assert out.data.flags.c_contiguous
         mix = rng.normal(size=x.shape)
-        T.tensor_sum(T.mul(out, Tensor(mix))).backward()
+        grads = T.tensor_sum(T.mul(out, Tensor(mix))).backward()
         expected, backward = textbook(np.ascontiguousarray(x), *extra)
         np.testing.assert_array_equal(out.data, expected)
         for leaf, grad in zip(leaves, backward(mix)):
-            np.testing.assert_array_equal(leaf.grad, grad)
+            np.testing.assert_array_equal(grads[leaf], grad)
 
     @pytest.mark.parametrize("make", ELEMENTWISE_INPUTS)
     def test_gelu(self, make, rng):

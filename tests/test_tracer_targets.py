@@ -1,8 +1,12 @@
 """The benchmark's tracer wraps package functions by name; every name must exist."""
 
+import functools
 from pathlib import Path
 
+import numpy as np
+
 import evit.tensor
+from evit.backbone import build
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,3 +32,23 @@ def test_tracer_installs_and_restores_every_target(monkeypatch):
         assert getattr(owner, name) is original, name
     for owner, name, original in methods:
         assert owner.__dict__[name] is original, name
+
+
+def test_gradients_walk_runs_through_tensor_backward(monkeypatch, toy_spec):
+    """``ModuleGraph.gradients`` reaches the walk through ``loss.backward()``,
+    so a wrapper set on the class, as the tracer sets its ``tensor.backward``
+    span, runs once per training step."""
+    original = evit.tensor.Tensor.__dict__["backward"]
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(evit.tensor.Tensor, "backward", functools.update_wrapper(counted, original))
+    graph = build(toy_spec, seed=0, zero_classifier=False)
+    images = np.random.default_rng(0).normal(size=(2, 3, 32, 32))
+    loss = evit.tensor.cross_entropy(graph.forward(images), np.array([0, 1]))
+    grads = graph.gradients(loss)
+    assert calls == [loss]
+    assert grads.keys() == dict(graph.named_parameters()).keys()

@@ -24,18 +24,18 @@ the usual ``(O, C, kh, kw)`` and ``(C, 1, kh, kw)`` layouts.
 The kernel is written for clarity and trust first, and everything stays
 float64 so finite-difference checks have headroom. A dense convolution is one
 matrix product of its patch matrix (every output pixel's window as a row) with
-the reshaped weight, and its backward pass is two more; depthwise convolution
-is a per-tap accumulation of slices, a whole ``(W, C)`` row per call at stride
-1. Both take an optional bias, added in place to the fresh product.
-Convolution closures keep their input array, not a padded copy or a patch
-matrix, and rebuild what they need in ``backward``.
+the reshaped weight, and its backward pass is two more; a depthwise
+convolution contracts the same window view, unreshaped, with its taps in one
+``einsum``, and its weight gradient is a second. Both scatter their input
+gradient tap by tap, and both take an optional bias, added in place to the
+fresh product. Convolution closures keep their input array, not a padded copy
+or a window matrix, and rebuild what they need in ``backward``.
 
-The memory-bound forward kernels make few passes over memory: a depthwise
-convolution sums its taps one ``_BLOCK_BYTES`` block of output rows at a
-time, ``gelu`` works through blocks of the flattened array, and ``softmax``
-and ``layernorm`` work inside their output arrays. Each runs
-the ufuncs of the whole-array expression in the same order, so its results
-are bitwise those of that expression, and no buffer outlives its call.
+The memory-bound forward kernels make few passes over memory: ``gelu`` works
+through ``_BLOCK_BYTES`` blocks of the flattened array, and ``softmax`` and
+``layernorm`` work inside their output arrays. Each runs the ufuncs of the
+whole-array expression in the same order, so its results are bitwise those
+of that expression, and no buffer outlives its call.
 """
 from __future__ import annotations
 
@@ -486,11 +486,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-# bytes of output a blocked kernel works on at a time: a block, its inputs and
-# one scratch block stay inside a core's L2 cache
-_BLOCK_BYTES = 1 << 18
-
-
 def _pad(x: Array, padding: int) -> Array:
     """Zero-pad the two spatial axes; ``np.pad`` copies even at zero padding."""
     if padding == 0:
@@ -498,21 +493,29 @@ def _pad(x: Array, padding: int) -> Array:
     return np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
 
 
-def _conv_windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
-    """The ``(N*ho*wo, kh*kw*C)`` patch matrix of ``padded``.
+def _windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
+    """The read-only ``(N, ho, wo, kh, kw, C)`` view of every window of ``padded``.
 
-    Row ``(n, y, x)`` holds the window under output pixel ``(y, x)``, ordered
-    ``(kh, kw, C)`` with channels fastest, so the strided view reads whole
-    contiguous pixels; reshaping it copies unless the kernel is 1x1 at stride 1.
+    ``[n, y, x, i, j]`` is the pixel that kernel tap ``(i, j)`` reads for
+    output pixel ``(y, x)``; channels stay fastest, so a window reads whole
+    contiguous pixels.
     """
     n, hp, wp, c = padded.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
     sn, sh, sw, sc = padded.strides
-    shape = (n, ho, wo, kh, kw, c)
+    shape = (n, (hp - kh) // stride + 1, (wp - kw) // stride + 1, kh, kw, c)
     strides = (sn, sh * stride, sw * stride, sh, sw, sc)
-    windows = np.lib.stride_tricks.as_strided(padded, shape, strides, writeable=False)
-    return windows.reshape(n * ho * wo, kh * kw * c)
+    windows = np.lib.stride_tricks.as_strided(padded, shape, strides)
+    # not ``writeable=False``: that sets ``view.flags.writeable``, which leaves
+    # small allocations behind on every call where ``setflags`` leaves none
+    windows.setflags(write=False)
+    return windows
+
+
+def _conv_windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
+    """The ``(N*ho*wo, kh*kw*C)`` patch matrix of ``padded``: one ``_windows`` row
+    per output pixel. Reshaping copies unless the kernel is 1x1 at stride 1."""
+    windows = _windows(padded, kh, kw, stride)
+    return windows.reshape(math.prod(windows.shape[:3]), kh * kw * padded.shape[3])
 
 
 def _conv_weight_matrix(weight: Array) -> Array:
@@ -522,7 +525,8 @@ def _conv_weight_matrix(weight: Array) -> Array:
 
 
 def _tap(padded: Array, i: int, j: int, ho: int, wo: int, stride: int) -> Array:
-    """The ``(N,ho,wo,C)`` view of ``padded`` that kernel tap ``(i, j)`` reads."""
+    """The ``(N,ho,wo,C)`` view of ``padded`` under kernel tap ``(i, j)``: where
+    both convolutions' input gradients scatter that tap's share."""
     return padded[:, i : i + ho * stride : stride, j : j + wo * stride : stride]
 
 
@@ -599,30 +603,6 @@ def conv2d(
     return _make("conv2d", data, inputs, backward, n * o * c * kh * kw * ho * wo)
 
 
-def _dw_taps(padded: Array, weight: Array, ho: int, wo: int, stride: int):
-    """Yield ``(view, weights)`` for each kernel tap ``(i, j)``, in row-major order.
-
-    ``view`` is the slice of ``padded`` that the tap reads (or, for a gradient
-    map, writes) and ``weights`` scales it channel by channel. At stride 1 a
-    tap's slice is contiguous over ``(W, C)``, so the views are whole rows
-    ``(N, ho, wo*C)`` with each tap's weights repeated ``wo`` times: one ufunc
-    call then runs over a full row instead of broadcasting over the short
-    channel axis. Strided taps are ``(N, ho, wo, C)`` views.
-    """
-    n, hp, wp, c = padded.shape
-    kh, kw = weight.shape[2], weight.shape[3]
-    taps = weight[:, 0].reshape(c, kh * kw).T
-    if stride == 1:
-        rows = padded.reshape(n, hp, wp * c)
-        taps = np.repeat(taps[:, None], wo, axis=1).reshape(kh * kw, wo * c)
-    for k in range(kh * kw):
-        i, j = divmod(k, kw)
-        if stride == 1:
-            yield rows[:, i : i + ho, j * c : (j + wo) * c], taps[k]
-        else:
-            yield _tap(padded, i, j, ho, wo, stride), taps[k]
-
-
 def dwconv2d(
     x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None
 ) -> Tensor:
@@ -631,11 +611,12 @@ def dwconv2d(
     One filter per channel; the output is ``(N,ho,wo,C)``, plus ``bias (C,)``
     when given, added in place as in ``conv2d``.
 
-    Computed as a sum over the ``kh*kw`` taps: each tap adds one slice of the
-    padded input, scaled by that tap's per-channel weight (see ``_dw_taps``).
-    The output is walked in blocks of rows of about ``_BLOCK_BYTES`` (one
-    block when it is smaller), each block summing every tap while it stays in
-    cache; each output element adds its taps in row-major tap order.
+    The forward and the weight gradient are each one ``einsum`` over the
+    ``_windows`` view of the padded input, and the input gradient scatters
+    each tap's product through ``_tap``. The weight enters as a C-contiguous
+    ``(kh, kw, C)`` copy, ``taps``: einsum's loop order follows its operands'
+    strides, and with these every output element adds its taps in row-major
+    tap order.
     """
     _check_conv_args(x, weight, stride, padding, bias)
     if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[3]:
@@ -644,19 +625,10 @@ def dwconv2d(
         )
     n, h, w, c = x.data.shape
     kh, kw = weight.data.shape[2], weight.data.shape[3]
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    data = np.zeros((n, ho, wo, c))
-    taps = list(_dw_taps(_pad(x.data, padding), weight.data, ho, wo, stride))
-    rows = data.reshape(n, ho, wo * c) if stride == 1 else data
-    step = min(ho, max(1, _BLOCK_BYTES // max(1, data.nbytes // ho)))  # output rows per block
-    scratch = np.empty((n, step) + rows.shape[2:])
-    for lo in range(0, ho, step):
-        block = rows[:, lo : lo + step]
-        product = scratch[:, : block.shape[1]]
-        for view, tap_weights in taps:
-            np.multiply(view[:, lo : lo + step], tap_weights, out=product)
-            block += product
+    taps = np.ascontiguousarray(weight.data[:, 0].transpose(1, 2, 0))
+    windows = _windows(_pad(x.data, padding), kh, kw, stride)
+    ho, wo = windows.shape[1:3]
+    data = np.einsum("nhwijc,ijc->nhwc", windows, taps)
     if bias is not None:
         data += bias.data
 
@@ -668,18 +640,13 @@ def dwconv2d(
     def backward(g: Array):
         gx = gw = None
         if x_data is not None:
-            padded = _pad(x_data, padding)
-            gw = np.empty((c, 1, kh, kw))
+            gw = np.einsum("nhwijc,nhwc->ijc", _windows(_pad(x_data, padding), kh, kw, stride), g)
+            gw = np.ascontiguousarray(gw.transpose(2, 0, 1))[:, None]
+        if w_data is not None:
+            gp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
             for i in range(kh):
                 for j in range(kw):
-                    tap = _tap(padded, i, j, ho, wo, stride)
-                    gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", tap, g)
-        if w_data is not None:
-            # a fresh C-ordered buffer, so the row views in _dw_taps write into it
-            gp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
-            g_rows = g.reshape(n, ho, wo * c) if stride == 1 else g
-            for view, tap_weights in _dw_taps(gp, w_data, ho, wo, stride):
-                view += g_rows * tap_weights
+                    _tap(gp, i, j, ho, wo, stride)[...] += g * w_data[:, 0, i, j]
             gx = _unpad(gp, padding)
         return (gx, gw, g.sum(axis=(0, 1, 2)) if b_grad else None)
 
@@ -692,6 +659,10 @@ def dwconv2d(
 # ---------------------------------------------------------------------------
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+# bytes of output ``gelu`` works on at a time: a block, its input and one
+# scratch block stay inside a core's L2 cache
+_BLOCK_BYTES = 1 << 18
 
 
 def gelu(x: Tensor) -> Tensor:

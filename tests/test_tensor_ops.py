@@ -100,13 +100,15 @@ def test_operand_shape_errors(call, message):
 
 
 # (stride, padding, kernel, input H x W); the 9x11 rows put tap slices at
-# stride > 1 with padding on a non-square map
+# stride > 1 with padding on a non-square map, and 3-0-2 leaves pixels that
+# fall in no window, so their gradient must be exactly zero
 DW_CASES = [
     pytest.param(1, 1, 3, (8, 8), id="1-1-3"),
     pytest.param(2, 0, 2, (8, 8), id="2-0-2"),
     pytest.param(4, 0, 4, (8, 8), id="4-0-4"),
     pytest.param(2, 1, 3, (9, 11), id="2-1-3-9x11"),
     pytest.param(3, 1, 3, (9, 11), id="3-1-3-9x11"),
+    pytest.param(3, 0, 2, (9, 11), id="3-0-2-9x11"),
 ]
 
 
@@ -154,8 +156,9 @@ class TestConv:
     ])
     def test_dwconv2d_row_blocks(self, stride, kernel, padding, full_blocks, extra_rows, width,
                                  channels, rng):
-        """Maps over ``T._BLOCK_BYTES`` run in output-row blocks, strided ones
-        too; a row wider than a block is one row per block."""
+        """Maps of many ``T._BLOCK_BYTES`` blocks of output rows, strided ones
+        too, and a row wider than such a block, sum their taps in row-major
+        order, bitwise, and match the loop oracle."""
         n = 2
         wo = (width + 2 * padding - kernel) // stride + 1
         rows_per_block = max(1, T._BLOCK_BYTES // (n * wo * channels * 8))
@@ -177,6 +180,42 @@ class TestConv:
             to_nchw(out), naive_dwconv2d(to_nchw(x), w, stride=stride, padding=padding),
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "x_shape,stride,padding,kernel",
+        [
+            pytest.param((2,) + hw + (5,), stride, padding, kernel, id=case.id)
+            for case in DW_CASES
+            for stride, padding, kernel, hw in [case.values]
+        ]
+        + [pytest.param((2, 56, 56, 84), 1, 1, 3, id="1-1-3-56x56x84")],
+    )
+    def test_dwconv2d_bitwise_per_tap(self, x_shape, stride, padding, kernel, order, rng):
+        """Output, weight gradient and input gradient are bitwise the textbook
+        per-tap sums, in row-major tap order, for C- and Fortran-ordered weights."""
+        _, h, width, c = x_shape
+        x = rng.normal(size=x_shape)
+        w = np.asarray(rng.normal(size=(c, 1, kernel, kernel)), order=order)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = T.dwconv2d(xt, wt, stride, padding)
+        g = rng.normal(size=out.shape)
+        grads = T.tensor_sum(T.mul(out, Tensor(g))).backward()
+
+        ho, wo = out.shape[1:3]
+        padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+        expected, gw, gp = np.zeros(out.shape), np.empty(w.shape), np.zeros(padded.shape)
+        for i in range(kernel):
+            for j in range(kernel):
+                window = (slice(None), slice(i, i + ho * stride, stride),
+                          slice(j, j + wo * stride, stride))
+                tap = padded[window]
+                expected += tap * w[:, 0, i, j]
+                gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", tap, g)
+                gp[window] += g * w[:, 0, i, j]
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(grads[wt], gw)
+        np.testing.assert_array_equal(grads[xt], gp[:, padding : padding + h, padding : padding + width])
 
     @pytest.mark.parametrize(
         "conv,x_shape,w_shape,stride,padding",

@@ -232,9 +232,11 @@ class ModuleGraph:
 
         Returns logits (N, num_classes), or ``(logits, stage_maps)`` when
         ``return_stage_maps`` is set; stage maps are the four per-stage output
-        tensors in (N, C, H, W), useful for dense downstream heads. Each block
-        runs in ``T.scope(f"stage{i}.block{j}")``, its ``cost_report`` row
-        prefix.
+        tensors in (N, C, H, W), useful for dense downstream heads. Each
+        module runs in the ``T.scope`` named like its ``cost_report`` row:
+        ``stem.conv{i}`` (the conv and its GELU), ``stage{i}.embed``,
+        ``stage{i}.block{j}`` (the prefix of a block's rows), ``head.proj``
+        (the projection, its GELU and the pooling) and ``head.fc``.
 
         This is the only place that knows the (N, C, H, W) layout: the images
         are transposed once on the way in, every layer inside runs on
@@ -250,12 +252,14 @@ class ModuleGraph:
         x = T.transpose(x, (0, 2, 3, 1))
 
         for i, stride in enumerate((2, 1, 1), start=1):
-            x = T.gelu(_conv(x, self.params["stem"][f"conv{i}"], stride=stride, padding=1))
+            with T.scope(f"stem.conv{i}"):
+                x = T.gelu(_conv(x, self.params["stem"][f"conv{i}"], stride=stride, padding=1))
 
         stage_maps = []
         for i, stage_cfg in enumerate(self.spec.stages):
             stage = self.params[f"stage{i + 1}"]
-            x = _conv(x, stage["embed"], stride=2, padding=0)
+            with T.scope(f"stage{i + 1}.embed"):
+                x = _conv(x, stage["embed"], stride=2, padding=0)
             attn_cfg, ffn_cfg = stage_cfg.attention, stage_cfg.ffn(self.ffn_kind)
             for j in range(stage_cfg.blocks):
                 with T.scope(f"stage{i + 1}.block{j}"):
@@ -263,9 +267,10 @@ class ModuleGraph:
             stage_maps.append(x)
 
         head = self.params["head"]
-        h = _conv(x, head["proj"], stride=1, padding=0)
-        pooled = T.avgpool_global(T.gelu(h))
-        logits = T.linear(pooled, head["fc"]["weight"], head["fc"]["bias"])
+        with T.scope("head.proj"):
+            pooled = T.avgpool_global(T.gelu(_conv(x, head["proj"], stride=1, padding=0)))
+        with T.scope("head.fc"):
+            logits = T.linear(pooled, head["fc"]["weight"], head["fc"]["bias"])
         if return_stage_maps:
             return logits, [T.transpose(m, (0, 3, 1, 2)) for m in stage_maps]
         return logits

@@ -22,14 +22,16 @@ last axis applies to a map with no data movement. Convolution weights keep
 the usual ``(O, C, kh, kw)`` and ``(C, 1, kh, kw)`` layouts.
 
 The kernel is written for clarity and trust first, and everything stays
-float64 so finite-difference checks have headroom. A dense convolution is one
-matrix product of its patch matrix (every output pixel's window as a row) with
-the reshaped weight, and its backward pass is two more; a depthwise
-convolution contracts the same window view, unreshaped, with its taps in one
-``einsum``, and its weight gradient is a second. Both scatter their input
-gradient tap by tap, and both take an optional bias, added in place to the
-fresh product. Convolution closures keep their input array, not a padded copy
-or a window matrix, and rebuild what they need in ``backward``.
+float64 so finite-difference checks have headroom. Both convolutions read
+their input through one gather, ``_windows``, a view of every window of the
+padded map, and send their input gradient back through one scatter,
+``_scatter_taps``, tap by tap. A dense convolution is one matrix product of
+that view reshaped into its patch matrix (every output pixel's window as a
+row) with the reshaped weight; a depthwise convolution contracts the view,
+unreshaped, with its taps in one ``einsum``. Both take an optional bias,
+added in place to the fresh product. Convolution closures keep their input
+array, not a padded copy or a window matrix, and rebuild what they need in
+``backward``. ``split`` and ``concat`` work on the last axis.
 
 The memory-bound forward kernels make few passes over memory: ``gelu`` works
 through ``_BLOCK_BYTES`` blocks of the flattened array, and ``softmax`` and
@@ -364,50 +366,36 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _make("transpose", data, (a,), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join along the last axis."""
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
-    axis_pos = axis if axis >= 0 else tensors[0].ndim + axis
-    data = np.concatenate([t.data for t in tensors], axis=axis_pos)
-    sizes = [t.data.shape[axis_pos] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors], axis=-1)
+    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
 
     def backward(g: Array):
-        pieces = []
-        for i in range(len(sizes)):
-            index = [slice(None)] * g.ndim
-            index[axis_pos] = slice(offsets[i], offsets[i + 1])
-            pieces.append(np.ascontiguousarray(g[tuple(index)]))
-        return tuple(pieces)
+        return tuple(np.ascontiguousarray(g[..., lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
 
     return _make("concat", data, tuple(tensors), backward)
 
 
-def split(a: Tensor, sizes: Sequence[int], axis: int = -1) -> tuple[Tensor, ...]:
-    """Split along ``axis`` into chunks of the given sizes."""
-    axis_pos = axis if axis >= 0 else a.ndim + axis
-    if sum(sizes) != a.data.shape[axis_pos]:
-        raise ShapeError(
-            f"split sizes {tuple(sizes)} do not cover axis {axis_pos} of shape {a.shape}"
-        )
+def split(a: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
+    """Split the last axis into chunks of the given sizes."""
+    if sum(sizes) != a.data.shape[-1]:
+        raise ShapeError(f"split sizes {tuple(sizes)} do not cover the last axis of {a.shape}")
     a_shape = a.data.shape
     outs = []
-    offset = 0
+    lo = 0
     for size in sizes:
-        index = [slice(None)] * a.ndim
-        index[axis_pos] = slice(offset, offset + size)
-        piece = np.ascontiguousarray(a.data[tuple(index)])
-        lo = offset
 
         def backward(g: Array, lo=lo, size=size):
             full = np.zeros(a_shape)
-            index = [slice(None)] * len(a_shape)
-            index[axis_pos] = slice(lo, lo + size)
-            full[tuple(index)] = g
+            full[..., lo : lo + size] = g
             return (full,)
 
+        piece = np.ascontiguousarray(a.data[..., lo : lo + size])
         outs.append(_make("split", piece, (a,), backward))
-        offset += size
+        lo += size
     return tuple(outs)
 
 
@@ -486,48 +474,53 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _pad(x: Array, padding: int) -> Array:
-    """Zero-pad the two spatial axes; ``np.pad`` copies even at zero padding."""
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-
-
-def _windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
-    """The read-only ``(N, ho, wo, kh, kw, C)`` view of every window of ``padded``.
+def _windows(x: Array, kh: int, kw: int, stride: int, padding: int) -> Array:
+    """The read-only ``(N, ho, wo, kh, kw, C)`` view of every window of ``x``,
+    zero-padded by ``padding`` on both spatial axes.
 
     ``[n, y, x, i, j]`` is the pixel that kernel tap ``(i, j)`` reads for
     output pixel ``(y, x)``; channels stay fastest, so a window reads whole
-    contiguous pixels.
+    contiguous pixels. At nonzero padding the view holds a padded copy of
+    ``x``, alive as long as the view is.
     """
-    n, hp, wp, c = padded.shape
-    sn, sh, sw, sc = padded.strides
+    if padding:
+        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    n, hp, wp, c = x.shape
+    sn, sh, sw, sc = x.strides
     shape = (n, (hp - kh) // stride + 1, (wp - kw) // stride + 1, kh, kw, c)
     strides = (sn, sh * stride, sw * stride, sh, sw, sc)
-    windows = np.lib.stride_tricks.as_strided(padded, shape, strides)
+    windows = np.lib.stride_tricks.as_strided(x, shape, strides)
     # not ``writeable=False``: that sets ``view.flags.writeable``, which leaves
     # small allocations behind on every call where ``setflags`` leaves none
     windows.setflags(write=False)
     return windows
 
 
-def _conv_windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
-    """The ``(N*ho*wo, kh*kw*C)`` patch matrix of ``padded``: one ``_windows`` row
-    per output pixel. Reshaping copies unless the kernel is 1x1 at stride 1."""
-    windows = _windows(padded, kh, kw, stride)
-    return windows.reshape(math.prod(windows.shape[:3]), kh * kw * padded.shape[3])
+def _scatter_taps(
+    x_shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int,
+    share: Callable[[int, int], Array],
+) -> Array:
+    """A convolution's input gradient, the transpose of ``_windows``: adds
+    ``share(i, j)``, the ``(N, ho, wo, C)`` gradient of the pixels tap ``(i, j)``
+    read, into a zeroed padded grid, one tap at a time in row-major order, and
+    drops the padding."""
+    n, h, w, c = x_shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    grid = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+    for i in range(kh):
+        for j in range(kw):
+            tap = grid[:, i : i + ho * stride : stride, j : j + wo * stride : stride]
+            tap += share(i, j)
+    if padding:
+        grid = np.ascontiguousarray(grid[:, padding:-padding, padding:-padding])
+    return grid
 
 
 def _conv_weight_matrix(weight: Array) -> Array:
-    """``(O, C, kh, kw)`` -> the ``(kh*kw*C, O)`` matrix matching ``_conv_windows``."""
+    """``(O, C, kh, kw)`` -> the ``(kh*kw*C, O)`` matrix matching the patch matrix's columns."""
     o, c, kh, kw = weight.shape
     return weight.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
-
-
-def _tap(padded: Array, i: int, j: int, ho: int, wo: int, stride: int) -> Array:
-    """The ``(N,ho,wo,C)`` view of ``padded`` under kernel tap ``(i, j)``: where
-    both convolutions' input gradients scatter that tap's share."""
-    return padded[:, i : i + ho * stride : stride, j : j + wo * stride : stride]
 
 
 def _check_conv_args(
@@ -548,20 +541,17 @@ def _check_conv_args(
         raise ShapeError(f"conv bias must have shape ({w.data.shape[0]},), got {bias.shape}")
 
 
-def _unpad(g_padded: Array, padding: int) -> Array:
-    if padding == 0:
-        return g_padded
-    return np.ascontiguousarray(g_padded[:, padding:-padding, padding:-padding])
-
-
 def conv2d(
     x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None
 ) -> Tensor:
     """2-d cross-correlation. ``x (N,H,W,C)``, ``weight (O,C,kh,kw)``, output ``(N,ho,wo,O)``.
 
-    Output spatial size follows floor((H + 2p - kh)/stride) + 1. A ``bias``
-    of shape ``(O,)`` is added in place to the fresh product: the values of a
-    separate ``add``, without a second map.
+    Output spatial size follows floor((H + 2p - kh)/stride) + 1. The
+    ``_windows`` view, reshaped, is the ``(N*ho*wo, kh*kw*C)`` patch matrix of
+    one matrix product with the weight; the weight gradient is a second, and
+    ``_scatter_taps`` sends each tap's share of a third back to the input. A
+    ``bias`` of shape ``(O,)`` is added in place to the fresh product: the
+    values of a separate ``add``, without a second map.
     """
     _check_conv_args(x, weight, stride, padding, bias)
     if x.data.shape[3] != weight.data.shape[1]:
@@ -572,14 +562,16 @@ def conv2d(
     o, _, kh, kw = weight.data.shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    cols = _conv_windows(_pad(x.data, padding), kh, kw, stride)
+    # one expression, so the view and the padded map it holds are freed once
+    # the reshape has copied them, before the product allocates its output
+    cols = _windows(x.data, kh, kw, stride, padding).reshape(n * ho * wo, kh * kw * c)
     data = (cols @ _conv_weight_matrix(weight.data)).reshape(n, ho, wo, o)
     if bias is not None:
         data += bias.data
 
-    # each operand is kept only for the other's gradient; the padded input and
-    # the patch matrix are rebuilt in backward, not captured, since a captured
-    # matrix would stay alive as long as the tape does
+    # each operand is kept only for the other's gradient; the patch matrix is
+    # rebuilt in backward, not captured, since a captured matrix would stay
+    # alive as long as the tape does
     x_data = x.data if weight.requires_grad else None
     w_data = weight.data if x.requires_grad else None
     b_grad = bias is not None and bias.requires_grad
@@ -588,15 +580,12 @@ def conv2d(
         g_mat = g.reshape(n * ho * wo, o)
         gx = gw = None
         if x_data is not None:
-            gw = _conv_windows(_pad(x_data, padding), kh, kw, stride).T @ g_mat
+            gw = _windows(x_data, kh, kw, stride, padding).reshape(n * ho * wo, -1).T @ g_mat
             gw = np.ascontiguousarray(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
         if w_data is not None:
             g_cols = (g_mat @ _conv_weight_matrix(w_data).T).reshape(n, ho, wo, kh, kw, c)
-            gp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
-            for i in range(kh):
-                for j in range(kw):
-                    _tap(gp, i, j, ho, wo, stride)[...] += g_cols[:, :, :, i, j]
-            gx = _unpad(gp, padding)
+            gx = _scatter_taps((n, h, w, c), kh, kw, stride, padding,
+                               lambda i, j: g_cols[:, :, :, i, j])
         return (gx, gw, g.sum(axis=(0, 1, 2)) if b_grad else None)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
@@ -612,11 +601,11 @@ def dwconv2d(
     when given, added in place as in ``conv2d``.
 
     The forward and the weight gradient are each one ``einsum`` over the
-    ``_windows`` view of the padded input, and the input gradient scatters
-    each tap's product through ``_tap``. The weight enters as a C-contiguous
-    ``(kh, kw, C)`` copy, ``taps``: einsum's loop order follows its operands'
-    strides, and with these every output element adds its taps in row-major
-    tap order.
+    ``_windows`` view, and the input gradient scatters each tap's product
+    with the output gradient through ``_scatter_taps``. The weight enters as a
+    C-contiguous ``(kh, kw, C)`` copy, ``taps``: einsum's loop order follows
+    its operands' strides, and with these every output element adds its taps
+    in row-major tap order.
     """
     _check_conv_args(x, weight, stride, padding, bias)
     if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[3]:
@@ -626,7 +615,7 @@ def dwconv2d(
     n, h, w, c = x.data.shape
     kh, kw = weight.data.shape[2], weight.data.shape[3]
     taps = np.ascontiguousarray(weight.data[:, 0].transpose(1, 2, 0))
-    windows = _windows(_pad(x.data, padding), kh, kw, stride)
+    windows = _windows(x.data, kh, kw, stride, padding)
     ho, wo = windows.shape[1:3]
     data = np.einsum("nhwijc,ijc->nhwc", windows, taps)
     if bias is not None:
@@ -640,14 +629,11 @@ def dwconv2d(
     def backward(g: Array):
         gx = gw = None
         if x_data is not None:
-            gw = np.einsum("nhwijc,nhwc->ijc", _windows(_pad(x_data, padding), kh, kw, stride), g)
+            gw = np.einsum("nhwijc,nhwc->ijc", _windows(x_data, kh, kw, stride, padding), g)
             gw = np.ascontiguousarray(gw.transpose(2, 0, 1))[:, None]
         if w_data is not None:
-            gp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
-            for i in range(kh):
-                for j in range(kw):
-                    _tap(gp, i, j, ho, wo, stride)[...] += g * w_data[:, 0, i, j]
-            gx = _unpad(gp, padding)
+            gx = _scatter_taps((n, h, w, c), kh, kw, stride, padding,
+                               lambda i, j: g * w_data[:, 0, i, j])
         return (gx, gw, g.sum(axis=(0, 1, 2)) if b_grad else None)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)

@@ -162,8 +162,8 @@ class TestShapeAdjoints:
         mix = _mixer(rng, (2, 4))
 
         def loss():
-            joined = T.concat([a, b], axis=1)
-            left, right = T.split(joined, [4, 4], axis=1)
+            joined = T.concat([a, b])
+            left, right = T.split(joined, [4, 4])
             return T.tensor_sum(T.mul(T.add(left, right), mix))
 
         check_against_fd(loss, [a, b], rng)

@@ -217,6 +217,29 @@ class TestConv:
         for folded, added in zip(*results):
             np.testing.assert_array_equal(folded, added)
 
+    @pytest.mark.parametrize("stride,padding,kernel,channels,hw", CONV_CASES)
+    def test_scatter_taps_is_windows_transpose(self, stride, padding, kernel, channels, hw, rng):
+        """``_windows`` is a read-only view whose tap ``(i, j)`` is the strided
+        slice of the padded map, bitwise, and ``_scatter_taps`` is its adjoint:
+        ``<windows(x), g> == <x, scatter(g)>``."""
+        kh, kw = kernel
+        x = rng.normal(size=(2,) + hw + (channels[0],))
+        windows = T._windows(x, kh, kw, stride, padding)
+        assert not windows.flags.writeable
+        n, ho, wo = windows.shape[:3]
+        assert windows.shape == (n, ho, wo, kh, kw, channels[0])
+        padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+        for i in range(kh):
+            for j in range(kw):
+                np.testing.assert_array_equal(
+                    windows[:, :, :, i, j],
+                    padded[:, i : i + ho * stride : stride, j : j + wo * stride : stride],
+                )
+        g = rng.normal(size=windows.shape)
+        scattered = T._scatter_taps(x.shape, kh, kw, stride, padding, lambda i, j: g[:, :, :, i, j])
+        assert scattered.shape == x.shape
+        np.testing.assert_allclose(np.vdot(windows, g), np.vdot(x, scattered), rtol=1e-12)
+
     def test_conv2d_frees_padded_map_before_product(self, rng):
         """The padded input is gone by the time the product allocates its
         output: peak memory holds the patch matrix and the output, and less

@@ -260,7 +260,7 @@ def cost_report(
 ) -> CostReport:
     """Analytic per-module parameter and MAC budget for one forward image."""
     validate_spec(spec, input_size)
-    sides = stage_sides(spec, input_size)
+    sides = stage_sides(input_size)
     stem_side = input_size // 2
     rows: list[CostRow] = []
 
@@ -361,7 +361,7 @@ def export_attention_maps(
         graph.forward(image[None])
     mean_over_queries = found[0][0].mean(axis=1)
 
-    side = stage_sides(graph.spec, image.shape[1])[stage - 1]
+    side = stage_sides(image.shape[1])[stage - 1]
     reduction = stage_cfg.sfa_reduction if fovea == "sfa" else stage_cfg.dfa_reduction
     kv_side = side // reduction
     grids = mean_over_queries.reshape(-1, kv_side, kv_side)

@@ -4,7 +4,11 @@ Both pathways run the same multi-head attention; they differ only in their
 parameters and in how aggressively they shrink the key/value grid. Queries
 are projected from the full-resolution map; keys and values come from a
 strided depthwise convolution that pools ``reduction x reduction`` patches
-(skipped entirely at reduction 1). The two pathways can be wired three ways:
+(skipped entirely at reduction 1). Every projection is one matmul on the
+token rows ``(N*H*W, C)`` of its map; one reshape and one transpose split
+the rows into heads, keys straight into the transposed layout the scores
+need, and one transpose and one reshape merge the heads back into rows.
+The two pathways can be wired three ways:
 
 * ``parallel``  - shallow(x) + deep(x)
 * ``cascade``   - deep(shallow(x))
@@ -56,10 +60,6 @@ class AttentionConfig:
                 f"reductions must be >= 1, got {self.sfa_reduction}, {self.dfa_reduction}"
             )
 
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
 
 def init_fovea_params(
     rng: np.random.Generator | None, dim: int, reduction: int
@@ -80,10 +80,17 @@ def init_bfsa_params(rng: np.random.Generator | None, cfg: AttentionConfig) -> d
     }
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """(N, T, C) -> (N, heads, T, C/heads)."""
-    n, t, c = x.shape
-    return T.transpose(T.reshape(x, (n, t, heads, c // heads)), (0, 2, 1, 3))
+def _split_heads(
+    rows: Tensor, map_shape: tuple[int, ...], heads: int, axes: tuple[int, ...]
+) -> Tensor:
+    """Reshape a map's token rows to ``(N, H*W, heads, C/heads)``, then permute by ``axes``.
+
+    ``map_shape`` is the map's ``(N, H, W, C)``. ``(0, 2, 1, 3)`` gives
+    ``(N, heads, H*W, C/heads)`` for queries and values, ``(0, 2, 3, 1)`` the
+    transposed ``(N, heads, C/heads, H*W)`` that keys enter the scores in.
+    """
+    n, h, w, c = map_shape
+    return T.transpose(T.reshape(rows, (n, h * w, heads, c // heads)), axes)
 
 
 def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Tensor:
@@ -99,26 +106,26 @@ def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Ten
         )
 
     q = T.linear(map_to_tokens(x), params["q_weight"])
+    kv = x
     if reduction > 1:
         reduce = params["reduce"]
-        pooled = dwconv_bias(x, reduce["weight"], reduce["bias"], stride=reduction, padding=0)
-        kv_tokens = map_to_tokens(pooled)
-    else:
-        kv_tokens = map_to_tokens(x)
-    k = T.linear(kv_tokens, params["k_weight"])
-    v = T.linear(kv_tokens, params["v_weight"])
+        kv = dwconv_bias(x, reduce["weight"], reduce["bias"], stride=reduction, padding=0)
+    # a second reshape even at reduction 1: sharing the queries' rows would
+    # merge two gradient paths into one node and reorder the map's gradient sum
+    kv_rows = map_to_tokens(kv)
+    k = T.linear(kv_rows, params["k_weight"])
+    v = T.linear(kv_rows, params["v_weight"])
 
-    qh = _split_heads(q, heads)
-    kh = _split_heads(k, heads)
-    vh = _split_heads(v, heads)
+    qh = _split_heads(q, x.shape, heads, (0, 2, 1, 3))
+    kt = _split_heads(k, kv.shape, heads, (0, 2, 3, 1))
+    vh = _split_heads(v, kv.shape, heads, (0, 2, 1, 3))
 
     scale = 1.0 / math.sqrt(c // heads)
-    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), Tensor(scale))
+    scores = T.mul(T.matmul(qh, kt), Tensor(scale))
     weights = T.softmax(scores)
     mixed = T.matmul(weights, vh)
-    merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (n, h * w, c))
-    out = T.linear(merged, params["out_weight"])
-    return tokens_to_map(out, h, w)
+    merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (n * h * w, c))
+    return tokens_to_map(T.linear(merged, params["out_weight"]), h, w)
 
 
 def sfa_forward(x: Tensor, cfg: AttentionConfig, params: dict) -> Tensor:

@@ -132,7 +132,7 @@ def validate_spec(spec: VariantSpec, input_size: int | None = None) -> None:
         return
     if input_size < 32 or input_size % 32 != 0:
         raise ConfigError(f"input size must be a positive multiple of 32, got {input_size}")
-    for i, (stage, side) in enumerate(zip(spec.stages, stage_sides(spec, input_size)), start=1):
+    for i, (stage, side) in enumerate(zip(spec.stages, stage_sides(input_size)), start=1):
         for label, red in (("sfa", stage.sfa_reduction), ("dfa", stage.dfa_reduction)):
             if side % red != 0:
                 raise ConfigError(
@@ -141,7 +141,7 @@ def validate_spec(spec: VariantSpec, input_size: int | None = None) -> None:
                 )
 
 
-def stage_sides(spec: VariantSpec, input_size: int) -> list[int]:
+def stage_sides(input_size: int) -> list[int]:
     """Spatial side of each stage's map for a square input.
 
     The stem and the four patch embeddings each halve the map. Callers check
@@ -220,12 +220,18 @@ class ModuleGraph:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return named_tensors(self.params)
 
-    def parameter_count(self) -> int:
-        return sum(p.size for _, p in self.named_parameters())
-
     def gradients(self, loss: Tensor) -> dict[str, np.ndarray]:
-        """Backward pass returning one gradient array per parameter name; frees the loss's tape."""
-        return T.gradients(loss, self.named_parameters())
+        """``loss.backward()`` as one gradient array per parameter name.
+
+        A parameter that the loss does not reach gets an all-zeros gradient of
+        its shape, so the dict covers every name. The walk frees the loss's
+        tape, so a second call on the same loss raises ``ValueError``.
+        """
+        found = loss.backward()
+        return {
+            name: found[p] if p in found else np.zeros_like(p.data)
+            for name, p in self.named_parameters()
+        }
 
     def forward(self, images, return_stage_maps: bool = False):
         """Run the backbone. ``images`` is (N, 3, H, W) with H = W divisible by 32.

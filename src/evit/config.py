@@ -153,11 +153,6 @@ def read_config(path: str | os.PathLike) -> RunConfig:
         return parse_config(fh.read())
 
 
-def write_config(config: RunConfig, path: str | os.PathLike) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_config(config))
-
-
 def apply_env_overrides(config: RunConfig) -> RunConfig:
     """Apply environment overrides; EVIT_SEED takes precedence over the file."""
     raw = os.environ.get("EVIT_SEED")

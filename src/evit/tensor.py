@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -279,18 +279,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
-
-
-def gradients(loss: Tensor, named_params: Iterable[tuple[str, Tensor]]) -> dict[str, Array]:
-    """``loss.backward()`` as a name -> gradient map over ``named_params``.
-
-    Parameters that the loss does not reach get an all-zeros gradient of the
-    right shape, so the result always covers every requested name. The walk
-    frees the tape as ``Tensor.backward`` does, so a second call on the same
-    loss raises ``ValueError``; recompute the loss instead.
-    """
-    found = loss.backward()
-    return {name: found[p] if p in found else np.zeros_like(p.data) for name, p in named_params}
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,9 @@ class AdamW:
         correction2 = 1.0 - self.beta2**t
         for name, p in named_params:
             g = grads[name]
-            m = self._m.setdefault(name, np.zeros_like(p.data))
-            v = self._v.setdefault(name, np.zeros_like(p.data))
+            if name not in self._m:
+                self._m[name], self._v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+            m, v = self._m[name], self._v[name]
             # update = (m / c1) / (sqrt(v / c2) + eps) (+ decay * p), the same
             # operations in the same order, in place in two scratch arrays
             scratch = np.multiply(g, 1.0 - self.beta1)

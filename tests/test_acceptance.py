@@ -45,7 +45,7 @@ def test_criterion_1_budget_reconciliation(capsys):
     worst_param, worst_flop = 0.0, 0.0
     for name, spec in VARIANTS.items():
         report = cost_report(spec)
-        built = build(spec, seed=0).parameter_count()
+        built = sum(p.size for _, p in build(spec, seed=0).named_parameters())
         assert report.total_params == built, f"{name}: analytic != built"
         assert any(".bfsa.sfa" in r.name for r in report.rows)
         assert any("feedforward split" in note for note in report.notes)
@@ -249,7 +249,7 @@ def test_criterion_6_ablation_grid(capsys):
             assert result.passed, f"{pattern.value}/{kind.value}: {result.max_rel_error:.1e}"
             worst = max(worst, result.max_rel_error)
             graph = build(toy, seed=2, pattern=pattern, ffn_kind=kind)
-            ffn_counts[(pattern, kind)] = graph.parameter_count()
+            ffn_counts[(pattern, kind)] = sum(p.size for _, p in graph.named_parameters())
             combos += 1
 
     per_pattern = {

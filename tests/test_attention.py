@@ -1,10 +1,13 @@
 """Attention pathways against naive oracles, plus wiring identities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evit.tensor as T
 from evit.attention import (
     AttentionConfig,
     ConnectionPattern,
@@ -16,6 +19,7 @@ from evit.attention import (
 )
 from evit.backbone import named_tensors
 from evit.errors import ConfigError, ShapeError
+from evit.maps import dwconv_bias
 from evit.tensor import Tensor
 
 from conftest import softmax_outputs, to_nchw, to_nhwc
@@ -23,10 +27,6 @@ from reference import naive_fovea_attention, naive_single_head_attention
 
 
 class TestConfig:
-    def test_head_dim(self):
-        cfg = AttentionConfig(dim=32, heads=4, sfa_reduction=2, dfa_reduction=1)
-        assert cfg.head_dim == 8
-
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
             AttentionConfig(dim=30, heads=4, sfa_reduction=1, dfa_reduction=1)
@@ -86,6 +86,55 @@ class TestOracleEquivalence:
         out = to_nchw(sfa_forward(Tensor(to_nhwc(x)), cfg, params).data)
         expected = (x[0, :, 0, 0] @ params["v_weight"].data) @ params["out_weight"].data
         np.testing.assert_allclose(out[0, :, 0, 0], expected, atol=1e-12)
+
+
+def _token_layout_fovea(x, heads, reduction, params):
+    """One fovea composed through ``(N, H*W, C)`` tokens, with a separate key transpose."""
+    n, h, w, c = x.shape
+
+    def tokens(m):
+        return T.reshape(m, (m.shape[0], m.shape[1] * m.shape[2], m.shape[3]))
+
+    def split_heads(t):
+        return T.transpose(T.reshape(t, (n, t.shape[1], heads, c // heads)), (0, 2, 1, 3))
+
+    q = T.linear(tokens(x), params["q_weight"])
+    if reduction > 1:
+        reduce = params["reduce"]
+        kv_tokens = tokens(dwconv_bias(x, reduce["weight"], reduce["bias"], stride=reduction))
+    else:
+        kv_tokens = tokens(x)
+    k = T.linear(kv_tokens, params["k_weight"])
+    v = T.linear(kv_tokens, params["v_weight"])
+    kh = T.transpose(split_heads(k), (0, 1, 3, 2))
+    scores = T.mul(T.matmul(split_heads(q), kh), Tensor(1.0 / math.sqrt(c // heads)))
+    mixed = T.matmul(T.softmax(scores), split_heads(v))
+    merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (n, h * w, c))
+    return T.reshape(T.linear(merged, params["out_weight"]), (n, h, w, c))
+
+
+class TestTokenRows:
+    @pytest.mark.parametrize("reduction", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("forward", [sfa_forward, dfa_forward])
+    def test_bitwise_equal_to_token_layout(self, forward, heads, reduction, rng):
+        """Attention on token rows gives the same output and gradients, bit
+        for bit, as the composition through ``(N, H*W, C)`` tokens."""
+        dim = 6
+        cfg = AttentionConfig(dim, heads, reduction, reduction)
+        params = init_fovea_params(rng, dim, reduction)
+        x = Tensor(rng.normal(size=(2, 4, 4, dim)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(2, 4, 4, dim)))
+        leaves = [x] + [p for _, p in named_tensors(params)]
+        results = []
+        for out in (forward(x, cfg, params), _token_layout_fovea(x, heads, reduction, params)):
+            grads = T.tensor_sum(T.mul(out, probe)).backward()
+            results.append((out.data, [grads[leaf] for leaf in leaves]))
+        (ours, our_grads), (theirs, their_grads) = results
+        np.testing.assert_array_equal(ours, theirs)
+        assert len(our_grads) == len(their_grads) == len(leaves)
+        for a, b in zip(our_grads, their_grads):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestCaptureAndShapes:

@@ -14,7 +14,6 @@ from evit.config import (
     read_config,
     render_config,
     spec_from_model_config,
-    write_config,
 )
 from evit.data import load_image_dir, read_image, synthetic_shapes, write_image
 from evit.cli import main
@@ -56,7 +55,7 @@ class TestConfigRoundTrip:
         config = RunConfig()
         config.train.seed = 99
         path = tmp_path / "run.cfg"
-        write_config(config, path)
+        path.write_text(render_config(config))
         assert read_config(path) == config
 
     def test_partial_file_keeps_defaults(self):

@@ -8,7 +8,7 @@ import evit.tensor as T
 from evit.backbone import build
 from evit.checkpoint import load_checkpoint, save_checkpoint
 from evit.cli import main
-from evit.config import RunConfig, write_config
+from evit.config import RunConfig, render_config
 from evit.data import read_image, synthetic_shapes, write_image
 from evit.errors import ConfigError
 from evit.tensor import Tensor
@@ -32,9 +32,27 @@ class TestOptimizer:
         for _ in range(200):
             diff = T.sub(w, target)
             loss = T.tensor_sum(T.mul(diff, diff))
-            grads = T.gradients(loss, [("w", w)])
-            opt.step([("w", w)], grads)
+            opt.step([("w", w)], {"w": loss.backward()[w]})
         assert abs(w.data[0, 0] - 3.0) < 1e-3
+
+    def test_moments_allocated_on_the_first_step_only(self, monkeypatch):
+        params = [("w", Tensor(np.ones((2, 3)), requires_grad=True)),
+                  ("b", Tensor(np.ones(3), requires_grad=True))]
+        grads = {"w": np.full((2, 3), 0.5), "b": np.full(3, 0.5)}
+        opt = AdamW(learning_rate=0.1)
+        calls = []
+        zeros_like = np.zeros_like
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return zeros_like(*args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros_like", counted)
+        opt.step(params, grads)
+        assert len(calls) == 2 * len(params)  # m and v of each tensor
+        calls.clear()
+        opt.step(params, grads)
+        assert calls == []
 
     def test_decay_skips_one_dimensional_params(self):
         matrix = Tensor(np.full((2, 2), 4.0), requires_grad=True)
@@ -206,7 +224,7 @@ class TestCli:
     def test_train_and_attnmap_pipeline(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("EVIT_SEED", raising=False)
         config_path = tmp_path / "run.cfg"
-        write_config(_short_config(steps=2), config_path)
+        config_path.write_text(render_config(_short_config(steps=2)))
         out_dir = tmp_path / "run"
         assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "metrics.csv").exists()
@@ -230,7 +248,7 @@ class TestCli:
     def test_train_class_mismatch_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("EVIT_SEED", raising=False)
         config_path = tmp_path / "bad.cfg"
-        write_config(_short_config(num_classes=3), config_path)
+        config_path.write_text(render_config(_short_config(num_classes=3)))
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
 
@@ -239,7 +257,7 @@ class TestCli:
         config = _short_config(steps=3)
         config.train.learning_rate = 1e300  # in range, but the first update overflows
         config_path = tmp_path / "run.cfg"
-        write_config(config, config_path)
+        config_path.write_text(render_config(config))
         out_dir = tmp_path / "run"
         assert main(["train", "--config", str(config_path), "--out", str(out_dir)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
@@ -256,7 +274,7 @@ class TestCli:
 
     def test_evit_seed_overrides_config(self, tmp_path, monkeypatch):
         config_path = tmp_path / "run.cfg"
-        write_config(_short_config(steps=2), config_path)
+        config_path.write_text(render_config(_short_config(steps=2)))
         monkeypatch.setenv("EVIT_SEED", "777")
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "env")]) == 0
         monkeypatch.delenv("EVIT_SEED")
@@ -272,7 +290,7 @@ def cli_files(tmp_path, toy_spec, monkeypatch):
     """Valid inputs for every subcommand, a plain file and two truncated images."""
     monkeypatch.delenv("EVIT_SEED", raising=False)
     save_checkpoint(build(toy_spec, seed=0), tmp_path / "model.ckpt")
-    write_config(_short_config(steps=1), tmp_path / "run.cfg")
+    (tmp_path / "run.cfg").write_text(render_config(_short_config(steps=1)))
     rng = np.random.default_rng(0)
     write_image(tmp_path / "probe.ppm", rng.uniform(size=(3, 32, 32)))
     write_image(tmp_path / "probe.pgm", rng.uniform(size=(32, 32)))

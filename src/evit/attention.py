@@ -105,7 +105,7 @@ def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Ten
             f"map size {h}x{w} not divisible by key/value reduction {reduction}"
         )
 
-    q = T.linear(map_to_tokens(x), params["q_weight"])
+    q = _split_heads(T.linear(map_to_tokens(x), params["q_weight"]), x.shape, heads, (0, 2, 1, 3))
     kv = x
     if reduction > 1:
         reduce = params["reduce"]
@@ -113,19 +113,18 @@ def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Ten
     # a second reshape even at reduction 1: sharing the queries' rows would
     # merge two gradient paths into one node and reorder the map's gradient sum
     kv_rows = map_to_tokens(kv)
-    k = T.linear(kv_rows, params["k_weight"])
-    v = T.linear(kv_rows, params["v_weight"])
+    k = _split_heads(T.linear(kv_rows, params["k_weight"]), kv.shape, heads, (0, 2, 3, 1))
+    v = _split_heads(T.linear(kv_rows, params["v_weight"]), kv.shape, heads, (0, 2, 1, 3))
 
-    qh = _split_heads(q, x.shape, heads, (0, 2, 1, 3))
-    kt = _split_heads(k, kv.shape, heads, (0, 2, 3, 1))
-    vh = _split_heads(v, kv.shape, heads, (0, 2, 1, 3))
-
-    scale = 1.0 / math.sqrt(c // heads)
-    scores = T.mul(T.matmul(qh, kt), Tensor(scale))
-    weights = T.softmax(scores)
-    mixed = T.matmul(weights, vh)
-    merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (n * h * w, c))
-    return tokens_to_map(T.linear(merged, params["out_weight"]), h, w)
+    # ``q`` is rebound to the scores, the scaled scores, the weights and the
+    # mixed values in turn, so without a tape each is freed once the next
+    # step has read it
+    q = T.matmul(q, k)
+    q = T.mul(q, Tensor(1.0 / math.sqrt(c // heads)))
+    q = T.softmax(q)
+    q = T.matmul(q, v)
+    q = T.reshape(T.transpose(q, (0, 2, 1, 3)), (n * h * w, c))
+    return tokens_to_map(T.linear(q, params["out_weight"]), h, w)
 
 
 def sfa_forward(x: Tensor, cfg: AttentionConfig, params: dict) -> Tensor:
@@ -148,6 +147,8 @@ def bfsa_forward(
 ) -> Tensor:
     """Combine the two foveae according to the connection pattern."""
     shallow = sfa_forward(x, cfg, params["sfa"])
-    deep_in = x if pattern is ConnectionPattern.PARALLEL else shallow
-    deep = dfa_forward(deep_in, cfg, params["dfa"])
+    # rebound: outside ``parallel`` the deep fovea reads the shallow output,
+    # so a forward without a tape frees ``x`` here
+    x = x if pattern is ConnectionPattern.PARALLEL else shallow
+    deep = dfa_forward(x, cfg, params["dfa"])
     return deep if pattern is ConnectionPattern.CASCADE else T.add(shallow, deep)

@@ -298,14 +298,14 @@ def bev_block_forward(
     The attention runs in ``T.scope("bfsa")``.
     """
     cpe, ln1, ln2 = blk["cpe"], blk["ln1"], blk["ln2"]
+    # each residual branch's input is nested into it and ``x`` is rebound to
+    # each sum, so without a tape every map is freed after its last reader
     x = T.add(dwconv_bias(x, cpe["weight"], cpe["bias"], stride=1, padding=1), x)
-    normed = ln_channels(x, ln1["gamma"], ln1["beta"])
     with T.scope("bfsa"):
-        y = bfsa_forward(normed, attn_cfg, blk["bfsa"], pattern)
-    y = T.add(y, x)  # rebound: a no_grad forward frees the attention output here
-    normed = ln_channels(y, ln2["gamma"], ln2["beta"])
-    z = T.add(feedforward_forward(normed, ffn_cfg, blk["ffn"]), y)
-    return z
+        y = bfsa_forward(ln_channels(x, ln1["gamma"], ln1["beta"]), attn_cfg, blk["bfsa"], pattern)
+    x = T.add(y, x)
+    y = feedforward_forward(ln_channels(x, ln2["gamma"], ln2["beta"]), ffn_cfg, blk["ffn"])
+    return T.add(y, x)
 
 
 # ---------------------------------------------------------------------------

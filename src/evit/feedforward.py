@@ -94,15 +94,22 @@ def _dwconv(x: Tensor, params: dict) -> Tensor:
 
 
 def feedforward_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
-    """fc1, then the ``cfg.kind`` hidden-layer branch, then GELU and fc2."""
+    """fc1, then the ``cfg.kind`` hidden-layer branch, then GELU and fc2.
+
+    Each hidden map is rebound, nested or deleted at its last consumer, so
+    without a tape it is freed as soon as that consumer returns.
+    """
     hidden = _linear(x, params["fc1"])
     if cfg.kind is FfnKind.CFFN:
         hidden = T.add(hidden, _dwconv(hidden, params["dw"]))
     elif cfg.kind is FfnKind.BFFN:
         hs, hd = cfg.shallow_width, cfg.deep_width
-        shallow_in, deep_in = T.split(hidden, [hs, hd])
-        shallow_out = _dwconv(shallow_in, params["shallow_dw"])
-        feed = shallow_out if hs == hd else T.split(shallow_out, [hd, hs - hd])[0]
-        deep_out = _dwconv(T.add(feed, deep_in), params["deep_dw"])
-        hidden = T.mul(T.concat([shallow_out, deep_out]), params["fuse"]["weight"])
-    return _linear(T.gelu(hidden), params["fc2"])
+        shallow, hidden = T.split(hidden, [hs, hd])
+        shallow = _dwconv(shallow, params["shallow_dw"])
+        hidden = T.add(shallow if hs == hd else T.split(shallow, [hd, hs - hd])[0], hidden)
+        hidden = _dwconv(hidden, params["deep_dw"])
+        hidden = T.concat([shallow, hidden])
+        del shallow
+        hidden = T.mul(hidden, params["fuse"]["weight"])
+    hidden = T.gelu(hidden)
+    return _linear(hidden, params["fc2"])

@@ -27,17 +27,20 @@ their input through one gather, ``_windows``, a view of every window of the
 padded map, and send their input gradient back through one scatter,
 ``_scatter_taps``, tap by tap. A dense convolution is one matrix product of
 that view reshaped into its patch matrix (every output pixel's window as a
-row) with the reshaped weight; a depthwise convolution contracts the view,
-unreshaped, with its taps in one ``einsum``. Both take an optional bias,
+row) with the reshaped weight, built and multiplied in blocks of output rows
+of about ``_CONV_BLOCK_BYTES`` when the matrix is larger, each block's rows
+bitwise those of the one-shot product; a depthwise convolution contracts the
+view, unreshaped, with its taps in one ``einsum``. Both take an optional bias,
 added in place to the fresh product. Convolution closures keep their input
 array, not a padded copy or a window matrix, and rebuild what they need in
 ``backward``. ``split`` and ``concat`` work on the last axis.
 
 The memory-bound forward kernels make few passes over memory: ``gelu`` works
-through ``_BLOCK_BYTES`` blocks of the flattened array, and ``softmax`` and
-``layernorm`` work inside their output arrays. Each runs the ufuncs of the
-whole-array expression in the same order, so its results are bitwise those
-of that expression, and no buffer outlives its call.
+through ``_BLOCK_BYTES`` blocks of the flattened array and keeps a whole
+``tanh`` array only for a tape, and ``softmax`` and ``layernorm`` work inside
+their output arrays. Each runs the ufuncs of the whole-array expression in
+the same order, so its results are bitwise those of that expression, and no
+buffer outlives its call.
 """
 from __future__ import annotations
 
@@ -255,9 +258,14 @@ def _topo_order(root: _Node) -> list[_Node]:
     return order
 
 
+def _records(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an operator on ``inputs`` records a node: the tape is on and an input needs a gradient."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+
+
 def _make(op: str, data: Array, inputs: tuple[Tensor, ...], backward_fn, macs: int = 0) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
         parents = tuple((t._node or t) if t.requires_grad else None for t in inputs)
         out._node = _Node(backward_fn, data.shape, parents)
@@ -471,9 +479,12 @@ def _windows(x: Array, kh: int, kw: int, stride: int, padding: int) -> Array:
     contiguous pixels. At nonzero padding the view holds a padded copy of
     ``x``, alive as long as the view is.
     """
+    n, h, w, c = x.shape
     if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    n, hp, wp, c = x.shape
+        padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+        padded[:, padding:-padding, padding:-padding] = x
+        x = padded
+    hp, wp = x.shape[1:3]
     sn, sh, sw, sc = x.strides
     shape = (n, (hp - kh) // stride + 1, (wp - kw) // stride + 1, kh, kw, c)
     strides = (sn, sh * stride, sw * stride, sh, sw, sc)
@@ -511,6 +522,43 @@ def _conv_weight_matrix(weight: Array) -> Array:
     return weight.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
 
 
+# bytes of patch matrix ``conv2d``'s forward builds at a time. Blocks stay
+# large on purpose: OpenBLAS runs a product of under about 1e6 multiply-adds
+# through a small-matrix kernel that rounds differently, so a block of a few
+# rows would not reproduce the rows of the one-shot product bit for bit
+_CONV_BLOCK_BYTES = 1 << 22
+
+
+def _patch_product(windows: Array, w_mat: Array) -> Array:
+    """The patch matrix of a ``_windows`` view times ``w_mat``, as ``(N, ho, wo, O)``.
+
+    A patch matrix of at most ``_CONV_BLOCK_BYTES`` is one product, as a
+    reshape of the view. A larger one is built and multiplied in equal
+    blocks of output lines (the ``wo`` pixels of one image row; a block may
+    span images) into one preallocated output, so one block of it is alive
+    at a time; each block's rows are those of the one-shot product, bit for
+    bit.
+    """
+    n, ho, wo = windows.shape[:3]
+    k, o = w_mat.shape
+    lines = n * ho
+    blocks = min(lines, -(-lines * wo * k * 8 // _CONV_BLOCK_BYTES))
+    if blocks <= 1:  # also an empty batch
+        return (windows.reshape(lines * wo, k) @ w_mat).reshape(n, ho, wo, o)
+    out = np.empty((lines * wo, o))
+    block = np.empty((-(-lines // blocks),) + windows.shape[2:])
+    for b in range(blocks):
+        lo, hi = b * lines // blocks, (b + 1) * lines // blocks
+        image, y = divmod(lo, ho)
+        filled = 0
+        while filled < hi - lo:  # copy lines lo..hi, one image's run at a time
+            take = min(hi - lo - filled, ho - y)
+            block[filled : filled + take] = windows[image, y : y + take]
+            filled, image, y = filled + take, image + 1, 0
+        np.matmul(block[:filled].reshape(filled * wo, k), w_mat, out=out[lo * wo : hi * wo])
+    return out.reshape(n, ho, wo, o)
+
+
 def _check_conv_args(
     x: Tensor, w: Tensor, stride: int, padding: int, bias: Tensor | None
 ) -> None:
@@ -536,7 +584,8 @@ def conv2d(
 
     Output spatial size follows floor((H + 2p - kh)/stride) + 1. The
     ``_windows`` view, reshaped, is the ``(N*ho*wo, kh*kw*C)`` patch matrix of
-    one matrix product with the weight; the weight gradient is a second, and
+    one matrix product with the weight, run in row blocks when the matrix is
+    large (``_patch_product``); the weight gradient is a second product, and
     ``_scatter_taps`` sends each tap's share of a third back to the input. A
     ``bias`` of shape ``(O,)`` is added in place to the fresh product: the
     values of a separate ``add``, without a second map.
@@ -548,12 +597,9 @@ def conv2d(
         )
     n, h, w, c = x.data.shape
     o, _, kh, kw = weight.data.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    # one expression, so the view and the padded map it holds are freed once
-    # the reshape has copied them, before the product allocates its output
-    cols = _windows(x.data, kh, kw, stride, padding).reshape(n * ho * wo, kh * kw * c)
-    data = (cols @ _conv_weight_matrix(weight.data)).reshape(n, ho, wo, o)
+    data = _patch_product(_windows(x.data, kh, kw, stride, padding),
+                          _conv_weight_matrix(weight.data))
+    ho, wo = data.shape[1:3]
     if bias is not None:
         data += bias.data
 
@@ -642,18 +688,22 @@ _BLOCK_BYTES = 1 << 18
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form.
 
-    The output and the ``tanh`` array the adjoint reads are filled block by
-    block through one block-sized scratch, by the same ufuncs in the same
-    order as the whole-array expression, so the values are identical.
+    The output is filled block by block through one block-sized scratch, by
+    the same ufuncs in the same order as the whole-array expression, so the
+    values are identical. The ``tanh`` array the adjoint reads is kept whole
+    only when the call records a tape; otherwise each block's ``tanh`` lives
+    in the scratch.
     """
     xd = np.ascontiguousarray(x.data)
-    data, tanh = np.empty(xd.shape), np.empty(xd.shape)
-    flat_x, flat_out, flat_tanh = xd.reshape(-1), data.reshape(-1), tanh.reshape(-1)
+    data = np.empty(xd.shape)
+    tanh = np.empty(xd.shape) if _records((x,)) else None
+    flat_x, flat_out = xd.reshape(-1), data.reshape(-1)
     step = _BLOCK_BYTES // 8
     scratch = np.empty(min(step, xd.size))
     for lo in range(0, xd.size, step):
-        xb, out, t = flat_x[lo : lo + step], flat_out[lo : lo + step], flat_tanh[lo : lo + step]
+        xb, out = flat_x[lo : lo + step], flat_out[lo : lo + step]
         s = scratch[: xb.size]
+        t = s if tanh is None else tanh.reshape(-1)[lo : lo + step]
         # t = tanh(_GELU_C * (x + 0.044715 * (x * x * x))); x * x * x, not
         # x**3: numpy's pow has no fast path for a cube
         np.multiply(xb, xb, out=s)

@@ -294,6 +294,22 @@ class TestTapeMemory:
         # about 45 KB of interpreter and allocator state; one block is 256 KiB
         assert retained < 64 * 1024, retained
 
+    def test_no_grad_tiny224_forward_peak(self):
+        """A no-grad tiny@224 forward keeps only the arrays later operators
+        read: it peaks at about 14.4 MB, in stage 1's attention softmax, where
+        a stem patch matrix built whole or an intermediate map kept past its
+        last reader would add megabytes."""
+        graph = build("tiny", seed=0, zero_classifier=False)
+        image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                graph.forward(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18e6, peak
+
     def test_gradients_leaves_only_gradients_and_outputs(self):
         graph = build(reduced_variant(VARIANTS["tiny"]), seed=0, zero_classifier=False)
         images = np.random.default_rng(0).normal(size=(2, 3, 64, 64))

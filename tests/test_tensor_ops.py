@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evit.tensor as T
+from evit.backbone import build
 from evit.errors import ShapeError
 from evit.tensor import Tensor
 
@@ -240,12 +241,13 @@ class TestConv:
         assert scattered.shape == x.shape
         np.testing.assert_allclose(np.vdot(windows, g), np.vdot(x, scattered), rtol=1e-12)
 
-    def test_conv2d_frees_padded_map_before_product(self, rng):
-        """The padded input is gone by the time the product allocates its
-        output: peak memory holds the patch matrix and the output, and less
-        than half a padded map besides (a stem conv's geometry at 224 px)."""
+    def test_conv2d_peak_is_padded_map_output_and_one_block(self, rng):
+        """A stem conv's geometry at 224 px: its 25 MB patch matrix is built
+        one block at a time, so peak memory holds the padded map, the output
+        and one block of the patch matrix."""
         x = rng.normal(size=(1, 112, 112, 28))
         w = rng.normal(size=(28, 28, 3, 3))
+        assert 112 * 112 * (9 * 28) * 8 > 4 * T._CONV_BLOCK_BYTES
         tracemalloc.start()
         try:
             with T.no_grad():
@@ -253,9 +255,36 @@ class TestConv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        patches, padded = 112 * 112 * (9 * 28) * 8, 114 * 114 * 28 * 8
-        bound = patches + out.data.nbytes + padded // 2
+        padded = 114 * 114 * 28 * 8
+        bound = padded + out.data.nbytes + T._CONV_BLOCK_BYTES
         assert peak < bound, (peak, bound)
+
+    def test_conv2d_blocks_give_one_shot_product(self, toy_spec, monkeypatch, rng):
+        """At the production block size, every dense convolution of a tiny@224
+        forward and of the README toy's training and evaluation batches is
+        bitwise the one-shot product of its whole patch matrix and the weight."""
+        patch_product = T._patch_product
+        sizes = []
+
+        def checked(windows, w_mat):
+            out = patch_product(windows, w_mat)
+            cols = windows.reshape(-1, w_mat.shape[0])
+            sizes.append(cols.nbytes)
+            np.testing.assert_array_equal(out.reshape(-1, w_mat.shape[1]), cols @ w_mat)
+            return out
+
+        monkeypatch.setattr(T, "_patch_product", checked)
+        with T.no_grad():
+            build("tiny", seed=0, zero_classifier=False).forward(rng.uniform(size=(1, 3, 224, 224)))
+            toy = build(toy_spec, seed=0, zero_classifier=False)
+            for batch in (16, 32):
+                toy.forward(rng.uniform(size=(batch, 3, 32, 32)))
+        assert max(sizes) > T._CONV_BLOCK_BYTES  # some products did run in blocks
+
+    def test_conv2d_empty_batch(self, rng):
+        out = T.conv2d(Tensor(np.zeros((0, 8, 8, 3))), Tensor(rng.normal(size=(4, 3, 3, 3))),
+                       stride=1, padding=1)
+        assert out.shape == (0, 8, 8, 4)
 
     def test_stride2_halves_224(self, rng):
         x = to_nhwc(rng.normal(size=(1, 3, 224, 224)))
@@ -357,6 +386,21 @@ def test_gelu_values(rng):
     x = rng.normal(scale=2.0, size=(5, 7))
     np.testing.assert_allclose(T.gelu(Tensor(x)).data, naive_gelu(x), atol=1e-12)
     assert T.gelu(Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_gelu_without_tape_keeps_no_tanh_array(rng):
+    """Without a tape, ``gelu`` of a stage-1 hidden map allocates its output
+    and block-sized scratch only, not a second full-size array for ``tanh``."""
+    x = Tensor(rng.normal(size=(1, 56, 56, 168)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            out = T.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = out.data.nbytes + 2 * T._BLOCK_BYTES
+    assert peak < bound, (peak, bound)
 
 
 # The whole-array expressions the kernels compute, written out once more: each

@@ -27,13 +27,14 @@ their input through one gather, ``_windows``, a view of every window of the
 padded map, and send their input gradient back through one scatter,
 ``_scatter_taps``, tap by tap. A dense convolution is one matrix product of
 that view reshaped into its patch matrix (every output pixel's window as a
-row) with the reshaped weight, built and multiplied in blocks of output rows
-of about ``_CONV_BLOCK_BYTES`` when the matrix is larger, each block's rows
-bitwise those of the one-shot product; a depthwise convolution contracts the
-view, unreshaped, with its taps in one ``einsum``. Both take an optional bias,
-added in place to the fresh product. Convolution closures keep their input
-array, not a padded copy or a window matrix, and rebuild what they need in
-``backward``. ``split`` and ``concat`` work on the last axis.
+row) with the reshaped weight, built and multiplied in blocks of whole
+images or of one image's output rows, about ``_CONV_BLOCK_BYTES`` each (with
+the bundled OpenBLAS each block's rows are bitwise those of the one-shot
+product); a depthwise convolution contracts the view, unreshaped, with its
+taps in one ``einsum``. Both take an optional bias, added in place to the
+fresh product. Convolution closures keep their input array, not a padded
+copy or a window matrix, and rebuild what they need in ``backward``.
+``split`` and ``concat`` work on the last axis.
 
 The memory-bound forward kernels make few passes over memory: ``gelu`` works
 through ``_BLOCK_BYTES`` blocks of the flattened array and keeps a whole
@@ -523,40 +524,38 @@ def _conv_weight_matrix(weight: Array) -> Array:
 
 
 # bytes of patch matrix ``conv2d``'s forward builds at a time. Blocks stay
-# large on purpose: OpenBLAS runs a product of under about 1e6 multiply-adds
-# through a small-matrix kernel that rounds differently, so a block of a few
-# rows would not reproduce the rows of the one-shot product bit for bit
+# large on purpose: the bundled OpenBLAS runs a product of under about 1e6
+# multiply-adds through a small-matrix kernel that rounds differently, so a
+# block of a few rows would not reproduce the rows of the one-shot product
+# bit for bit. That threshold is measured for this BLAS build, not promised
 _CONV_BLOCK_BYTES = 1 << 22
 
 
 def _patch_product(windows: Array, w_mat: Array) -> Array:
     """The patch matrix of a ``_windows`` view times ``w_mat``, as ``(N, ho, wo, O)``.
 
-    A patch matrix of at most ``_CONV_BLOCK_BYTES`` is one product, as a
-    reshape of the view. A larger one is built and multiplied in equal
-    blocks of output lines (the ``wo`` pixels of one image row; a block may
-    span images) into one preallocated output, so one block of it is alive
-    at a time; each block's rows are those of the one-shot product, bit for
-    bit.
+    The patch matrix is built and multiplied in equal blocks of about
+    ``_CONV_BLOCK_BYTES`` into one preallocated output, each block a reshape
+    copy of the view that dies after its product: blocks of whole images
+    when an image's patch matrix fits in one block (a batch that fits is one
+    product), blocks of output rows of one image otherwise. With the bundled
+    OpenBLAS each block's rows are those of the one-shot product, bit for
+    bit, as long as every block stays above its small-matrix threshold.
     """
     n, ho, wo = windows.shape[:3]
     k, o = w_mat.shape
-    lines = n * ho
-    blocks = min(lines, -(-lines * wo * k * 8 // _CONV_BLOCK_BYTES))
-    if blocks <= 1:  # also an empty batch
-        return (windows.reshape(lines * wo, k) @ w_mat).reshape(n, ho, wo, o)
-    out = np.empty((lines * wo, o))
-    block = np.empty((-(-lines // blocks),) + windows.shape[2:])
-    for b in range(blocks):
-        lo, hi = b * lines // blocks, (b + 1) * lines // blocks
-        image, y = divmod(lo, ho)
-        filled = 0
-        while filled < hi - lo:  # copy lines lo..hi, one image's run at a time
-            take = min(hi - lo - filled, ho - y)
-            block[filled : filled + take] = windows[image, y : y + take]
-            filled, image, y = filled + take, image + 1, 0
-        np.matmul(block[:filled].reshape(filled * wo, k), w_mat, out=out[lo * wo : hi * wo])
-    return out.reshape(n, ho, wo, o)
+    out = np.empty((n, ho, wo, o))
+    image = ho * wo * k * 8
+    if image <= _CONV_BLOCK_BYTES:
+        parts = max(1, -(-n * image // _CONV_BLOCK_BYTES))
+        spans = [np.s_[b * n // parts : (b + 1) * n // parts] for b in range(parts)]
+    else:
+        parts = -(-image // _CONV_BLOCK_BYTES)
+        spans = [np.s_[i, b * ho // parts : (b + 1) * ho // parts]
+                 for i in range(n) for b in range(parts)]
+    for span in spans:  # each ``out[span]`` is contiguous, so its reshape is a view
+        np.matmul(windows[span].reshape(-1, k), w_mat, out=out[span].reshape(-1, o))
+    return out
 
 
 def _check_conv_args(
@@ -584,11 +583,11 @@ def conv2d(
 
     Output spatial size follows floor((H + 2p - kh)/stride) + 1. The
     ``_windows`` view, reshaped, is the ``(N*ho*wo, kh*kw*C)`` patch matrix of
-    one matrix product with the weight, run in row blocks when the matrix is
-    large (``_patch_product``); the weight gradient is a second product, and
-    ``_scatter_taps`` sends each tap's share of a third back to the input. A
-    ``bias`` of shape ``(O,)`` is added in place to the fresh product: the
-    values of a separate ``add``, without a second map.
+    one matrix product with the weight, run in blocks of whole images or of
+    image rows (``_patch_product``); the weight gradient is a second
+    product, and ``_scatter_taps`` sends each tap's share of a third back to
+    the input. A ``bias`` of shape ``(O,)`` is added in place to the fresh
+    product: the values of a separate ``add``, without a second map.
     """
     _check_conv_args(x, weight, stride, padding, bias)
     if x.data.shape[3] != weight.data.shape[1]:

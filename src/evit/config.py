@@ -1,7 +1,9 @@
 """Run configuration: three small dataclasses and a flat key/value file format.
 
-A config file is plain text, one ``section.field = value`` per line, with
-``#`` comments and blank lines ignored. Parsing starts from defaults, so a
+A config file is one ``section.field = value`` per line, with ``#`` comments
+and blank lines ignored. ``read_config`` reads its bytes as UTF-8 whatever the
+locale, since ``data.source`` is a filesystem path, and a byte that does not
+decode is a ``ConfigError`` naming its line. Parsing starts from defaults, so a
 file only needs the fields it overrides. ``parse_config(render_config(c))``
 returns an equal config. The ``EVIT_SEED`` environment variable, when set,
 overrides ``train.seed`` after the file is read. ``check_config`` rejects
@@ -149,8 +151,13 @@ def check_config(config: RunConfig) -> tuple[VariantSpec, ConnectionPattern, Ffn
 
 
 def read_config(path: str | os.PathLike) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return parse_config(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:  # lines counted as parse_config counts them
+        lineno = len((raw[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ConfigError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
 
 
 def apply_env_overrides(config: RunConfig) -> RunConfig:

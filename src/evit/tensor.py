@@ -37,11 +37,11 @@ copy or a window matrix, and rebuild what they need in ``backward``.
 ``split`` and ``concat`` work on the last axis.
 
 The memory-bound forward kernels make few passes over memory: ``gelu`` works
-through ``_BLOCK_BYTES`` blocks of the flattened array and keeps a whole
-``tanh`` array only for a tape, and ``softmax`` and ``layernorm`` work inside
-their output arrays. Each runs the ufuncs of the whole-array expression in
-the same order, so its results are bitwise those of that expression, and no
-buffer outlives its call.
+through ``_BLOCK_BYTES`` blocks of the flattened array and its adjoint
+recomputes ``tanh`` from the input, and ``softmax`` and ``layernorm`` work
+inside their output arrays. Each runs the ufuncs of the whole-array
+expression in the same order, so its results are bitwise those of that
+expression, and no buffer outlives its call.
 """
 from __future__ import annotations
 
@@ -259,14 +259,9 @@ def _topo_order(root: _Node) -> list[_Node]:
     return order
 
 
-def _records(inputs: tuple[Tensor, ...]) -> bool:
-    """Whether an operator on ``inputs`` records a node: the tape is on and an input needs a gradient."""
-    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
-
-
 def _make(op: str, data: Array, inputs: tuple[Tensor, ...], backward_fn, macs: int = 0) -> Tensor:
     out = Tensor(data)
-    if _records(inputs):
+    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         parents = tuple((t._node or t) if t.requires_grad else None for t in inputs)
         out._node = _Node(backward_fn, data.shape, parents)
@@ -684,43 +679,40 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _BLOCK_BYTES = 1 << 18
 
 
+def _gelu_tanh(x: Array, out: Array) -> Array:
+    """``tanh(_GELU_C * (x + 0.044715 * (x * x * x)))`` into ``out``, its only scratch."""
+    np.multiply(x, x, out=out)  # x * x * x, not x**3: numpy's pow has no fast path for a cube
+    np.multiply(out, x, out=out)
+    np.multiply(0.044715, out, out=out)
+    np.add(x, out, out=out)
+    np.multiply(_GELU_C, out, out=out)
+    return np.tanh(out, out=out)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form.
 
-    The output is filled block by block through one block-sized scratch, by
-    the same ufuncs in the same order as the whole-array expression, so the
-    values are identical. The ``tanh`` array the adjoint reads is kept whole
-    only when the call records a tape; otherwise each block's ``tanh`` lives
-    in the scratch.
+    The output is filled block by block through one block-sized scratch, and
+    the adjoint keeps only the input and recomputes ``tanh`` whole: both run the
+    ufuncs of the whole-array expression in its order, so the values are identical.
     """
     xd = np.ascontiguousarray(x.data)
     data = np.empty(xd.shape)
-    tanh = np.empty(xd.shape) if _records((x,)) else None
     flat_x, flat_out = xd.reshape(-1), data.reshape(-1)
     step = _BLOCK_BYTES // 8
     scratch = np.empty(min(step, xd.size))
     for lo in range(0, xd.size, step):
         xb, out = flat_x[lo : lo + step], flat_out[lo : lo + step]
-        s = scratch[: xb.size]
-        t = s if tanh is None else tanh.reshape(-1)[lo : lo + step]
-        # t = tanh(_GELU_C * (x + 0.044715 * (x * x * x))); x * x * x, not
-        # x**3: numpy's pow has no fast path for a cube
-        np.multiply(xb, xb, out=s)
-        np.multiply(s, xb, out=s)
-        np.multiply(0.044715, s, out=s)
-        np.add(xb, s, out=s)
-        np.multiply(_GELU_C, s, out=s)
-        np.tanh(s, out=t)
+        t = _gelu_tanh(xb, scratch[: xb.size])
         # out = 0.5 * x * (1.0 + t)
         np.multiply(0.5, xb, out=out)
-        np.add(1.0, t, out=s)
-        np.multiply(out, s, out=out)
+        np.add(1.0, t, out=t)
+        np.multiply(out, t, out=out)
 
     def backward(g: Array):
+        tanh = _gelu_tanh(xd, np.empty(xd.shape))
         sech2 = 1.0 - tanh**2
-        local = 0.5 * (1.0 + tanh) + 0.5 * xd * sech2 * _GELU_C * (
-            1.0 + 3 * 0.044715 * xd**2
-        )
+        local = 0.5 * (1.0 + tanh) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
         return (g * local,)
 
     return _make("gelu", data, (x,), backward)

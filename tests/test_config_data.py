@@ -58,6 +58,12 @@ class TestConfigRoundTrip:
         path.write_text(render_config(config))
         assert read_config(path) == config
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"# r\xc3\xa9glage\r\ntrain.seed = 1\rmodel.variant = t\xe9ny\n")
+        with pytest.raises(ConfigError, match=r"^line 3: not UTF-8 text"):
+            read_config(path)
+
     def test_partial_file_keeps_defaults(self):
         config = parse_config("train.steps = 7\n\n# comment\nmodel.variant = small\n")
         assert config.train.steps == 7
@@ -117,23 +123,42 @@ def test_out_of_range_field_exits_2_with_one_line(line, message, tmp_path, capsy
     assert not out_dir.exists()
 
 
-# characters that make a mutated line look like config syntax, plus any character
-_CONFIG_CHARS = st.sampled_from(list("=.# \n\t-+_e0123456789truefalsmodelint")) | st.characters()
+# characters that make a mutated line look like config syntax, plus any
+# character in UTF-8, plus any single byte
+_CONFIG_BYTES = (
+    (st.sampled_from(list("=.# \n\t-+_e0123456789truefalsmodelint")) | st.characters()).map(str.encode)
+    | st.binary(min_size=1, max_size=1)
+)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config")
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_mutated_config_text_round_trips_or_raises_config_error(data):
-    """Up to three inserted, replaced or deleted characters in a rendered config."""
-    text = render_config(RunConfig())
+def test_mutated_config_text_round_trips_or_raises_config_error(config_dir, data):
+    """Up to three inserted, replaced or deleted bytes in a rendered config file.
+
+    A file that is not UTF-8 fails with a ConfigError that names a line.
+    """
+    raw = render_config(RunConfig()).encode("utf-8")
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
-        at = data.draw(st.integers(0, len(text)), label="position")
+        at = data.draw(st.integers(0, len(raw)), label="position")
         edit = data.draw(st.sampled_from(["insert", "replace", "delete"]), label="edit")
-        char = "" if edit == "delete" else data.draw(_CONFIG_CHARS, label="char")
-        text = text[:at] + char + text[at + (edit != "insert") :]
+        chunk = b"" if edit == "delete" else data.draw(_CONFIG_BYTES, label="bytes")
+        raw = raw[:at] + chunk + raw[at + (edit != "insert") :]
+    path = config_dir / "mutated.cfg"
+    path.write_bytes(raw)
     try:
-        config = parse_config(text)
-    except ConfigError:
+        config = read_config(path)
+    except ConfigError as exc:
+        assert "\n" not in str(exc)
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            assert re.match(r"line [1-9]\d*: not UTF-8 text", str(exc)), exc
         return
     assert parse_config(render_config(config)) == config
 

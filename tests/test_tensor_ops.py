@@ -1,5 +1,6 @@
 """Forward-value contracts of the tensor kernel, checked against oracles."""
 
+import contextlib
 import math
 import re
 import tracemalloc
@@ -400,19 +401,23 @@ def test_gelu_values(rng):
     assert T.gelu(Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
 
 
-def test_gelu_without_tape_keeps_no_tanh_array(rng):
-    """Without a tape, ``gelu`` of a stage-1 hidden map allocates its output
-    and block-sized scratch only, not a second full-size array for ``tanh``."""
+@pytest.mark.parametrize("tape", [True, False], ids=["tape", "no_grad"])
+def test_gelu_keeps_no_tanh_array(tape, rng):
+    """``gelu`` of a stage-1 hidden map allocates its output and block-sized
+    scratch only, with or without a tape: no second full-size array for
+    ``tanh`` is built, nor kept by the node for the adjoint."""
     x = Tensor(rng.normal(size=(1, 56, 56, 168)), requires_grad=True)
     tracemalloc.start()
     try:
-        with T.no_grad():
+        with contextlib.nullcontext() if tape else T.no_grad():
             out = T.gelu(x)
-        peak = tracemalloc.get_traced_memory()[1]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert (out._node is not None) == tape
     bound = out.data.nbytes + 2 * T._BLOCK_BYTES
     assert peak < bound, (peak, bound)
+    assert retained < bound, (retained, bound)
 
 
 # The whole-array expressions the kernels compute, written out once more: each

@@ -287,7 +287,8 @@ class TestCli:
 
 @pytest.fixture
 def cli_files(tmp_path, toy_spec, monkeypatch):
-    """Valid inputs for every subcommand, a plain file and two truncated images."""
+    """Valid inputs for every subcommand, a plain file, two truncated images and
+    a config file that is not UTF-8."""
     monkeypatch.delenv("EVIT_SEED", raising=False)
     save_checkpoint(build(toy_spec, seed=0), tmp_path / "model.ckpt")
     (tmp_path / "run.cfg").write_text(render_config(_short_config(steps=1)))
@@ -298,6 +299,7 @@ def cli_files(tmp_path, toy_spec, monkeypatch):
         raw = (tmp_path / name).read_bytes()
         (tmp_path / f"short{name[-4:]}").write_bytes(raw[:-5])
     (tmp_path / "taken").write_text("a file, not a directory\n")
+    (tmp_path / "latin1.cfg").write_bytes(b"model.variant = tiny\xff\n")
     return tmp_path
 
 
@@ -312,6 +314,8 @@ def _attnmap(d, checkpoint="model.ckpt", image="probe.ppm", out="maps"):
         pytest.param(lambda d: _attnmap(d, checkpoint="."), id="attnmap-checkpoint-is-dir"),
         pytest.param(lambda d: ["train", "--config", str(d), "--out", str(d / "o")],
                      id="train-config-is-dir"),
+        pytest.param(lambda d: ["train", "--config", str(d / "latin1.cfg"), "--out", str(d / "o")],
+                     id="train-config-not-utf8"),
         pytest.param(lambda d: _attnmap(d, out="taken"), id="attnmap-out-is-file"),
         pytest.param(lambda d: ["train", "--config", str(d / "run.cfg"), "--out", str(d / "taken")],
                      id="train-out-is-file"),

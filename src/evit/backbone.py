@@ -73,11 +73,33 @@ class StageConfig:
 
 @dataclass(frozen=True)
 class VariantSpec:
+    """A stage table, checked when it is made; ``validate_spec`` checks it against a size.
+
+    An error from a stage's own layer configs is prefixed with that stage.
+    """
+
     name: str
     stem_channels: int
     stages: tuple[StageConfig, StageConfig, StageConfig, StageConfig]
     head_channels: int = 1280
     num_classes: int = 1000
+
+    def __post_init__(self) -> None:
+        if len(self.stages) != 4:
+            raise ConfigError(f"expected 4 stages, got {len(self.stages)}")
+        if self.stem_channels < 1 or self.head_channels < 1 or self.num_classes < 1:
+            raise ConfigError(
+                f"stem/head/classes must be positive, got {self.stem_channels}, "
+                f"{self.head_channels}, {self.num_classes}"
+            )
+        for i, stage in enumerate(self.stages, start=1):
+            if stage.blocks < 1:
+                raise ConfigError(f"stage{i} needs at least one block, got {stage.blocks}")
+            try:
+                # making the configs runs their own checks; bffn has the strictest hidden minimum
+                stage.attention, stage.ffn(FfnKind.BFFN)
+            except ConfigError as exc:
+                raise ConfigError(f"stage{i}: {exc}") from None
 
 
 def _make_variant(name, stem, channels, depths, heads, expansion) -> VariantSpec:
@@ -106,30 +128,12 @@ def variant(name: str) -> VariantSpec:
         raise ConfigError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}") from None
 
 
-def validate_spec(spec: VariantSpec, input_size: int | None = None) -> None:
-    """Raise ConfigError on an inconsistent stage table, or one that cannot take ``input_size``.
+def validate_spec(spec: VariantSpec, input_size: int) -> None:
+    """Raise ConfigError unless ``spec`` can take a square ``input_size`` image.
 
-    An error from a stage's own layer configs is prefixed with that stage. With
-    an ``input_size``, it must be a multiple of 32 and every stage's attention
+    The size must be a positive multiple of 32, and every stage's attention
     reductions must divide its map side.
     """
-    if len(spec.stages) != 4:
-        raise ConfigError(f"expected 4 stages, got {len(spec.stages)}")
-    if spec.stem_channels < 1 or spec.head_channels < 1 or spec.num_classes < 1:
-        raise ConfigError(
-            f"stem/head/classes must be positive, got {spec.stem_channels}, "
-            f"{spec.head_channels}, {spec.num_classes}"
-        )
-    for i, stage in enumerate(spec.stages, start=1):
-        if stage.blocks < 1:
-            raise ConfigError(f"stage{i} needs at least one block, got {stage.blocks}")
-        try:
-            # constructing the configs runs their own checks; bffn has the strictest hidden minimum
-            stage.attention, stage.ffn(FfnKind.BFFN)
-        except ConfigError as exc:
-            raise ConfigError(f"stage{i}: {exc}") from None
-    if input_size is None:
-        return
     if input_size < 32 or input_size % 32 != 0:
         raise ConfigError(f"input size must be a positive multiple of 32, got {input_size}")
     for i, (stage, side) in enumerate(zip(spec.stages, stage_sides(input_size)), start=1):
@@ -145,7 +149,7 @@ def stage_sides(input_size: int) -> list[int]:
     """Spatial side of each stage's map for a square input.
 
     The stem and the four patch embeddings each halve the map. Callers check
-    ``validate_spec`` first, so the input is a multiple of 32.
+    the size with ``validate_spec`` first, so it is a multiple of 32.
     """
     return [input_size // 4, input_size // 8, input_size // 16, input_size // 32]
 
@@ -180,15 +184,13 @@ def reduced_variant(
                 blocks=s.blocks if blocks_per_stage is None else blocks_per_stage,
             )
         )
-    out = VariantSpec(
+    return VariantSpec(
         name=f"{spec.name}-reduced" if width_divisor != 1 or blocks_per_stage else spec.name,
         stem_channels=spec.stem_channels // width_divisor,
         stages=tuple(stages),
         head_channels=spec.head_channels,
         num_classes=spec.num_classes if num_classes is None else num_classes,
     )
-    validate_spec(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +325,11 @@ def build(
     pattern: ConnectionPattern = ConnectionPattern.BIFOVEA,
     ffn_kind: FfnKind = FfnKind.BFFN,
     zero_classifier: bool = True,
-    input_size: int | None = None,
 ) -> ModuleGraph:
     """Materialize a backbone with freshly initialized parameters.
 
     The same ``(spec, seed, pattern, ffn_kind, zero_classifier)`` always
-    produces bitwise-identical parameters. ``input_size``, when given, is
-    validated against the stage table up front so bad combinations fail at
-    build time rather than mid-forward. ``zero_classifier`` starts the final
+    produces bitwise-identical parameters. ``zero_classifier`` starts the final
     fully connected layer at zero, the usual choice for fine-tuning stability;
     gradient checking should pass ``False`` so gradients reach every layer.
     A negative ``seed`` is a ``ConfigError``.
@@ -339,7 +338,6 @@ def build(
         spec = variant(spec)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    validate_spec(spec, input_size)
     return _assemble(spec, seed, pattern, ffn_kind, zero_classifier, np.random.default_rng(seed))
 
 
@@ -351,7 +349,7 @@ def _assemble(
     zero_classifier: bool,
     rng: np.random.Generator | None,
 ) -> ModuleGraph:
-    """Allocate every parameter of a validated spec, in ``named_parameters`` order.
+    """Allocate every parameter of ``spec``, in ``named_parameters`` order.
 
     ``build`` passes a seeded generator. ``rng=None`` draws nothing and leaves
     the random tensors uninitialised, for a caller that overwrites them all.

@@ -32,7 +32,7 @@ import numpy as np
 
 from .analysis import parameter_count
 from .attention import ConnectionPattern
-from .backbone import ModuleGraph, StageConfig, VariantSpec, _assemble, validate_spec
+from .backbone import ModuleGraph, StageConfig, VariantSpec, _assemble
 from .errors import ConfigError, NonFiniteError
 from .feedforward import FfnKind
 
@@ -166,7 +166,6 @@ def load_checkpoint(path: str | os.PathLike) -> ModuleGraph:
         head, fields = read_manifest(fh, path)
         try:
             spec = _spec_from_fields(fields)
-            validate_spec(spec)
             ffn_kind = _field(fields, "ffn", FfnKind)
             # size the model before allocating it, so a header that asks for
             # more parameters than the file holds fails here rather than in numpy

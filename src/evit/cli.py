@@ -106,7 +106,7 @@ def _cmd_build(args) -> int:
         )
         print(report.render(detail=args.report))
         if args.verify:
-            graph = build(name, seed=0, pattern=pattern, ffn_kind=ffn_kind, input_size=args.input)
+            graph = build(name, seed=0, pattern=pattern, ffn_kind=ffn_kind)
             counted = measure_macs(graph, input_size=args.input).total
             match = "OK" if counted == report.total_macs_inclusive else "MISMATCH"
             print(

@@ -1,19 +1,20 @@
 """Run configuration: three small dataclasses and a flat key/value file format.
 
 A config file is one ``section.field = value`` per line, with ``#`` comments
-and blank lines ignored. ``read_config`` reads its bytes as UTF-8 whatever the
-locale, since ``data.source`` is a filesystem path, and a byte that does not
-decode is a ``ConfigError`` naming its line. Parsing starts from defaults, so a
-file only needs the fields it overrides. ``parse_config(render_config(c))``
-returns an equal config. The ``EVIT_SEED`` environment variable, when set,
-overrides ``train.seed`` after the file is read. ``check_config`` rejects
-every field outside its valid range and returns the model fields resolved to
-a spec and two enums; parsing runs it, so a bad file fails before anything is
-built.
+and blank lines ignored. ``read_config`` drops one leading UTF-8 byte-order
+mark and reads the rest as UTF-8 whatever the locale, since ``data.source`` is
+a filesystem path; a byte that does not decode is a ``ConfigError`` naming its
+line. Parsing starts from defaults, so a file only needs the fields it
+overrides. ``parse_config(render_config(c))`` returns an equal config. The
+``EVIT_SEED`` environment variable, when set, overrides ``train.seed`` after
+the file is read. ``check_config`` rejects every field outside its valid range
+and returns the model fields resolved to a spec and two enums; parsing runs
+it, so a bad file fails before anything is built.
 """
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import math
 import os
@@ -152,7 +153,8 @@ def check_config(config: RunConfig) -> tuple[VariantSpec, ConnectionPattern, Ffn
 
 def read_config(path: str | os.PathLike) -> RunConfig:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        # a byte-order mark goes here, not via utf-8-sig, so error offsets index ``raw``
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return parse_config(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:  # lines counted as parse_config counts them

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import ConnectionPattern
-from .backbone import VariantSpec, build
+from .backbone import VariantSpec, build, validate_spec
 from .data import synthetic_shapes
 from .feedforward import FfnKind
 from .tensor import finite_difference, relative_error
@@ -84,14 +84,8 @@ def run_gradcheck(
     ffn_kind: FfnKind = FfnKind.BFFN,
 ) -> GradcheckResult:
     """Compare sampled analytic gradients of the loss with finite differences."""
-    graph = build(
-        spec,
-        seed=seed,
-        pattern=pattern,
-        ffn_kind=ffn_kind,
-        zero_classifier=False,
-        input_size=input_size,
-    )
+    graph = build(spec, seed=seed, pattern=pattern, ffn_kind=ffn_kind, zero_classifier=False)
+    validate_spec(spec, input_size)
     dataset = synthetic_shapes(_BATCH, input_size, seed, noise=0.08)
     labels = dataset.labels % spec.num_classes
 

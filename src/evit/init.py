@@ -13,18 +13,18 @@ import numpy as np
 
 from .tensor import Tensor
 
+_STD = 0.02  # of every linear weight
 
-def trunc_normal(
-    rng: np.random.Generator | None, shape: tuple[int, ...], std: float = 0.02
-) -> Tensor:
-    """Normal(0, std) redrawn until every entry lies within two deviations."""
+
+def trunc_normal(rng: np.random.Generator | None, shape: tuple[int, ...]) -> Tensor:
+    """Normal(0, 0.02) redrawn until every entry lies within two deviations."""
     if rng is None:
         return Tensor(np.empty(shape), requires_grad=True)
-    x = rng.normal(0.0, std, shape)
-    mask = np.abs(x) > 2.0 * std
+    x = rng.normal(0.0, _STD, shape)
+    mask = np.abs(x) > 2.0 * _STD
     while mask.any():
-        x[mask] = rng.normal(0.0, std, int(mask.sum()))
-        mask = np.abs(x) > 2.0 * std
+        x[mask] = rng.normal(0.0, _STD, int(mask.sum()))
+        mask = np.abs(x) > 2.0 * _STD
     return Tensor(x, requires_grad=True)
 
 

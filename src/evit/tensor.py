@@ -842,7 +842,7 @@ def finite_difference(
     return out
 
 
-def relative_error(analytic: float, numeric: float, floor: float = 1e-8) -> float:
-    """|a - b| scaled by the larger magnitude, floored to avoid 0/0."""
-    denom = max(abs(analytic), abs(numeric), floor)
+def relative_error(analytic: float, numeric: float) -> float:
+    """|a - b| scaled by the larger magnitude, floored at 1e-8 to avoid 0/0."""
+    denom = max(abs(analytic), abs(numeric), 1e-8)
     return abs(analytic - numeric) / denom

@@ -147,7 +147,6 @@ def run_training(config: RunConfig, out_dir: str | os.PathLike) -> TrainResult:
         pattern=pattern,
         ffn_kind=ffn_kind,
         zero_classifier=config.model.zero_classifier,
-        input_size=config.model.input_size,
     )
     dataset = load_dataset(config)
 

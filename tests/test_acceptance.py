@@ -65,7 +65,7 @@ def test_criterion_2_shape_suite(capsys):
     """Stage resolutions and channels match the table at 224, 64 and 256 px."""
     checked = []
     for name, spec in VARIANTS.items():
-        graph = build(spec, seed=0, input_size=224)
+        graph = build(spec, seed=0)
         logits, maps = graph.forward(np.zeros((1, 3, 224, 224)), return_stage_maps=True)
         assert logits.shape == (1, 1000)
         for m, stage, side in zip(maps, spec.stages, (56, 28, 14, 7)):
@@ -73,8 +73,8 @@ def test_criterion_2_shape_suite(capsys):
         checked.append(f"{name}@224")
 
     toy = reduced_variant(VARIANTS["tiny"], num_classes=2)
+    graph = build(toy, seed=0)
     for size in (64, 256):
-        graph = build(toy, seed=0, input_size=size)
         logits, maps = graph.forward(np.zeros((1, 3, size, size)), return_stage_maps=True)
         assert logits.shape == (1, 2)
         for m, stage, divisor in zip(maps, toy.stages, (4, 8, 16, 32)):

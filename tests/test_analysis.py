@@ -35,7 +35,7 @@ class TestParamCounts:
         assert cost_report(VARIANTS[name]).total_params == FROZEN_PARAM_TOTALS[name]
 
     def test_per_module_rows_match_built_groups(self, toy_spec):
-        graph = build(toy_spec, seed=0, input_size=32)
+        graph = build(toy_spec, seed=0)
         report = cost_report(toy_spec, input_size=32)
         named = graph.named_parameters()
         for row in report.rows:
@@ -79,7 +79,7 @@ class TestParamCounts:
 class TestMacCounts:
     @pytest.mark.parametrize("size", [32, 64])
     def test_instrumented_equals_analytic(self, toy_spec, size):
-        graph = build(toy_spec, seed=0, input_size=size)
+        graph = build(toy_spec, seed=0)
         report = cost_report(toy_spec, input_size=size)
         counter = measure_macs(graph, size)
         assert counter.total == report.total_macs_inclusive

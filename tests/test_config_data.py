@@ -1,5 +1,6 @@
 """Config file round trips, environment overrides, and the toy dataset."""
 
+import codecs
 import re
 
 import numpy as np
@@ -18,6 +19,20 @@ from evit.config import (
 from evit.data import load_image_dir, read_image, synthetic_shapes, write_image
 from evit.cli import main
 from evit.errors import ConfigError
+
+
+# the config shown under "Config format" in the README
+README_CONFIG = """\
+model.variant = tiny
+model.width_divisor = 4
+model.input_size = 32
+model.num_classes = 2
+train.steps = 300
+train.batch_size = 16
+train.learning_rate = 0.001
+data.source = synthetic
+data.count = 256
+"""
 
 
 class TestConfigRoundTrip:
@@ -62,6 +77,21 @@ class TestConfigRoundTrip:
         path = tmp_path / "latin1.cfg"
         path.write_bytes(b"# r\xc3\xa9glage\r\ntrain.seed = 1\rmodel.variant = t\xe9ny\n")
         with pytest.raises(ConfigError, match=r"^line 3: not UTF-8 text"):
+            read_config(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = README_CONFIG.encode("utf-8")
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        assert read_config(marked) == read_config(plain)
+
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "marked.cfg"
+        # a bad byte in the first three of a line: counting from after the mark
+        # (as a utf-8-sig decode reports it) would put it on line 1
+        path.write_bytes(codecs.BOM_UTF8 + b"train.seed = 1\n\xffmodel.variant = tiny\n")
+        with pytest.raises(ConfigError, match=r"^line 2: not UTF-8 text"):
             read_config(path)
 
     def test_partial_file_keeps_defaults(self):
@@ -183,6 +213,20 @@ class TestEnvOverride:
         monkeypatch.setenv("EVIT_SEED", "-3")
         with pytest.raises(ConfigError, match="train.seed must be >= 0"):
             apply_env_overrides(RunConfig())
+
+    # os.environ holds neither NUL nor lone surrogates
+    @given(raw=st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"))
+           | st.integers().map(str))
+    @settings(max_examples=200, deadline=None)
+    def test_any_env_seed_is_taken_or_refused_in_one_line(self, raw):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("EVIT_SEED", raw)
+            try:
+                seed = apply_env_overrides(RunConfig()).train.seed
+            except ConfigError as exc:
+                assert "\n" not in str(exc)
+                return
+        assert seed == int(raw) and seed >= 0
 
 
 class TestSpecResolution:

@@ -327,6 +327,9 @@ def _attnmap(d, checkpoint="model.ckpt", image="probe.ppm", out="maps"):
         pytest.param(lambda d: ["gradcheck", "--step", "0"], id="gradcheck-step-0"),
         pytest.param(lambda d: ["gradcheck", "--step", "nan"], id="gradcheck-step-nan"),
         pytest.param(lambda d: ["gradcheck", "--tolerance", "nan"], id="gradcheck-tolerance-nan"),
+        pytest.param(lambda d: ["gradcheck", "--input", "33"], id="gradcheck-input-33"),
+        pytest.param(lambda d: ["build", "--variant", "tiny", "--input", "48", "--verify"],
+                     id="build-input-48-verify"),
     ],
 )
 def test_malformed_flag_or_path_exits_2_with_one_line(argv, cli_files, capsys):

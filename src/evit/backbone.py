@@ -257,26 +257,32 @@ class ModuleGraph:
         if x.shape[2] != x.shape[3]:
             raise ShapeError(f"expected square images, got {x.shape[2]}x{x.shape[3]}")
         validate_spec(self.spec, x.shape[2])
-        x = T.transpose(x, (0, 2, 3, 1))
-
+        # the map is handed from layer to layer through a one-item list, so the
+        # layer reading it holds the only reference: without a tape each map
+        # is freed once that layer is done with it, not when the next is bound
+        held = [T.transpose(x, (0, 2, 3, 1))]
+        del x
         for i, stride in enumerate((2, 1, 1), start=1):
             with T.scope(f"stem.conv{i}"):
-                x = T.gelu(_conv(x, self.params["stem"][f"conv{i}"], stride=stride, padding=1))
+                conv = self.params["stem"][f"conv{i}"]
+                held.append(T.gelu(_conv(held.pop(), conv, stride=stride, padding=1)))
 
         stage_maps = []
         for i, stage_cfg in enumerate(self.spec.stages):
             stage = self.params[f"stage{i + 1}"]
             with T.scope(f"stage{i + 1}.embed"):
-                x = _conv(x, stage["embed"], stride=2, padding=0)
+                held.append(_conv(held.pop(), stage["embed"], stride=2, padding=0))
             attn_cfg, ffn_cfg = stage_cfg.attention, stage_cfg.ffn(self.ffn_kind)
             for j in range(stage_cfg.blocks):
                 with T.scope(f"stage{i + 1}.block{j}"):
-                    x = bev_block_forward(x, stage[f"block{j}"], attn_cfg, ffn_cfg, self.pattern)
-            stage_maps.append(x)
+                    held.append(bev_block_forward(
+                        held.pop(), stage[f"block{j}"], attn_cfg, ffn_cfg, self.pattern))
+            if return_stage_maps:
+                stage_maps.append(held[0])
 
         head = self.params["head"]
         with T.scope("head.proj"):
-            pooled = T.avgpool_global(T.gelu(_conv(x, head["proj"], stride=1, padding=0)))
+            pooled = T.avgpool_global(T.gelu(_conv(held.pop(), head["proj"], stride=1, padding=0)))
         with T.scope("head.fc"):
             logits = T.linear(pooled, head["fc"]["weight"], head["fc"]["bias"])
         if return_stage_maps:
@@ -306,6 +312,7 @@ def bev_block_forward(
     with T.scope("bfsa"):
         y = bfsa_forward(ln_channels(x, ln1["gamma"], ln1["beta"]), attn_cfg, blk["bfsa"], pattern)
     x = T.add(y, x)
+    del y
     y = feedforward_forward(ln_channels(x, ln2["gamma"], ln2["beta"]), ffn_cfg, blk["ffn"])
     return T.add(y, x)
 

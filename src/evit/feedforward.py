@@ -96,10 +96,12 @@ def _dwconv(x: Tensor, params: dict) -> Tensor:
 def feedforward_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
     """fc1, then the ``cfg.kind`` hidden-layer branch, then GELU and fc2.
 
-    Each hidden map is rebound, nested or deleted at its last consumer, so
-    without a tape it is freed as soon as that consumer returns.
+    ``x`` and each hidden map are rebound, nested or deleted at their last
+    consumer, so without a tape each is freed as soon as that consumer
+    returns; the caller should pass ``x`` without keeping a reference.
     """
     hidden = _linear(x, params["fc1"])
+    del x
     if cfg.kind is FfnKind.CFFN:
         hidden = T.add(hidden, _dwconv(hidden, params["dw"]))
     elif cfg.kind is FfnKind.BFFN:

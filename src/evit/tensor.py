@@ -36,12 +36,14 @@ fresh product. Convolution closures keep their input array, not a padded
 copy or a window matrix, and rebuild what they need in ``backward``.
 ``split`` and ``concat`` work on the last axis.
 
-The memory-bound forward kernels make few passes over memory: ``gelu`` works
-through ``_BLOCK_BYTES`` blocks of the flattened array and its adjoint
-recomputes ``tanh`` from the input, and ``softmax`` and ``layernorm`` work
-inside their output arrays. Each runs the ufuncs of the whole-array
-expression in the same order, so its results are bitwise those of that
-expression, and no buffer outlives its call.
+The memory-bound kernels make few passes over memory. ``gelu``'s forward
+and adjoint work through ``_BLOCK_BYTES`` blocks of the flattened array, the
+adjoint recomputing each block's ``tanh`` from the input; ``softmax`` and
+``layernorm`` work inside their output arrays, and their adjoints through
+blocks of whole rows. Blocked work goes through a few block-sized scratch
+arrays. Each kernel runs the ufuncs of the whole-array expression in the
+same order, so its results are bitwise those of that expression, and no
+buffer outlives its call.
 """
 from __future__ import annotations
 
@@ -674,9 +676,16 @@ def dwconv2d(
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
-# bytes of output ``gelu`` works on at a time: a block, its input and one
-# scratch block stay inside a core's L2 cache
+# bytes of output the memory-bound kernels work on at a time: a block, its
+# inputs and the scratch blocks stay inside a core's L2 cache
 _BLOCK_BYTES = 1 << 18
+
+
+def _blocks(rows: int, width: int = 1) -> tuple[list[slice], int]:
+    """Slices of ``rows`` rows of ``width`` values, about ``_BLOCK_BYTES`` each
+    and at least one row, and the row count of the largest (for its scratch)."""
+    step = max(1, _BLOCK_BYTES // (8 * width))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)], min(step, rows)
 
 
 def _gelu_tanh(x: Array, out: Array) -> Array:
@@ -693,16 +702,17 @@ def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form.
 
     The output is filled block by block through one block-sized scratch, and
-    the adjoint keeps only the input and recomputes ``tanh`` whole: both run the
-    ufuncs of the whole-array expression in its order, so the values are identical.
+    the adjoint keeps only the input and recomputes each block's ``tanh`` in
+    its first of three scratches: both run the ufuncs of the whole-array
+    expression in its order, so the values are identical.
     """
-    xd = np.ascontiguousarray(x.data)
-    data = np.empty(xd.shape)
-    flat_x, flat_out = xd.reshape(-1), data.reshape(-1)
-    step = _BLOCK_BYTES // 8
-    scratch = np.empty(min(step, xd.size))
-    for lo in range(0, xd.size, step):
-        xb, out = flat_x[lo : lo + step], flat_out[lo : lo + step]
+    flat_x = np.ascontiguousarray(x.data).reshape(-1)
+    data = np.empty(x.data.shape)
+    flat_out = data.reshape(-1)
+    spans, step = _blocks(flat_x.size)
+    scratch = np.empty(step)
+    for span in spans:
+        xb, out = flat_x[span], flat_out[span]
         t = _gelu_tanh(xb, scratch[: xb.size])
         # out = 0.5 * x * (1.0 + t)
         np.multiply(0.5, xb, out=out)
@@ -710,10 +720,29 @@ def gelu(x: Tensor) -> Tensor:
         np.multiply(out, t, out=out)
 
     def backward(g: Array):
-        tanh = _gelu_tanh(xd, np.empty(xd.shape))
-        sech2 = 1.0 - tanh**2
-        local = 0.5 * (1.0 + tanh) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        return (g * local,)
+        # g * local, where sech2 = 1.0 - t**2 and
+        # local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        gx = np.empty(data.shape)
+        flat_g, flat_gx = np.ascontiguousarray(g).reshape(-1), gx.reshape(-1)
+        t_buf, s_buf, u_buf = np.empty(step), np.empty(step), np.empty(step)
+        for span in spans:
+            xb = flat_x[span]
+            t = _gelu_tanh(xb, t_buf[: xb.size])
+            s, u = s_buf[: xb.size], u_buf[: xb.size]
+            np.multiply(t, t, out=s)
+            np.subtract(1.0, s, out=s)
+            np.multiply(0.5, xb, out=u)
+            np.multiply(u, s, out=u)
+            np.multiply(u, _GELU_C, out=u)
+            np.multiply(xb, xb, out=s)
+            np.multiply(3 * 0.044715, s, out=s)
+            np.add(1.0, s, out=s)
+            np.multiply(u, s, out=u)
+            np.add(1.0, t, out=t)
+            np.multiply(0.5, t, out=t)
+            np.add(t, u, out=t)
+            np.multiply(flat_g[span], t, out=flat_gx[span])
+        return (gx,)
 
     return _make("gelu", data, (x,), backward)
 
@@ -721,7 +750,8 @@ def gelu(x: Tensor) -> Tensor:
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, max-subtracted for stability.
 
-    Subtracts, exponentiates and divides inside the output array.
+    Subtracts, exponentiates and divides inside the output array; the adjoint
+    works through blocks of rows in one scratch.
     """
     xd = np.ascontiguousarray(x.data)
     data = np.subtract(xd, xd.max(axis=-1, keepdims=True))
@@ -729,8 +759,21 @@ def softmax(x: Tensor) -> Tensor:
     np.divide(data, data.sum(axis=-1, keepdims=True), out=data)
 
     def backward(g: Array):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        return (data * (g - dot),)
+        # data * (g - (g * data).sum(axis=-1, keepdims=True))
+        d = data.shape[-1]
+        gx = np.empty(data.shape)
+        rows_out, rows_g = data.reshape(-1, d), np.ascontiguousarray(g).reshape(-1, d)
+        rows_gx = gx.reshape(-1, d)
+        spans, step = _blocks(len(rows_out), d)
+        scratch = np.empty((step, d))
+        for span in spans:
+            out, gb = rows_out[span], rows_g[span]
+            s = scratch[: len(out)]
+            np.multiply(gb, out, out=s)
+            dot = s.sum(axis=-1, keepdims=True)
+            np.subtract(gb, dot, out=s)
+            np.multiply(out, s, out=rows_gx[span])
+        return (gx,)
 
     return _make("softmax", data, (x,), backward)
 
@@ -742,7 +785,9 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     The centred array becomes ``xhat`` in place, and the output array holds
-    the squares before it holds the result.
+    the squares before it holds the result. The adjoint's input gradient
+    works through blocks of rows in two scratches; the scale and shift
+    gradients stay whole-array sums over rows.
     """
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
@@ -759,13 +804,27 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     np.add(data, beta.data, out=data)
 
     def backward(g: Array):
-        gxhat = g * gamma_data
-        mean_g = gxhat.mean(axis=-1, keepdims=True)
-        mean_gx = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gxhat - mean_g - xhat * mean_gx)
         axes = tuple(range(g.ndim - 1))
         ggamma = (g * xhat).sum(axis=axes)
         gbeta = g.sum(axis=axes)
+        # gx = inv * (gxhat - mean_g - xhat * mean_gx), with gxhat = g * gamma,
+        # mean_g its row mean and mean_gx the row mean of gxhat * xhat
+        gx = np.empty(xhat.shape)
+        rows_xhat, rows_g = xhat.reshape(-1, d), np.ascontiguousarray(g).reshape(-1, d)
+        rows_inv, rows_gx = inv.reshape(-1, 1), gx.reshape(-1, d)
+        spans, step = _blocks(len(rows_xhat), d)
+        gxhat_buf, s_buf = np.empty((step, d)), np.empty((step, d))
+        for span in spans:
+            xb = rows_xhat[span]
+            gxhat, s = gxhat_buf[: len(xb)], s_buf[: len(xb)]
+            np.multiply(rows_g[span], gamma_data, out=gxhat)
+            mean_g = gxhat.mean(axis=-1, keepdims=True)
+            np.multiply(gxhat, xb, out=s)
+            mean_gx = s.mean(axis=-1, keepdims=True)
+            np.subtract(gxhat, mean_g, out=gxhat)
+            np.multiply(xb, mean_gx, out=s)
+            np.subtract(gxhat, s, out=gxhat)
+            np.multiply(rows_inv[span], gxhat, out=rows_gx[span])
         return (gx, ggamma, gbeta)
 
     return _make("layernorm", data, (x, gamma, beta), backward)

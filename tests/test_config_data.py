@@ -365,16 +365,20 @@ def netpbm_files(tmp_path_factory):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_mutated_netpbm_reads_as_declared_or_raises_config_error(netpbm_files, data):
-    """One replaced header byte, inserted header-like bytes, or a cut at any length."""
+    """One replaced header byte, inserted header-like bytes, a few deleted
+    header bytes, or a cut at any length."""
     root, originals = netpbm_files
     raw = data.draw(st.sampled_from(originals), label="file")
     header = raw.index(b"255\n") + 4
-    edit = data.draw(st.sampled_from(["replace", "insert", "truncate"]), label="edit")
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete", "truncate"]), label="edit")
     if edit == "truncate":
         bad = raw[: data.draw(st.integers(0, len(raw)), label="length")]
     elif edit == "replace":
         at = data.draw(st.integers(0, header - 1), label="position")
         bad = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at + 1 :]
+    elif edit == "delete":
+        at = data.draw(st.integers(0, header - 1), label="position")
+        bad = raw[:at] + raw[at + data.draw(st.integers(1, min(4, header - at)), label="count") :]
     else:
         at = data.draw(st.integers(0, header), label="position")
         bad = raw[:at] + bytes(data.draw(_HEADER_CHARS, label="bytes")) + raw[at:]

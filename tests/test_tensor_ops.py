@@ -420,6 +420,25 @@ def test_gelu_keeps_no_tanh_array(tape, rng):
     assert retained < bound, (retained, bound)
 
 
+@pytest.mark.parametrize("op", [T.gelu, T.softmax], ids=["gelu", "softmax"])
+def test_adjoint_allocates_its_result_and_block_scratch(op, rng):
+    """The ``gelu`` and ``softmax`` adjoints of a stage-1 hidden map allocate
+    their result and a few ``_BLOCK_BYTES`` scratch blocks: no full-size
+    temporary of the whole-array expression is built."""
+    x = Tensor(rng.normal(size=(1, 56, 56, 168)), requires_grad=True)
+    out = op(x)
+    g = rng.normal(size=x.shape)
+    tracemalloc.start()
+    try:
+        (gx,) = out._backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gx.shape == x.shape
+    bound = gx.nbytes + 4 * T._BLOCK_BYTES
+    assert peak < bound, (peak, bound)
+
+
 # The whole-array expressions the kernels compute, written out once more: each
 # returns the output and an adjoint. The kernels fill reused buffers instead and
 # must give the same bits.

@@ -15,9 +15,11 @@ The two pathways can be wired three ways:
 * ``bifovea``   - shallow(x) + deep(shallow(x)), the default
 
 Projections carry no bias terms; the strided reduction convolution keeps its
-bias. Each pathway runs inside ``T.scope("sfa")`` or ``T.scope("dfa")``, so
-an observer (``T.observe``) sees its attention weights as the output of the
-``softmax`` operator in that scope.
+bias. The scores' ``1/sqrt(C/heads)`` scale is a Python float that the
+``softmax`` multiplies in (``T.softmax(scores, scale)``), so no scaled copy of
+the scores is made or kept. Each pathway runs inside ``T.scope("sfa")`` or
+``T.scope("dfa")``, so an observer (``T.observe``) sees its attention weights
+as the output of the ``softmax`` operator in that scope.
 """
 
 from __future__ import annotations
@@ -116,12 +118,10 @@ def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Ten
     k = _split_heads(T.linear(kv_rows, params["k_weight"]), kv.shape, heads, (0, 2, 3, 1))
     v = _split_heads(T.linear(kv_rows, params["v_weight"]), kv.shape, heads, (0, 2, 1, 3))
 
-    # ``q`` is rebound to the scores, the scaled scores, the weights and the
-    # mixed values in turn, so without a tape each is freed once the next
-    # step has read it
+    # ``q`` is rebound to the scores, the weights and the mixed values in
+    # turn, so without a tape each is freed once the next step has read it
     q = T.matmul(q, k)
-    q = T.mul(q, Tensor(1.0 / math.sqrt(c // heads)))
-    q = T.softmax(q)
+    q = T.softmax(q, 1.0 / math.sqrt(c // heads))
     q = T.matmul(q, v)
     q = T.reshape(T.transpose(q, (0, 2, 1, 3)), (n * h * w, c))
     return tokens_to_map(T.linear(q, params["out_weight"]), h, w)

@@ -9,7 +9,9 @@ each taking and returning a channels-last ``(N, H, W, C)`` map:
 * ``bffn`` - the bi-fovea variant: the hidden channels are split into a
   shallow and a deep half, each filtered by its own 3x3 depthwise conv, with
   the shallow output feeding the deep branch before the halves are fused by a
-  per-channel gate.
+  per-channel gate. The gate is applied inside the GELU that follows
+  (``T.gelu(hidden, gate)``), so the tape keeps the rejoined map, not a
+  second, gated copy of it.
 
 Hidden width is ``round(dim * expansion)``. When that is odd the shallow half
 takes the extra channel and only the first ``floor(hidden/2)`` shallow outputs
@@ -96,6 +98,8 @@ def _dwconv(x: Tensor, params: dict) -> Tensor:
 def feedforward_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
     """fc1, then the ``cfg.kind`` hidden-layer branch, then GELU and fc2.
 
+    For ``bffn`` the GELU takes the gate, so it computes ``gelu(hidden * gate)``.
+
     ``x`` and each hidden map are rebound, nested or deleted at their last
     consumer, so without a tape each is freed as soon as that consumer
     returns; the caller should pass ``x`` without keeping a reference.
@@ -112,6 +116,5 @@ def feedforward_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
         hidden = _dwconv(hidden, params["deep_dw"])
         hidden = T.concat([shallow, hidden])
         del shallow
-        hidden = T.mul(hidden, params["fuse"]["weight"])
-    hidden = T.gelu(hidden)
+    hidden = T.gelu(hidden, params["fuse"]["weight"] if cfg.kind is FfnKind.BFFN else None)
     return _linear(hidden, params["fc2"])

@@ -44,6 +44,12 @@ blocks of whole rows. Blocked work goes through a few block-sized scratch
 arrays. Each kernel runs the ufuncs of the whole-array expression in the
 same order, so its results are bitwise those of that expression, and no
 buffer outlives its call.
+
+Two kernels take the scale that precedes them, as a ``mul`` node would
+apply it: ``gelu(x, gate)`` a per-channel ``(C,)`` gate, in blocks of whole
+rows, and ``softmax(x, scale)`` a Python float. The node keeps the unscaled
+input, not the scaled array, and the values and gradients are bitwise those
+of the two nodes.
 """
 from __future__ import annotations
 
@@ -698,37 +704,54 @@ def _gelu_tanh(x: Array, out: Array) -> Array:
     return np.tanh(out, out=out)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh form.
+def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
+    """Gaussian error linear unit, tanh form, of ``x`` or of ``x * gate``.
 
-    The output is filled block by block through one block-sized scratch, and
-    the adjoint keeps only the input and recomputes each block's ``tanh`` in
-    its first of three scratches: both run the ufuncs of the whole-array
-    expression in its order, so the values are identical.
+    A ``gate`` of shape ``(C,)`` scales the last axis, as a ``mul`` before
+    the ``gelu`` would, but the node keeps ``x`` and the gate, not their
+    product. The output is filled in blocks of whole rows (of single values
+    without a gate), each block of the output first holding its ``x * gate``,
+    through one block-sized scratch for ``tanh``. The adjoint recomputes each
+    block's ``x * gate`` in its result and its ``tanh`` in the first of three
+    scratches. Both run the ufuncs of the two-node expression in its order,
+    so the values are identical; the gate's gradient is ``mul``'s whole-array
+    sum of the unscaled input gradient times ``x``.
     """
-    flat_x = np.ascontiguousarray(x.data).reshape(-1)
+    if gate is not None and (x.ndim == 0 or gate.data.shape != x.data.shape[-1:]):
+        raise ShapeError(f"gelu gate must have shape (C,) for input {x.shape}, got {gate.shape}")
+    width = 1 if gate is None else x.data.shape[-1]
+    xd = np.ascontiguousarray(x.data)
+    rows_x = xd.reshape(-1, width)
     data = np.empty(x.data.shape)
-    flat_out = data.reshape(-1)
-    spans, step = _blocks(flat_x.size)
-    scratch = np.empty(step)
+    rows_out = data.reshape(-1, width)
+    spans, step = _blocks(len(rows_x), width)
+    scratch = np.empty((step, width))
+    gate_data = None if gate is None else gate.data
     for span in spans:
-        xb, out = flat_x[span], flat_out[span]
-        t = _gelu_tanh(xb, scratch[: xb.size])
+        xb, out = rows_x[span], rows_out[span]
+        if gate_data is not None:
+            xb = np.multiply(xb, gate_data, out=out)
+        t = _gelu_tanh(xb, scratch[: len(xb)])
         # out = 0.5 * x * (1.0 + t)
         np.multiply(0.5, xb, out=out)
         np.add(1.0, t, out=t)
         np.multiply(out, t, out=out)
+    x_grad = x.requires_grad
+    gate_grad = gate is not None and gate.requires_grad
 
     def backward(g: Array):
         # g * local, where sech2 = 1.0 - t**2 and
         # local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        # for x the gated input
         gx = np.empty(data.shape)
-        flat_g, flat_gx = np.ascontiguousarray(g).reshape(-1), gx.reshape(-1)
-        t_buf, s_buf, u_buf = np.empty(step), np.empty(step), np.empty(step)
+        rows_g, rows_gx = np.ascontiguousarray(g).reshape(-1, width), gx.reshape(-1, width)
+        t_buf, s_buf, u_buf = (np.empty((step, width)) for _ in range(3))
         for span in spans:
-            xb = flat_x[span]
-            t = _gelu_tanh(xb, t_buf[: xb.size])
-            s, u = s_buf[: xb.size], u_buf[: xb.size]
+            xb, gxb = rows_x[span], rows_gx[span]
+            if gate_data is not None:
+                xb = np.multiply(xb, gate_data, out=gxb)
+            t = _gelu_tanh(xb, t_buf[: len(xb)])
+            s, u = s_buf[: len(xb)], u_buf[: len(xb)]
             np.multiply(t, t, out=s)
             np.subtract(1.0, s, out=s)
             np.multiply(0.5, xb, out=u)
@@ -741,25 +764,37 @@ def gelu(x: Tensor) -> Tensor:
             np.add(1.0, t, out=t)
             np.multiply(0.5, t, out=t)
             np.add(t, u, out=t)
-            np.multiply(flat_g[span], t, out=flat_gx[span])
-        return (gx,)
+            np.multiply(rows_g[span], t, out=gxb)
+        if gate_data is None:
+            return (gx,)
+        # then ``mul``'s adjoint: the gate's gradient sums over whole rows at
+        # once (a sum per block would reassociate it), then gx is scaled
+        ggate = _unbroadcast(gx * xd, gate_data.shape) if gate_grad else None
+        return (np.multiply(gx, gate_data, out=gx) if x_grad else None, ggate)
 
-    return _make("gelu", data, (x,), backward)
+    return _make("gelu", data, (x,) if gate is None else (x, gate), backward)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability.
+def softmax(x: Tensor, scale: float | None = None) -> Tensor:
+    """Softmax over the last axis of ``x`` or of ``x * scale``, max-subtracted for stability.
 
-    Subtracts, exponentiates and divides inside the output array; the adjoint
-    works through blocks of rows in one scratch.
+    A Python-float ``scale`` is multiplied in as the output array's first
+    contents, as a ``mul`` before the ``softmax`` would; then the kernel
+    subtracts, exponentiates and divides inside that array. The adjoint works
+    through blocks of rows in one scratch and multiplies each block of its
+    result by ``scale``.
     """
-    xd = np.ascontiguousarray(x.data)
-    data = np.subtract(xd, xd.max(axis=-1, keepdims=True))
+    if scale is None:
+        xd = np.ascontiguousarray(x.data)
+        data = np.subtract(xd, xd.max(axis=-1, keepdims=True))
+    else:
+        data = np.multiply(x.data, scale, out=np.empty(x.data.shape))
+        np.subtract(data, data.max(axis=-1, keepdims=True), out=data)
     np.exp(data, out=data)
     np.divide(data, data.sum(axis=-1, keepdims=True), out=data)
 
     def backward(g: Array):
-        # data * (g - (g * data).sum(axis=-1, keepdims=True))
+        # data * (g - (g * data).sum(axis=-1, keepdims=True)), times scale
         d = data.shape[-1]
         gx = np.empty(data.shape)
         rows_out, rows_g = data.reshape(-1, d), np.ascontiguousarray(g).reshape(-1, d)
@@ -767,12 +802,14 @@ def softmax(x: Tensor) -> Tensor:
         spans, step = _blocks(len(rows_out), d)
         scratch = np.empty((step, d))
         for span in spans:
-            out, gb = rows_out[span], rows_g[span]
+            out, gb, gxb = rows_out[span], rows_g[span], rows_gx[span]
             s = scratch[: len(out)]
             np.multiply(gb, out, out=s)
             dot = s.sum(axis=-1, keepdims=True)
             np.subtract(gb, dot, out=s)
-            np.multiply(out, s, out=rows_gx[span])
+            np.multiply(out, s, out=gxb)
+            if scale is not None:
+                np.multiply(gxb, scale, out=gxb)
         return (gx,)
 
     return _make("softmax", data, (x,), backward)

@@ -50,15 +50,18 @@ def toy_spec():
 def scaled_gelu_adjoint(monkeypatch):
     """Swap ``gelu`` for one whose backward returns 1.5 times the true gradient.
 
-    Gradient checks must flag it; the forward values are unchanged.
+    Gradient checks must flag it; the forward values are unchanged. A gated
+    call scales the gate's gradient too; a gradient the adjoint leaves out
+    (``None``) passes through.
     """
     gelu = T.gelu
 
-    def broken_gelu(x):
-        out = gelu(x)
+    def broken_gelu(x, gate=None):
+        out = gelu(x, gate)
         if out._backward_fn is not None:
             backward = out._backward_fn
-            out._backward_fn = lambda g: tuple(1.5 * gx for gx in backward(g))
+            out._backward_fn = lambda g: tuple(
+                None if gx is None else 1.5 * gx for gx in backward(g))
         return out
 
     monkeypatch.setattr(T, "gelu", broken_gelu)

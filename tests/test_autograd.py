@@ -349,8 +349,9 @@ class TestTapeMemory:
 
     def test_taped_tiny224_forward_peak(self):
         """A taped tiny@224 forward keeps what the adjoints read and no more:
-        it peaks at about 207 MB. A ``gelu`` node keeping a whole ``tanh``
-        array beside its input would add about 29 MB."""
+        it peaks at about 187 MB. A ``gelu`` node keeping a whole ``tanh``
+        array beside its input would add about 29 MB, and a BFFN keeping its
+        gated map ``x * gate`` (a ``mul`` before the ``gelu``) about 20 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
         tracemalloc.start()
@@ -360,7 +361,7 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert logits._node is not None
-        assert peak < 220e6, peak
+        assert peak < 195e6, peak
 
     def test_gradients_leaves_only_gradients_and_outputs(self):
         graph = build(reduced_variant(VARIANTS["tiny"]), seed=0, zero_classifier=False)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import evit.tensor as T
 from evit.backbone import named_tensors
 from evit.errors import ConfigError
 from evit.feedforward import (
@@ -11,7 +12,7 @@ from evit.feedforward import (
     feedforward_forward,
     init_ffn_params,
 )
-from evit.tensor import Tensor
+from evit.tensor import Tensor, finite_difference, relative_error
 
 from conftest import to_nchw, to_nhwc
 from reference import naive_dwconv2d, naive_gelu
@@ -123,6 +124,36 @@ class TestForwardOracles:
         out = to_nchw(feedforward_forward(Tensor(to_nhwc(x)), cfg, params).data)
         expected = np.broadcast_to(params["fc2"]["bias"].data[None, :, None, None], out.shape)
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+class TestGradients:
+    @pytest.mark.parametrize("dim,expansion", [(6, 2.0), (3, 3.0)])  # even and odd hidden
+    def test_bffn_gradients_match_finite_differences(self, dim, expansion, rng):
+        """The gate, applied inside ``gelu``, and the input get the gradients
+        that central differences give through the whole BFFN."""
+        cfg = FfnConfig(dim, expansion, FfnKind.BFFN)
+        params = init_ffn_params(rng, cfg)
+        # hidden values of order one, so GELU is far from linear, and a gate
+        # of both signs
+        params["fc1"]["weight"].data[:] = rng.normal(size=(dim, cfg.hidden))
+        gate = params["fuse"]["weight"]
+        gate.data[:] = rng.choice([-1.0, 1.0], size=cfg.hidden) * rng.uniform(0.5, 2.0, cfg.hidden)
+        x = Tensor(rng.normal(size=(2, 4, 4, dim)), requires_grad=True)
+        mix = Tensor(rng.normal(size=x.shape))
+
+        def loss():
+            return T.tensor_sum(T.mul(feedforward_forward(x, cfg, params), mix))
+
+        grads = loss().backward()
+        x_picks = rng.choice(x.size, size=8, replace=False)
+        for leaf, indices in [
+            (gate, [(i,) for i in range(cfg.hidden)]),
+            (x, [tuple(int(v) for v in np.unravel_index(p, x.shape)) for p in x_picks]),
+        ]:
+            numeric = finite_difference(loss, leaf, indices, h=1e-3)
+            for idx in indices:
+                err = relative_error(float(grads[leaf][idx]), numeric[idx])
+                assert err <= 1e-4, (leaf.shape, idx, err)
 
 
 class TestShapesAndCounts:

@@ -86,6 +86,9 @@ SHAPE_ERRORS = [
                  "bias must have shape (2,)", id="dwconv-bias-width"),
     pytest.param(lambda: T.layernorm(_zeros(2, 3), _zeros(4), _zeros(3)), "scale/shift",
                  id="layernorm-gamma"),
+    pytest.param(lambda: T.gelu(_zeros(2, 3), _zeros(4)), "gelu gate", id="gelu-gate-width"),
+    pytest.param(lambda: T.gelu(_zeros(2, 3), _zeros(1, 3)), "gelu gate", id="gelu-gate-2d"),
+    pytest.param(lambda: T.gelu(_zeros(), _zeros()), "gelu gate", id="gelu-gate-0d-input"),
     pytest.param(lambda: T.avgpool_global(_zeros(2, 3, 4)), "expects (N,H,W,C)",
                  id="avgpool-3d"),
     pytest.param(lambda: T.cross_entropy(_zeros(2, 3, 4), np.array([0, 1])), "(N,K) logits",
@@ -401,16 +404,20 @@ def test_gelu_values(rng):
     assert T.gelu(Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
 @pytest.mark.parametrize("tape", [True, False], ids=["tape", "no_grad"])
-def test_gelu_keeps_no_tanh_array(tape, rng):
+def test_gelu_keeps_no_tanh_array(tape, gated, rng):
     """``gelu`` of a stage-1 hidden map allocates its output and block-sized
     scratch only, with or without a tape: no second full-size array for
-    ``tanh`` is built, nor kept by the node for the adjoint."""
+    ``tanh`` is built, nor kept by the node for the adjoint. With a gate
+    neither is the gated map ``x * gate``, which each block builds in its
+    slice of the output."""
     x = Tensor(rng.normal(size=(1, 56, 56, 168)), requires_grad=True)
+    gate = Tensor(rng.normal(size=168), requires_grad=True) if gated else None
     tracemalloc.start()
     try:
         with contextlib.nullcontext() if tape else T.no_grad():
-            out = T.gelu(x)
+            out = T.gelu(x, gate)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -420,22 +427,34 @@ def test_gelu_keeps_no_tanh_array(tape, rng):
     assert retained < bound, (retained, bound)
 
 
-@pytest.mark.parametrize("op", [T.gelu, T.softmax], ids=["gelu", "softmax"])
-def test_adjoint_allocates_its_result_and_block_scratch(op, rng):
+# (call on a stage-1 hidden map, x-sized temporaries its adjoint may build)
+ADJOINT_CASES = [
+    pytest.param(lambda x, rng: T.gelu(x), 0, id="gelu"),
+    pytest.param(lambda x, rng: T.gelu(x, Tensor(rng.normal(size=168), requires_grad=True)),
+                 1, id="gelu-gated"),
+    pytest.param(lambda x, rng: T.softmax(x), 0, id="softmax"),
+    pytest.param(lambda x, rng: T.softmax(x, 0.125), 0, id="softmax-scaled"),
+]
+
+
+@pytest.mark.parametrize("call,temporaries", ADJOINT_CASES)
+def test_adjoint_allocates_its_result_and_block_scratch(call, temporaries, rng):
     """The ``gelu`` and ``softmax`` adjoints of a stage-1 hidden map allocate
-    their result and a few ``_BLOCK_BYTES`` scratch blocks: no full-size
-    temporary of the whole-array expression is built."""
+    their results and a few ``_BLOCK_BYTES`` scratch blocks: no full-size
+    temporary of the whole-array expression is built. A gated ``gelu`` adds
+    ``mul``'s whole-array product for the gate's gradient, one x-sized
+    temporary; a scaled ``softmax`` scales its result in place."""
     x = Tensor(rng.normal(size=(1, 56, 56, 168)), requires_grad=True)
-    out = op(x)
+    out = call(x, rng)
     g = rng.normal(size=x.shape)
     tracemalloc.start()
     try:
-        (gx,) = out._backward_fn(g)
+        gx, *rest = out._backward_fn(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert gx.shape == x.shape
-    bound = gx.nbytes + 4 * T._BLOCK_BYTES
+    bound = (1 + temporaries) * gx.nbytes + sum(r.nbytes for r in rest) + 4 * T._BLOCK_BYTES
     assert peak < bound, (peak, bound)
 
 
@@ -483,6 +502,23 @@ def textbook_layernorm(x, gamma, beta):
     return xhat * gamma + beta, backward
 
 
+def textbook_gated_gelu(x, gate):
+    """``gelu(x * gate)`` as the two nodes ``mul`` and ``gelu``."""
+    out, gelu_backward = textbook_gelu(x * gate)
+
+    def backward(g):
+        (g_local,) = gelu_backward(g)
+        return (g_local * gate, (g_local * x).sum(axis=tuple(range(x.ndim - 1))))
+
+    return out, backward
+
+
+def textbook_scaled_softmax(x, scale):
+    """``softmax(x * scale)`` as the two nodes ``mul`` and ``softmax``."""
+    out, softmax_backward = textbook_softmax(x * scale)
+    return out, lambda g: (softmax_backward(g)[0] * scale,)
+
+
 def _over_one_block(rng):
     """Rows of 97 values, in total more than a block with a ragged tail."""
     return rng.normal(scale=3.0, size=(T._BLOCK_BYTES // 8 // 97 + 3, 97))
@@ -524,8 +560,23 @@ class TestElementwiseKernelsBitwise:
         np.testing.assert_array_equal(T.gelu(Tensor(x)).data, textbook_gelu(x)[0])
 
     @pytest.mark.parametrize("make", ELEMENTWISE_INPUTS)
+    def test_gated_gelu(self, make, rng):
+        x = make(rng)
+        d = x.shape[-1]
+        gate = rng.choice([-1.0, 1.0], size=d) * rng.uniform(0.5, 2.0, size=d)
+        self._check(T.gelu, textbook_gated_gelu, x, [gate], rng)
+        np.testing.assert_array_equal(T.gelu(Tensor(x), Tensor(gate)).data,
+                                      textbook_gated_gelu(x, gate)[0])
+
+    @pytest.mark.parametrize("make", ELEMENTWISE_INPUTS)
     def test_softmax(self, make, rng):
         self._check(T.softmax, textbook_softmax, make(rng), [], rng)
+
+    @pytest.mark.parametrize("make", ELEMENTWISE_INPUTS)
+    def test_scaled_softmax(self, make, rng):
+        scale = 1.0 / math.sqrt(12)
+        self._check(lambda x: T.softmax(x, scale),
+                    lambda x: textbook_scaled_softmax(x, scale), make(rng), [], rng)
 
     @pytest.mark.parametrize("make", ELEMENTWISE_INPUTS)
     def test_layernorm(self, make, rng):
@@ -607,6 +658,17 @@ class TestPurity:
         T.gelu(T.conv2d(xt, wt, stride=1, padding=1))
         np.testing.assert_array_equal(xt.data, x_copy)
         np.testing.assert_array_equal(wt.data, w_copy)
+
+    def test_folded_scales_leave_inputs_unwritten(self, rng):
+        """A gated ``gelu`` and a scaled ``softmax`` write neither the input
+        nor the gate, forward or backward."""
+        x = rng.normal(size=(2, 5, 7))
+        gate = rng.normal(size=7)
+        xt, gt = Tensor(x.copy(), requires_grad=True), Tensor(gate.copy(), requires_grad=True)
+        for out in (T.gelu(xt, gt), T.softmax(xt, 0.5)):
+            out._backward_fn(rng.normal(size=x.shape))
+        np.testing.assert_array_equal(xt.data, x)
+        np.testing.assert_array_equal(gt.data, gate)
 
     def test_double_call_bitwise_equal(self, rng):
         x = Tensor(to_nhwc(rng.normal(size=(3, 4, 6, 6))))

@@ -17,9 +17,10 @@ The two pathways can be wired three ways:
 Projections carry no bias terms; the strided reduction convolution keeps its
 bias. The scores' ``1/sqrt(C/heads)`` scale is a Python float that the
 ``softmax`` multiplies in (``T.softmax(scores, scale)``), so no scaled copy of
-the scores is made or kept. Each pathway runs inside ``T.scope("sfa")`` or
-``T.scope("dfa")``, so an observer (``T.observe``) sees its attention weights
-as the output of the ``softmax`` operator in that scope.
+the scores is made or kept. ``bfsa_forward`` runs inside ``T.scope("bfsa")``
+and each pathway inside ``T.scope("sfa")`` or ``T.scope("dfa")`` within it,
+so an observer (``T.observe``) sees a pathway's attention weights as the
+output of the ``softmax`` operator in scope ``bfsa.sfa`` or ``bfsa.dfa``.
 """
 
 from __future__ import annotations
@@ -145,10 +146,11 @@ def bfsa_forward(
     params: dict,
     pattern: ConnectionPattern = ConnectionPattern.BIFOVEA,
 ) -> Tensor:
-    """Combine the two foveae according to the connection pattern."""
-    shallow = sfa_forward(x, cfg, params["sfa"])
-    # rebound: outside ``parallel`` the deep fovea reads the shallow output,
-    # so a forward without a tape frees ``x`` here
-    x = x if pattern is ConnectionPattern.PARALLEL else shallow
-    deep = dfa_forward(x, cfg, params["dfa"])
-    return deep if pattern is ConnectionPattern.CASCADE else T.add(shallow, deep)
+    """Combine the two foveae according to the connection pattern, in ``T.scope("bfsa")``."""
+    with T.scope("bfsa"):
+        shallow = sfa_forward(x, cfg, params["sfa"])
+        # rebound: outside ``parallel`` the deep fovea reads the shallow output,
+        # so a forward without a tape frees ``x`` here
+        x = x if pattern is ConnectionPattern.PARALLEL else shallow
+        deep = dfa_forward(x, cfg, params["dfa"])
+        return deep if pattern is ConnectionPattern.CASCADE else T.add(shallow, deep)

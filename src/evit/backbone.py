@@ -242,9 +242,11 @@ class ModuleGraph:
         ``return_stage_maps`` is set; stage maps are the four per-stage output
         tensors in (N, C, H, W), useful for dense downstream heads. Each
         module runs in the ``T.scope`` named like its ``cost_report`` row:
-        ``stem.conv{i}`` (the conv and its GELU), ``stage{i}.embed``,
-        ``stage{i}.block{j}`` (the prefix of a block's rows), ``head.proj``
-        (the projection, its GELU and the pooling) and ``head.fc``.
+        ``stem.conv{i}`` (the conv and its GELU), ``stage{i}.embed``, a
+        block's ``stage{i}.block{j}.cpe``, ``.ln1``, ``.bfsa.sfa``,
+        ``.bfsa.dfa``, ``.ln2`` and ``.ffn`` (see ``bev_block_forward``),
+        ``head.proj`` (the projection, its GELU and the pooling) and
+        ``head.fc``.
 
         This is the only place that knows the (N, C, H, W) layout: the images
         are transposed once on the way in, every layer inside runs on
@@ -303,18 +305,27 @@ def bev_block_forward(
 ) -> Tensor:
     """One residual block on a ``(N,H,W,C)`` map: position encoding, attention, feedforward.
 
-    The attention runs in ``T.scope("bfsa")``.
+    Each part runs in the ``T.scope`` named like its ``cost_report`` row:
+    the position-encoding conv and its add in ``cpe``, the layer norms in
+    ``ln1`` and ``ln2``; ``bfsa_forward`` and ``feedforward_forward`` open
+    ``bfsa`` and ``ffn`` themselves. The residual adds run in the block's scope.
     """
-    cpe, ln1, ln2 = blk["cpe"], blk["ln1"], blk["ln2"]
+    cpe = blk["cpe"]
     # each residual branch's input is nested into it and ``x`` is rebound to
     # each sum, so without a tape every map is freed after its last reader
-    x = T.add(dwconv_bias(x, cpe["weight"], cpe["bias"], stride=1, padding=1), x)
-    with T.scope("bfsa"):
-        y = bfsa_forward(ln_channels(x, ln1["gamma"], ln1["beta"]), attn_cfg, blk["bfsa"], pattern)
+    with T.scope("cpe"):
+        x = T.add(dwconv_bias(x, cpe["weight"], cpe["bias"], stride=1, padding=1), x)
+    y = bfsa_forward(_norm(x, blk, "ln1"), attn_cfg, blk["bfsa"], pattern)
     x = T.add(y, x)
     del y
-    y = feedforward_forward(ln_channels(x, ln2["gamma"], ln2["beta"]), ffn_cfg, blk["ffn"])
+    y = feedforward_forward(_norm(x, blk, "ln2"), ffn_cfg, blk["ffn"])
     return T.add(y, x)
+
+
+def _norm(x: Tensor, blk: dict, name: str) -> Tensor:
+    """The block's layer norm ``name`` of ``x``, run in its own scope."""
+    with T.scope(name):
+        return ln_channels(x, blk[name]["gamma"], blk[name]["beta"])
 
 
 # ---------------------------------------------------------------------------

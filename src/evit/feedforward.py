@@ -96,7 +96,7 @@ def _dwconv(x: Tensor, params: dict) -> Tensor:
 
 
 def feedforward_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
-    """fc1, then the ``cfg.kind`` hidden-layer branch, then GELU and fc2.
+    """fc1, then the ``cfg.kind`` hidden-layer branch, then GELU and fc2, in ``T.scope("ffn")``.
 
     For ``bffn`` the GELU takes the gate, so it computes ``gelu(hidden * gate)``.
 
@@ -104,17 +104,18 @@ def feedforward_forward(x: Tensor, cfg: FfnConfig, params: dict) -> Tensor:
     consumer, so without a tape each is freed as soon as that consumer
     returns; the caller should pass ``x`` without keeping a reference.
     """
-    hidden = _linear(x, params["fc1"])
-    del x
-    if cfg.kind is FfnKind.CFFN:
-        hidden = T.add(hidden, _dwconv(hidden, params["dw"]))
-    elif cfg.kind is FfnKind.BFFN:
-        hs, hd = cfg.shallow_width, cfg.deep_width
-        shallow, hidden = T.split(hidden, [hs, hd])
-        shallow = _dwconv(shallow, params["shallow_dw"])
-        hidden = T.add(shallow if hs == hd else T.split(shallow, [hd, hs - hd])[0], hidden)
-        hidden = _dwconv(hidden, params["deep_dw"])
-        hidden = T.concat([shallow, hidden])
-        del shallow
-    hidden = T.gelu(hidden, params["fuse"]["weight"] if cfg.kind is FfnKind.BFFN else None)
-    return _linear(hidden, params["fc2"])
+    with T.scope("ffn"):
+        hidden = _linear(x, params["fc1"])
+        del x
+        if cfg.kind is FfnKind.CFFN:
+            hidden = T.add(hidden, _dwconv(hidden, params["dw"]))
+        elif cfg.kind is FfnKind.BFFN:
+            hs, hd = cfg.shallow_width, cfg.deep_width
+            shallow, hidden = T.split(hidden, [hs, hd])
+            shallow = _dwconv(shallow, params["shallow_dw"])
+            hidden = T.add(shallow if hs == hd else T.split(shallow, [hd, hs - hd])[0], hidden)
+            hidden = _dwconv(hidden, params["deep_dw"])
+            hidden = T.concat([shallow, hidden])
+            del shallow
+        hidden = T.gelu(hidden, params["fuse"]["weight"] if cfg.kind is FfnKind.BFFN else None)
+        return _linear(hidden, params["fc2"])

@@ -36,20 +36,20 @@ fresh product. Convolution closures keep their input array, not a padded
 copy or a window matrix, and rebuild what they need in ``backward``.
 ``split`` and ``concat`` work on the last axis.
 
-The memory-bound kernels make few passes over memory. ``gelu``'s forward
-and adjoint work through ``_BLOCK_BYTES`` blocks of the flattened array, the
-adjoint recomputing each block's ``tanh`` from the input; ``softmax`` and
-``layernorm`` work inside their output arrays, and their adjoints through
-blocks of whole rows. Blocked work goes through a few block-sized scratch
-arrays. Each kernel runs the ufuncs of the whole-array expression in the
-same order, so its results are bitwise those of that expression, and no
-buffer outlives its call.
+The memory-bound kernels make few passes over memory. One driver,
+``row_blocks``, cuts their work into ``_BLOCK_BYTES`` blocks of whole rows
+with block-sized scratch: ``gelu``'s forward and adjoint (the adjoint
+recomputing each block's ``tanh``), the adjoints of ``softmax`` and
+``layernorm``, which work inside their output arrays, and ``AdamW.step``.
+Each kernel runs the ufuncs of the whole-array expression in the same
+order, so its results are bitwise those of that expression, and no buffer
+outlives its call.
 
 Two kernels take the scale that precedes them, as a ``mul`` node would
 apply it: ``gelu(x, gate)`` a per-channel ``(C,)`` gate, in blocks of whole
-rows, and ``softmax(x, scale)`` a Python float. The node keeps the unscaled
-input, not the scaled array, and the values and gradients are bitwise those
-of the two nodes.
+rows, and ``softmax(x, scale)`` a Python float (1.0 unless given). The node
+keeps the unscaled input, not the scaled array, and the values and
+gradients are bitwise those of the two nodes.
 """
 from __future__ import annotations
 
@@ -640,8 +640,9 @@ def dwconv2d(
     ``_windows`` view, and the input gradient scatters each tap's product
     with the output gradient through ``_scatter_taps``. The weight enters as a
     C-contiguous ``(kh, kw, C)`` copy, ``taps``: einsum's loop order follows
-    its operands' strides, and with these every output element adds its taps
-    in row-major tap order.
+    its operands' strides, and with these, for C >= 2, every output element
+    adds its taps in row-major tap order. At C = 1 einsum picks another loop
+    order, and the output can differ from that sum in the last bits.
     """
     _check_conv_args(x, weight, stride, padding, bias)
     if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[3]:
@@ -687,21 +688,34 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _BLOCK_BYTES = 1 << 18
 
 
-def _blocks(rows: int, width: int = 1) -> tuple[list[slice], int]:
-    """Slices of ``rows`` rows of ``width`` values, about ``_BLOCK_BYTES`` each
-    and at least one row, and the row count of the largest (for its scratch)."""
+def row_blocks(width: int, arrays: Sequence[Array], scratch: int = 0):
+    """Yield each of ``arrays``' rows of a block, then ``scratch`` buffers of its shape.
+
+    The first array's rows of ``width`` values are cut into blocks of about
+    ``_BLOCK_BYTES``, at least one row each. The other arrays are viewed as
+    ``(rows, -1)``, so a per-row ``(rows, 1)`` array rides along; an array
+    written through its blocks must be C-contiguous. The buffers are made
+    once per call and reused by every block.
+    """
+    rows = arrays[0].size // width
+    if not rows:
+        return
+    views = [a.reshape(rows, -1) for a in arrays]
     step = max(1, _BLOCK_BYTES // (8 * width))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)], min(step, rows)
+    buffers = [np.empty((min(step, rows), width)) for _ in range(scratch)]
+    for lo in range(0, rows, step):
+        n = min(step, rows - lo)
+        yield (*(v[lo : lo + n] for v in views), *(b[:n] for b in buffers))
 
 
-def _gelu_tanh(x: Array, out: Array) -> Array:
+def _gelu_tanh(x: Array, out: Array) -> None:
     """``tanh(_GELU_C * (x + 0.044715 * (x * x * x)))`` into ``out``, its only scratch."""
     np.multiply(x, x, out=out)  # x * x * x, not x**3: numpy's pow has no fast path for a cube
     np.multiply(out, x, out=out)
     np.multiply(0.044715, out, out=out)
     np.add(x, out, out=out)
     np.multiply(_GELU_C, out, out=out)
-    return np.tanh(out, out=out)
+    np.tanh(out, out=out)
 
 
 def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
@@ -721,17 +735,12 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
         raise ShapeError(f"gelu gate must have shape (C,) for input {x.shape}, got {gate.shape}")
     width = 1 if gate is None else x.data.shape[-1]
     xd = np.ascontiguousarray(x.data)
-    rows_x = xd.reshape(-1, width)
     data = np.empty(x.data.shape)
-    rows_out = data.reshape(-1, width)
-    spans, step = _blocks(len(rows_x), width)
-    scratch = np.empty((step, width))
     gate_data = None if gate is None else gate.data
-    for span in spans:
-        xb, out = rows_x[span], rows_out[span]
+    for xb, out, t in row_blocks(width, (xd, data), 1):
         if gate_data is not None:
             xb = np.multiply(xb, gate_data, out=out)
-        t = _gelu_tanh(xb, scratch[: len(xb)])
+        _gelu_tanh(xb, t)
         # out = 0.5 * x * (1.0 + t)
         np.multiply(0.5, xb, out=out)
         np.add(1.0, t, out=t)
@@ -744,14 +753,10 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
         # local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
         # for x the gated input
         gx = np.empty(data.shape)
-        rows_g, rows_gx = np.ascontiguousarray(g).reshape(-1, width), gx.reshape(-1, width)
-        t_buf, s_buf, u_buf = (np.empty((step, width)) for _ in range(3))
-        for span in spans:
-            xb, gxb = rows_x[span], rows_gx[span]
+        for xb, gb, gxb, t, s, u in row_blocks(width, (xd, g, gx), 3):
             if gate_data is not None:
                 xb = np.multiply(xb, gate_data, out=gxb)
-            t = _gelu_tanh(xb, t_buf[: len(xb)])
-            s, u = s_buf[: len(xb)], u_buf[: len(xb)]
+            _gelu_tanh(xb, t)
             np.multiply(t, t, out=s)
             np.subtract(1.0, s, out=s)
             np.multiply(0.5, xb, out=u)
@@ -764,7 +769,7 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
             np.add(1.0, t, out=t)
             np.multiply(0.5, t, out=t)
             np.add(t, u, out=t)
-            np.multiply(rows_g[span], t, out=gxb)
+            np.multiply(gb, t, out=gxb)
         if gate_data is None:
             return (gx,)
         # then ``mul``'s adjoint: the gate's gradient sums over whole rows at
@@ -775,41 +780,29 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
     return _make("gelu", data, (x,) if gate is None else (x, gate), backward)
 
 
-def softmax(x: Tensor, scale: float | None = None) -> Tensor:
-    """Softmax over the last axis of ``x`` or of ``x * scale``, max-subtracted for stability.
+def softmax(x: Tensor, scale: float = 1.0) -> Tensor:
+    """Softmax over the last axis of ``x * scale``, max-subtracted for stability.
 
-    A Python-float ``scale`` is multiplied in as the output array's first
+    The Python-float ``scale`` is multiplied in as the output array's first
     contents, as a ``mul`` before the ``softmax`` would; then the kernel
     subtracts, exponentiates and divides inside that array. The adjoint works
     through blocks of rows in one scratch and multiplies each block of its
-    result by ``scale``.
+    result by ``scale``; at the default 1.0 that is the unscaled softmax.
     """
-    if scale is None:
-        xd = np.ascontiguousarray(x.data)
-        data = np.subtract(xd, xd.max(axis=-1, keepdims=True))
-    else:
-        data = np.multiply(x.data, scale, out=np.empty(x.data.shape))
-        np.subtract(data, data.max(axis=-1, keepdims=True), out=data)
+    data = np.multiply(x.data, scale, out=np.empty(x.data.shape))
+    np.subtract(data, data.max(axis=-1, keepdims=True), out=data)
     np.exp(data, out=data)
     np.divide(data, data.sum(axis=-1, keepdims=True), out=data)
 
     def backward(g: Array):
-        # data * (g - (g * data).sum(axis=-1, keepdims=True)), times scale
-        d = data.shape[-1]
+        # data * (g - (g * data).sum(axis=-1, keepdims=True)) * scale
         gx = np.empty(data.shape)
-        rows_out, rows_g = data.reshape(-1, d), np.ascontiguousarray(g).reshape(-1, d)
-        rows_gx = gx.reshape(-1, d)
-        spans, step = _blocks(len(rows_out), d)
-        scratch = np.empty((step, d))
-        for span in spans:
-            out, gb, gxb = rows_out[span], rows_g[span], rows_gx[span]
-            s = scratch[: len(out)]
+        for out, gb, gxb, s in row_blocks(data.shape[-1], (data, g, gx), 1):
             np.multiply(gb, out, out=s)
             dot = s.sum(axis=-1, keepdims=True)
             np.subtract(gb, dot, out=s)
             np.multiply(out, s, out=gxb)
-            if scale is not None:
-                np.multiply(gxb, scale, out=gxb)
+            np.multiply(gxb, scale, out=gxb)
         return (gx,)
 
     return _make("softmax", data, (x,), backward)
@@ -847,21 +840,15 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         # gx = inv * (gxhat - mean_g - xhat * mean_gx), with gxhat = g * gamma,
         # mean_g its row mean and mean_gx the row mean of gxhat * xhat
         gx = np.empty(xhat.shape)
-        rows_xhat, rows_g = xhat.reshape(-1, d), np.ascontiguousarray(g).reshape(-1, d)
-        rows_inv, rows_gx = inv.reshape(-1, 1), gx.reshape(-1, d)
-        spans, step = _blocks(len(rows_xhat), d)
-        gxhat_buf, s_buf = np.empty((step, d)), np.empty((step, d))
-        for span in spans:
-            xb = rows_xhat[span]
-            gxhat, s = gxhat_buf[: len(xb)], s_buf[: len(xb)]
-            np.multiply(rows_g[span], gamma_data, out=gxhat)
+        for xb, gb, inv_b, gxb, gxhat, s in row_blocks(d, (xhat, g, inv, gx), 2):
+            np.multiply(gb, gamma_data, out=gxhat)
             mean_g = gxhat.mean(axis=-1, keepdims=True)
             np.multiply(gxhat, xb, out=s)
             mean_gx = s.mean(axis=-1, keepdims=True)
             np.subtract(gxhat, mean_g, out=gxhat)
             np.multiply(xb, mean_gx, out=s)
             np.subtract(gxhat, s, out=gxhat)
-            np.multiply(rows_inv[span], gxhat, out=rows_gx[span])
+            np.multiply(inv_b, gxhat, out=gxb)
         return (gx, ggamma, gbeta)
 
     return _make("layernorm", data, (x, gamma, beta), backward)

@@ -26,20 +26,16 @@ from .errors import ConfigError, NonFiniteError
 from .tensor import Tensor
 
 
-# elements of a parameter ``AdamW.step`` updates at a time
-_ADAMW_CHUNK = 1 << 15
-
-
 class AdamW:
     """Adam with decoupled weight decay.
 
     Decay applies only to matrix- and conv-shaped tensors; biases, norm
     parameters and gates (all 1-d) are left undecayed.
 
-    ``step`` updates each parameter in chunks of ``_ADAMW_CHUNK`` elements
-    through two chunk-sized scratch arrays made per call, running the ufuncs
-    of the whole-array update in the same order, so a chunked update is
-    bitwise the whole-array one.
+    ``step`` updates each parameter in the blocks of ``tensor.row_blocks``
+    (rows of single values) through two block-sized scratch arrays, running
+    the ufuncs of the whole-array update in the same order, so a blocked
+    update is bitwise the whole-array one.
     """
 
     beta1 = 0.9
@@ -64,8 +60,6 @@ class AdamW:
         lr = self.learning_rate * lr_scale
         correction1 = 1.0 - self.beta1**t
         correction2 = 1.0 - self.beta2**t
-        size = min(_ADAMW_CHUNK, max((p.data.size for _, p in named_params), default=0))
-        scratch_buf, update_buf = np.empty(size), np.empty(size)
         for name, p in named_params:
             if name not in self._m:
                 self._m[name] = np.zeros_like(p.data, order="C")
@@ -73,12 +67,8 @@ class AdamW:
             decay = self.weight_decay if p.data.ndim >= 2 else 0.0
             # a C-contiguous parameter is updated through a view of itself
             data = np.ascontiguousarray(p.data)
-            flat_p, flat_g = data.reshape(-1), np.ascontiguousarray(grads[name]).reshape(-1)
-            flat_m, flat_v = self._m[name].reshape(-1), self._v[name].reshape(-1)
-            for lo in range(0, flat_p.size, _ADAMW_CHUNK):
-                span = slice(lo, lo + _ADAMW_CHUNK)
-                g, m, v = flat_g[span], flat_m[span], flat_v[span]
-                scratch, update = scratch_buf[: g.size], update_buf[: g.size]
+            blocks = T.row_blocks(1, (data, grads[name], self._m[name], self._v[name]), 2)
+            for pb, g, m, v, scratch, update in blocks:
                 # update = (m / c1) / (sqrt(v / c2) + eps) (+ decay * p), the
                 # same operations in the same order
                 np.multiply(g, 1.0 - self.beta1, out=scratch)
@@ -93,9 +83,9 @@ class AdamW:
                 np.divide(m, correction1, out=update)
                 update /= scratch
                 if decay:
-                    update += np.multiply(flat_p[span], decay, out=scratch)
+                    update += np.multiply(pb, decay, out=scratch)
                 update *= lr
-                flat_p[span] -= update
+                pb -= update
             if data is not p.data:
                 p.data[...] = data
 

@@ -144,9 +144,9 @@ class TestCaptureAndShapes:
         x = Tensor(to_nhwc(rng.normal(size=(3, 8, 4, 4))))
         with softmax_outputs() as capture:
             bfsa_forward(x, cfg, params, ConnectionPattern.BIFOVEA)
-        assert set(capture) == {"sfa", "dfa"}
-        assert capture["sfa"].shape == (3, 2, 16, 4)
-        assert capture["dfa"].shape == (3, 2, 16, 16)
+        assert set(capture) == {"bfsa.sfa", "bfsa.dfa"}
+        assert capture["bfsa.sfa"].shape == (3, 2, 16, 4)
+        assert capture["bfsa.dfa"].shape == (3, 2, 16, 16)
         for weights in capture.values():
             assert (weights >= 0).all()
             assert np.abs(weights.sum(axis=-1) - 1.0).max() <= 1e-9

@@ -330,13 +330,13 @@ class TestTapeMemory:
                 refs["embed"] = weakref.ref(out.data)
             elif where == "stage1.block0.bfsa":  # the sum of the two foveae
                 refs["attention"] = weakref.ref(out.data)
-            elif where == "stage1.block0" and op == "layernorm":
+            elif where == "stage1.block0.ln2":
                 refs["ln2"] = weakref.ref(out.data)
             elif where == "stage1.block0.bfsa.dfa" and op == "softmax":
                 dead("embed")
-            elif where == "stage1.block0" and op == "gelu":
+            elif where == "stage1.block0.ffn" and op == "gelu":
                 dead("attention", "ln2")
-            elif where == "stage2.block0" and "stage1" in refs:  # its first operator
+            elif where == "stage2.block0.cpe" and "stage1" in refs:  # its first operator
                 dead("stage1")
                 del refs["stage1"]
             if where.startswith("stage1.block"):
@@ -345,7 +345,7 @@ class TestTapeMemory:
         with T.no_grad(), T.observe(watch):
             graph.forward(image)
         assert [w for _, w in checked] == [
-            "stage1.block0.bfsa.dfa", "stage1.block0", "stage2.block0"]
+            "stage1.block0.bfsa.dfa", "stage1.block0.ffn", "stage2.block0.cpe"]
 
     def test_taped_tiny224_forward_peak(self):
         """A taped tiny@224 forward keeps what the adjoints read and no more:

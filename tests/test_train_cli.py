@@ -12,7 +12,7 @@ from evit.config import RunConfig, render_config
 from evit.data import read_image, synthetic_shapes, write_image
 from evit.errors import ConfigError
 from evit.tensor import Tensor
-from evit.train import _ADAMW_CHUNK, AdamW, cosine_scale, evaluate, run_training
+from evit.train import AdamW, cosine_scale, evaluate, run_training
 
 
 def _short_config(steps=4, **model_overrides):
@@ -65,9 +65,10 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     def test_steps_bitwise_equal_to_textbook_expressions(self, weight_decay, rng):
-        """Small tensors, and a matrix and a vector that span two update chunks
-        and a ragged tail, decayed and undecayed."""
-        long = 2 * _ADAMW_CHUNK + 5
+        """Small tensors, and a matrix and a vector that span two update blocks
+        (``T.row_blocks`` rows of single values) and a ragged tail, decayed and
+        undecayed."""
+        long = 2 * (T._BLOCK_BYTES // 8) + 5
         shapes = {"w": (3, 4), "b": (4,), "wide": (1, long), "long": (long,)}
         params = [(n, Tensor(rng.normal(size=s), requires_grad=True)) for n, s in shapes.items()]
         expected = {n: p.data.copy() for n, p in params}

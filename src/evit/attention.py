@@ -5,9 +5,10 @@ parameters and in how aggressively they shrink the key/value grid. Queries
 are projected from the full-resolution map; keys and values come from a
 strided depthwise convolution that pools ``reduction x reduction`` patches
 (skipped entirely at reduction 1). Every projection is one matmul on the
-token rows ``(N*H*W, C)`` of its map; one reshape and one transpose split
-the rows into heads, keys straight into the transposed layout the scores
-need, and one transpose and one reshape merge the heads back into rows.
+token rows ``(N*H*W, C)`` of its map, and one ``T.attention`` call splits
+the rows into heads, attends and merges the heads back into rows: one tape
+node that keeps the head-split queries, keys and values and recomputes the
+attention weights in backward.
 The two pathways can be wired three ways:
 
 * ``parallel``  - shallow(x) + deep(x)
@@ -15,12 +16,12 @@ The two pathways can be wired three ways:
 * ``bifovea``   - shallow(x) + deep(shallow(x)), the default
 
 Projections carry no bias terms; the strided reduction convolution keeps its
-bias. The scores' ``1/sqrt(C/heads)`` scale is a Python float that the
-``softmax`` multiplies in (``T.softmax(scores, scale)``), so no scaled copy of
-the scores is made or kept. ``bfsa_forward`` runs inside ``T.scope("bfsa")``
-and each pathway inside ``T.scope("sfa")`` or ``T.scope("dfa")`` within it,
-so an observer (``T.observe``) sees a pathway's attention weights as the
-output of the ``softmax`` operator in scope ``bfsa.sfa`` or ``bfsa.dfa``.
+bias. The scores' ``1/sqrt(C/heads)`` scale is a Python float that
+``T.attention`` hands to its ``softmax``, so no scaled copy of the scores is
+made or kept. ``bfsa_forward`` runs inside ``T.scope("bfsa")`` and each
+pathway inside ``T.scope("sfa")`` or ``T.scope("dfa")`` within it, so an
+observer (``T.observe``) sees a pathway's attention weights as the output of
+the ``softmax`` operator in scope ``bfsa.sfa`` or ``bfsa.dfa``.
 """
 
 from __future__ import annotations
@@ -83,19 +84,6 @@ def init_bfsa_params(rng: np.random.Generator | None, cfg: AttentionConfig) -> d
     }
 
 
-def _split_heads(
-    rows: Tensor, map_shape: tuple[int, ...], heads: int, axes: tuple[int, ...]
-) -> Tensor:
-    """Reshape a map's token rows to ``(N, H*W, heads, C/heads)``, then permute by ``axes``.
-
-    ``map_shape`` is the map's ``(N, H, W, C)``. ``(0, 2, 1, 3)`` gives
-    ``(N, heads, H*W, C/heads)`` for queries and values, ``(0, 2, 3, 1)`` the
-    transposed ``(N, heads, C/heads, H*W)`` that keys enter the scores in.
-    """
-    n, h, w, c = map_shape
-    return T.transpose(T.reshape(rows, (n, h * w, heads, c // heads)), axes)
-
-
 def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Tensor:
     """Multi-head attention over a ``(N,H,W,C)`` map, with strided key/value pooling."""
     n, h, w, c = x.shape
@@ -108,24 +96,22 @@ def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Ten
             f"map size {h}x{w} not divisible by key/value reduction {reduction}"
         )
 
-    q = _split_heads(T.linear(map_to_tokens(x), params["q_weight"]), x.shape, heads, (0, 2, 1, 3))
     kv = x
     if reduction > 1:
         reduce = params["reduce"]
         kv = dwconv_bias(x, reduce["weight"], reduce["bias"], stride=reduction, padding=0)
     # a second reshape even at reduction 1: sharing the queries' rows would
     # merge two gradient paths into one node and reorder the map's gradient sum
-    kv_rows = map_to_tokens(kv)
-    k = _split_heads(T.linear(kv_rows, params["k_weight"]), kv.shape, heads, (0, 2, 3, 1))
-    v = _split_heads(T.linear(kv_rows, params["v_weight"]), kv.shape, heads, (0, 2, 1, 3))
-
-    # ``q`` is rebound to the scores, the weights and the mixed values in
-    # turn, so without a tape each is freed once the next step has read it
-    q = T.matmul(q, k)
-    q = T.softmax(q, 1.0 / math.sqrt(c // heads))
-    q = T.matmul(q, v)
-    q = T.reshape(T.transpose(q, (0, 2, 1, 3)), (n * h * w, c))
-    return tokens_to_map(T.linear(q, params["out_weight"]), h, w)
+    kv = map_to_tokens(kv)
+    # the projections go in inline, so without a tape the op can free each
+    # one's rows once it has split them into heads
+    mixed = T.attention(
+        T.linear(map_to_tokens(x), params["q_weight"]),
+        T.linear(kv, params["k_weight"]),
+        T.linear(kv, params["v_weight"]),
+        n, heads, 1.0 / math.sqrt(c // heads),
+    )
+    return tokens_to_map(T.linear(mixed, params["out_weight"]), h, w)
 
 
 def sfa_forward(x: Tensor, cfg: AttentionConfig, params: dict) -> Tensor:

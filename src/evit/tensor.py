@@ -25,7 +25,9 @@ The kernel is written for clarity and trust first, and everything stays
 float64 so finite-difference checks have headroom. Both convolutions read
 their input through one gather, ``_windows``, a view of every window of the
 padded map, and send their input gradient back through one scatter,
-``_scatter_taps``, tap by tap. A dense convolution is one matrix product of
+``_scatter_taps``, tap by tap; at stride 1 a depthwise convolution instead
+correlates the reversed windows of its output gradient with its taps, with
+the scatter's bits. A dense convolution is one matrix product of
 that view reshaped into its patch matrix (every output pixel's window as a
 row) with the reshaped weight, built and multiplied in blocks of whole
 images or of one image's output rows, about ``_CONV_BLOCK_BYTES`` each (with
@@ -50,6 +52,12 @@ apply it: ``gelu(x, gate)`` a per-channel ``(C,)`` gate, in blocks of whole
 rows, and ``softmax(x, scale)`` a Python float (1.0 unless given). The node
 keeps the unscaled input, not the scaled array, and the values and
 gradients are bitwise those of the two nodes.
+
+``attention(q, k, v, n, heads, scale)`` is multi-head attention on token
+rows as one node. Its forward runs ``matmul``, ``softmax`` and ``matmul`` on
+head-split copies inside ``no_grad()``, so observers see those operators;
+the node keeps the copies, not the weights, which its adjoint recomputes
+through the ``softmax`` kernels, bit for bit.
 """
 from __future__ import annotations
 
@@ -637,12 +645,16 @@ def dwconv2d(
     when given, added in place as in ``conv2d``.
 
     The forward and the weight gradient are each one ``einsum`` over the
-    ``_windows`` view, and the input gradient scatters each tap's product
-    with the output gradient through ``_scatter_taps``. The weight enters as a
-    C-contiguous ``(kh, kw, C)`` copy, ``taps``: einsum's loop order follows
-    its operands' strides, and with these, for C >= 2, every output element
-    adds its taps in row-major tap order. At C = 1 einsum picks another loop
-    order, and the output can differ from that sum in the last bits.
+    ``_windows`` view. The weight enters as a C-contiguous ``(kh, kw, C)``
+    copy, ``taps``: einsum's loop order follows its operands' strides, and
+    with these, for C >= 2, every output element adds its taps in row-major
+    tap order. At C = 1 einsum picks another loop order, and the output can
+    differ from that sum in the last bits. At stride 1, C >= 2 and a square
+    kernel of ``k > padding`` taps a side, the input gradient is the same kind
+    of ``einsum``: the taps against the reversed windows of the output
+    gradient padded by ``k - 1 - padding``, a correlation whose sums match
+    the scatter's bit for bit. Otherwise ``_scatter_taps`` adds each tap's
+    product with the output gradient into the input grid.
     """
     _check_conv_args(x, weight, stride, padding, bias)
     if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[3]:
@@ -660,17 +672,23 @@ def dwconv2d(
 
     # as in ``conv2d``: each operand is kept only for the other's gradient
     x_data = x.data if weight.requires_grad else None
-    w_data = weight.data if x.requires_grad else None
+    w_taps = taps if x.requires_grad else None
     b_grad = bias is not None and bias.requires_grad
+    correlate = stride == 1 and c >= 2 and kh == kw and padding <= kh - 1
 
     def backward(g: Array):
         gx = gw = None
         if x_data is not None:
             gw = np.einsum("nhwijc,nhwc->ijc", _windows(x_data, kh, kw, stride, padding), g)
             gw = np.ascontiguousarray(gw.transpose(2, 0, 1))[:, None]
-        if w_data is not None:
+        if w_taps is not None and correlate:
+            # the windows of ``g`` read back to front meet the taps in the
+            # scatter's row-major order, so each pixel's sum is the scatter's
+            flipped = _windows(g, kh, kw, 1, kh - 1 - padding)[:, :, :, ::-1, ::-1]
+            gx = np.einsum("nhwijc,ijc->nhwc", flipped, w_taps)
+        elif w_taps is not None:
             gx = _scatter_taps((n, h, w, c), kh, kw, stride, padding,
-                               lambda i, j: g * w_data[:, 0, i, j])
+                               lambda i, j: g * w_taps[i, j])
         return (gx, gw, g.sum(axis=(0, 1, 2)) if b_grad else None)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
@@ -780,6 +798,27 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
     return _make("gelu", data, (x,) if gate is None else (x, gate), backward)
 
 
+def _softmax_rows(x: Array, scale: float, out: Array) -> Array:
+    """Softmax over the last axis of ``x * scale``, worked inside ``out`` (which may be ``x``)."""
+    np.multiply(x, scale, out=out)
+    np.subtract(out, out.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    np.divide(out, out.sum(axis=-1, keepdims=True), out=out)
+    return out
+
+
+def _softmax_adjoint(weights: Array, g: Array, scale: float, out: Array) -> Array:
+    """``weights * (g - (g * weights).sum(axis=-1, keepdims=True)) * scale`` into
+    ``out`` (which may be ``g``), a block of rows at a time through one scratch."""
+    for w, gb, ob, s in row_blocks(weights.shape[-1], (weights, g, out), 1):
+        np.multiply(gb, w, out=s)
+        dot = s.sum(axis=-1, keepdims=True)
+        np.subtract(gb, dot, out=s)
+        np.multiply(w, s, out=ob)
+        np.multiply(ob, scale, out=ob)
+    return out
+
+
 def softmax(x: Tensor, scale: float = 1.0) -> Tensor:
     """Softmax over the last axis of ``x * scale``, max-subtracted for stability.
 
@@ -789,23 +828,73 @@ def softmax(x: Tensor, scale: float = 1.0) -> Tensor:
     through blocks of rows in one scratch and multiplies each block of its
     result by ``scale``; at the default 1.0 that is the unscaled softmax.
     """
-    data = np.multiply(x.data, scale, out=np.empty(x.data.shape))
-    np.subtract(data, data.max(axis=-1, keepdims=True), out=data)
-    np.exp(data, out=data)
-    np.divide(data, data.sum(axis=-1, keepdims=True), out=data)
+    data = _softmax_rows(x.data, scale, np.empty(x.data.shape))
+    return _make("softmax", data, (x,),
+                 lambda g: (_softmax_adjoint(data, g, scale, np.empty(data.shape)),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float) -> Tensor:
+    """Multi-head attention of query rows ``q (N*T, C)`` over key and value rows ``k, v (N*S, C)``.
+
+    Returns the ``(N*T, C)`` rows of ``softmax(q @ k^T, scale) @ v`` per head
+    of ``C/heads`` channels, heads merged back. The rows are split into
+    contiguous ``(N, heads, T, C/heads)`` copies, keys straight into the
+    ``(N, heads, C/heads, S)`` layout of the scores, which run through
+    ``matmul``, ``softmax`` and ``matmul`` inside ``no_grad()``. The one node
+    keeps the three copies; its adjoint recomputes the scores and weights
+    with the same kernels in plain numpy, so values and gradients are
+    bitwise those of separate split, product, softmax, product and merge
+    nodes. Without a tape the input rows die once split, and the query and
+    key copies once the scores are made.
+    """
+    if q.ndim != 2 or k.ndim != 2 or k.data.shape != v.data.shape:
+        raise ShapeError(
+            f"attention needs 2-d rows with k, v alike, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    rows, c = q.data.shape
+    if n < 1 or heads < 1 or k.data.shape[1] != c or c % heads or rows % n or k.data.shape[0] % n:
+        raise ShapeError(
+            f"attention rows {q.shape}, {k.shape} do not split into {n} images of {heads} heads"
+        )
+    t, s, d = rows // n, k.data.shape[0] // n, c // heads
+    grad = tuple(_GRAD_ENABLED and a.requires_grad for a in (q, k, v))
+    inputs = (q, k, v) if any(grad) else ()
+    q4 = np.ascontiguousarray(q.data.reshape(n, t, heads, d).transpose(0, 2, 1, 3))
+    k4 = np.ascontiguousarray(k.data.reshape(n, s, heads, d).transpose(0, 2, 3, 1))
+    v4 = np.ascontiguousarray(v.data.reshape(n, s, heads, d).transpose(0, 2, 1, 3))
+    del q, k, v
+
+    def rows_of(a: Array, axes: tuple[int, ...]) -> Array:
+        return np.ascontiguousarray(a.transpose(axes)).reshape(-1, c)
+
+    # ``a`` is rebound to the scores, the weights and the mixed values in turn
+    with no_grad():
+        a = matmul(Tensor(q4), Tensor(k4))
+        if not inputs:
+            q4 = k4 = None
+        a = softmax(a, scale)
+        a = matmul(a, Tensor(v4)).data
+    data = rows_of(a, (0, 2, 1, 3))
+    del a
 
     def backward(g: Array):
-        # data * (g - (g * data).sum(axis=-1, keepdims=True)) * scale
-        gx = np.empty(data.shape)
-        for out, gb, gxb, s in row_blocks(data.shape[-1], (data, g, gx), 1):
-            np.multiply(gb, out, out=s)
-            dot = s.sum(axis=-1, keepdims=True)
-            np.subtract(gb, dot, out=s)
-            np.multiply(out, s, out=gxb)
-            np.multiply(gxb, scale, out=gxb)
-        return (gx,)
+        go = np.ascontiguousarray(g.reshape(n, t, heads, d).transpose(0, 2, 1, 3))
+        weights = np.matmul(q4, k4)
+        _softmax_rows(weights, scale, weights)
+        gq = gk = gv = None
+        if grad[2]:
+            gv = rows_of(np.matmul(np.swapaxes(weights, -1, -2), go), (0, 2, 1, 3))
+        if grad[0] or grad[1]:
+            gs = np.matmul(go, np.swapaxes(v4, -1, -2))
+            _softmax_adjoint(weights, gs, scale, gs)
+            del weights
+            if grad[0]:
+                gq = rows_of(np.matmul(gs, np.swapaxes(k4, -1, -2)), (0, 2, 1, 3))
+            if grad[1]:
+                gk = rows_of(np.matmul(np.swapaxes(q4, -1, -2), gs), (0, 3, 1, 2))
+        return gq, gk, gv
 
-    return _make("softmax", data, (x,), backward)
+    return _make("attention", data, inputs, backward)
 
 
 _LN_EPS = 1e-5

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evit.tensor as T
+from evit import attention
 from evit.attention import (
     AttentionConfig,
     ConnectionPattern,
@@ -17,10 +18,11 @@ from evit.attention import (
     init_fovea_params,
     sfa_forward,
 )
-from evit.backbone import named_tensors
+from evit.backbone import build, named_tensors
 from evit.errors import ConfigError, ShapeError
-from evit.maps import dwconv_bias
+from evit.maps import dwconv_bias, map_to_tokens, tokens_to_map
 from evit.tensor import Tensor
+from evit.train import AdamW
 
 from conftest import softmax_outputs, to_nchw, to_nhwc
 from reference import naive_fovea_attention, naive_single_head_attention
@@ -135,6 +137,118 @@ class TestTokenRows:
         assert len(our_grads) == len(their_grads) == len(leaves)
         for a, b in zip(our_grads, their_grads):
             np.testing.assert_array_equal(a, b)
+
+
+def _attention_chain(q, k, v, n, heads, scale):
+    """``T.attention`` as separate operators: head splits, products, softmax and merge."""
+    rows, c = q.shape
+
+    def split(t, axes):
+        return T.transpose(T.reshape(t, (n, t.shape[0] // n, heads, c // heads)), axes)
+
+    a = T.matmul(split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1)))
+    a = T.matmul(T.softmax(a, scale), split(v, (0, 2, 1, 3)))
+    return T.reshape(T.transpose(a, (0, 2, 1, 3)), (rows, c))
+
+
+class TestAttentionOp:
+    # query and key rows per image, channels: no shape of a kept array can
+    # be mistaken for the weights' (N, heads, 5, 3)
+    QUERIES, KEYS, C = 5, 3, 8
+
+    def _rows(self, rng, n):
+        return [rng.normal(size=(n * m, self.C)) for m in (self.QUERIES, self.KEYS, self.KEYS)]
+
+    @pytest.mark.parametrize("needs", [pytest.param(tuple(c in ids for c in "qkv"), id=ids)
+                                       for ids in ("qkv", "q", "k", "v", "kv")])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bitwise_equal_to_operator_chain(self, n, heads, needs, rng):
+        """Values and the gradient of every input that needs one are bitwise
+        those of the chain of operators; the others get none."""
+        rows = self._rows(rng, n)
+        probe = Tensor(rng.normal(size=(n * self.QUERIES, self.C)))
+        scale = 1.0 / math.sqrt(self.C // heads)
+        results = []
+        for op in (T.attention, _attention_chain):
+            leaves = [Tensor(a, requires_grad=need) for a, need in zip(rows, needs)]
+            out = op(*leaves, n, heads, scale)
+            grads = T.tensor_sum(T.mul(out, probe)).backward()
+            results.append((out.data, [grads.get(leaf) for leaf in leaves]))
+        (ours, our_grads), (theirs, their_grads) = results
+        assert ours.tobytes() == theirs.tobytes()
+        for need, a, b in zip(needs, our_grads, their_grads):
+            assert (a is not None) == (b is not None) == need
+            assert not need or a.tobytes() == b.tobytes()
+
+    def test_no_grad_records_no_node(self, rng):
+        leaves = [Tensor(a, requires_grad=True) for a in self._rows(rng, 2)]
+        with T.no_grad():
+            out = T.attention(*leaves, 2, 2, 0.5)
+        assert out._node is None and not out.requires_grad
+
+    def test_node_keeps_the_head_splits_not_the_weights(self, rng):
+        n, heads = 2, 2
+        d = self.C // heads
+        leaves = [Tensor(a, requires_grad=True) for a in self._rows(rng, n)]
+        out = T.attention(*leaves, n, heads, 0.5)
+        kept = [cell.cell_contents for cell in out._node.backward_fn.__closure__]
+        shapes = sorted(a.shape for a in kept if isinstance(a, np.ndarray))
+        assert shapes == sorted([(n, heads, self.QUERIES, d), (n, heads, d, self.KEYS),
+                                 (n, heads, self.KEYS, d)])
+
+    def test_observers_see_the_products_and_the_weights(self, rng):
+        n, heads = 2, 4
+        d = self.C // heads
+        seen = []
+        with T.observe(lambda op, scope, out, macs: seen.append((op, out.shape, macs))):
+            T.attention(*(Tensor(a) for a in self._rows(rng, n)), n, heads, 0.5)
+        weights = (n, heads, self.QUERIES, self.KEYS)
+        assert seen == [
+            ("matmul", weights, n * heads * self.QUERIES * d * self.KEYS),
+            ("softmax", weights, 0),
+            ("matmul", (n, heads, self.QUERIES, d), n * heads * self.QUERIES * self.KEYS * d),
+            ("attention", (n * self.QUERIES, self.C), 0),
+        ]
+
+
+def _chained_fovea_attention(x, heads, reduction, params):
+    """The fovea as it ran before ``T.attention``: its projections with the
+    split, product, softmax, product and merge operators between them."""
+    n, h, w, c = x.shape
+    q = T.linear(map_to_tokens(x), params["q_weight"])
+    kv = x
+    if reduction > 1:
+        kv = dwconv_bias(x, params["reduce"]["weight"], params["reduce"]["bias"], stride=reduction)
+    kv = map_to_tokens(kv)
+    a = _attention_chain(q, T.linear(kv, params["k_weight"]), T.linear(kv, params["v_weight"]),
+                         n, heads, 1.0 / math.sqrt(c // heads))
+    return tokens_to_map(T.linear(a, params["out_weight"]), h, w)
+
+
+@pytest.mark.parametrize("pattern", list(ConnectionPattern), ids=lambda p: p.value)
+def test_two_adamw_steps_bitwise_those_of_the_operator_chain(pattern, toy_spec, monkeypatch):
+    """A reduced model trains to the same bytes (losses, gradients,
+    parameters) with one ``T.attention`` node per fovea as with the chain of
+    operators, under every connection pattern; its deepest foveae pool by 1,
+    so unpooled keys are covered."""
+    images = np.random.default_rng(0).normal(size=(2, 3, 32, 32))
+    labels = np.array([0, 1])
+    runs = []
+    for chained in (False, True):
+        if chained:
+            monkeypatch.setattr(attention, "_fovea_attention", _chained_fovea_attention)
+        graph = build(toy_spec, seed=0, pattern=pattern, zero_classifier=False)
+        optimizer = AdamW(1e-3, weight_decay=0.05)
+        record = []
+        for _ in range(2):
+            loss = T.cross_entropy(graph.forward(images), labels)
+            grads = graph.gradients(loss)
+            record += [loss.data] + [grads[name] for name in sorted(grads)]
+            optimizer.step(graph.named_parameters(), grads)
+        runs.append([a.tobytes() for a in record + [p.data for _, p in graph.named_parameters()]])
+    assert len(runs[0]) == len(runs[1])
+    assert runs[0] == runs[1]
 
 
 class TestCaptureAndShapes:

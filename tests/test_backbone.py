@@ -360,17 +360,22 @@ class TestWholeModelOracle:
 
 class TestLayout:
     def test_forward_moves_data_only_for_attention_heads(self, toy_spec, rng, monkeypatch):
-        """Maps stay channels-last: the only transposes are each attention
-        pathway's head splits (q, k straight into the score layout, v) and
-        head merge, plus the one that turns the (N,3,H,W) images channels-last."""
-        calls = []
-        original = T.transpose
+        """Maps stay channels-last: the one transpose turns the (N,3,H,W)
+        images channels-last, and each attention pathway splits and merges
+        its heads inside one ``T.attention`` call."""
+        calls = {"transpose": 0, "attention": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return original(*args, **kwargs)
+        def counting(name):
+            original = getattr(T, name)
 
-        monkeypatch.setattr(T, "transpose", counting)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(T, name, counting(name))
         build(toy_spec, seed=0).forward(rng.uniform(size=(2, 3, 32, 32)))
         pathways = 2 * sum(stage.blocks for stage in toy_spec.stages)
-        assert len(calls) == 4 * pathways + 1
+        assert calls == {"transpose": 1, "attention": pathways}

@@ -95,6 +95,12 @@ SHAPE_ERRORS = [
                  id="cross-entropy-3d"),
     pytest.param(lambda: T.cross_entropy(_zeros(2, 3), np.array([0, 1, 2])), "does not match",
                  id="cross-entropy-labels"),
+    pytest.param(lambda: T.attention(_zeros(4, 6), _zeros(4, 6), _zeros(4, 3), 2, 2, 1.0),
+                 "k, v alike", id="attention-value-width"),
+    pytest.param(lambda: T.attention(_zeros(4, 6), _zeros(4, 6), _zeros(4, 6), 2, 4, 1.0),
+                 "do not split", id="attention-heads"),
+    pytest.param(lambda: T.attention(_zeros(4, 6), _zeros(3, 6), _zeros(3, 6), 2, 2, 1.0),
+                 "do not split", id="attention-images"),
     pytest.param(lambda: _zeros(2).item(), "single-element", id="item"),
 ]
 
@@ -253,6 +259,37 @@ class TestConv:
         scattered = T._scatter_taps(x.shape, kh, kw, stride, padding, lambda i, j: g[:, :, :, i, j])
         assert scattered.shape == x.shape
         np.testing.assert_allclose(np.vdot(windows, g), np.vdot(x, scattered), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "x_shape,stride,padding,kernel",
+        [
+            pytest.param((2,) + hw + (c,), stride, padding, kernel, id=case.id)
+            for case in CONV_CASES
+            for stride, padding, kernel, (c, _), hw in [case.values]
+        ]
+        + [
+            pytest.param((2, 5, 7, 1), 1, 1, (3, 3), id="1-1-3-5x7x1"),
+            pytest.param((2, 5, 7, 3), 1, 1, (1, 1), id="1-1-1x1-pad-past-kernel"),
+        ],
+    )
+    def test_dwconv2d_input_gradient_is_the_scatter(self, x_shape, stride, padding, kernel, rng,
+                                                     monkeypatch):
+        """At stride 1, C >= 2 and a square kernel wider than the padding, the
+        input gradient is a correlation of the output gradient with the taps,
+        bitwise ``_scatter_taps``. Other geometries scatter, and so does
+        C = 1, where einsum's loop order differs from the scatter's."""
+        kh, kw = kernel
+        c = x_shape[-1]
+        w = rng.normal(size=(c, 1, kh, kw))
+        scatter, scattered = T._scatter_taps, []
+        monkeypatch.setattr(T, "_scatter_taps", lambda *args: scattered.append(1) or scatter(*args))
+        xt = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        out = T.dwconv2d(xt, Tensor(w), stride, padding)
+        g = rng.normal(size=out.shape)
+        gx = T.tensor_sum(T.mul(out, Tensor(g))).backward()[xt]
+        expected = scatter(x_shape, kh, kw, stride, padding, lambda i, j: g * w[:, 0, i, j])
+        assert gx.tobytes() == expected.tobytes()
+        assert bool(scattered) == (stride != 1 or c == 1 or kh != kw or padding >= kh)
 
     @pytest.mark.parametrize("shape", [(1, 112, 112, 28), (2, 112, 112, 28), (6, 32, 32, 28)],
                              ids=["rows-of-one-image", "rows-of-each-image", "whole-images"])

@@ -1,11 +1,14 @@
-"""The benchmark's tracer wraps package functions by name; every name must exist."""
+"""The benchmark's tracer wraps package functions by name; every name must exist,
+and its MAC gate must see the attention products the cost report counts."""
 
 import functools
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 import evit.tensor
+from evit.analysis import cost_report
 from evit.backbone import build
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -52,3 +55,21 @@ def test_gradients_walk_runs_through_tensor_backward(monkeypatch, toy_spec):
     grads = graph.gradients(loss)
     assert calls == [loss]
     assert grads.keys() == dict(graph.named_parameters()).keys()
+
+
+def test_traced_attention_products_match_the_cost_report(monkeypatch, toy_spec):
+    """The benchmark's MAC gate counts every 4-d ``matmul`` as an attention
+    product. Over a taped forward and its backward, those products must be
+    the cost report's, so an attention adjoint that ran its products
+    through ``T.matmul``, or a forward that bypassed it, fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    graph = build(toy_spec, seed=0, zero_classifier=False)
+    images = np.random.default_rng(0).normal(size=(2, 3, 32, 32))
+    t = tracer.Tracer(SimpleNamespace(current=0), {})
+    with t.installed():
+        graph.gradients(evit.tensor.cross_entropy(graph.forward(images), np.array([0, 1])))
+    attn = t.table([0])["tensor.matmul[attn]"]["macs"]
+    report = cost_report(toy_spec, 32, graph.pattern, graph.ffn_kind)
+    assert attn == 2 * report.total_attn_macs > 0

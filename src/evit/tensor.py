@@ -5,7 +5,15 @@ fresh ``Tensor``. Calling an operator records a node on the result: the
 backward closure, the result's shape and, per input, where that input's
 gradient goes. The closure holds only the arrays and shapes its adjoint
 reads, never an input tensor, so an activation that no adjoint reads is freed
-as soon as the forward code drops it. A scalar loss replays the adjoints in
+as soon as the forward code drops it. A node that can rebuild its output
+from what its adjoint keeps anyway also carries that recipe: ``gelu`` reruns
+its forward on its kept input and gate, ``layernorm`` computes
+``xhat * gamma + beta`` from its kept ``xhat``, and ``reshape`` passes its
+input's recipe on. ``matmul``, ``conv2d`` and ``dwconv2d``, which read an
+input again for the other operand's gradient, keep that input's recipe
+instead of the array and rerun it in their adjoint, with the same ufuncs
+in the same order, so the tape holds neither GELU nor layer-norm outputs
+and every bit is kept. A scalar loss replays the adjoints in
 reverse topological order with ``Tensor.backward()``, which frees each node
 once its adjoint has run and returns the gradient of every leaf created with
 ``requires_grad=True`` that the loss reaches; leaves hold no gradient state. An
@@ -34,8 +42,9 @@ images or of one image's output rows, about ``_CONV_BLOCK_BYTES`` each (with
 the bundled OpenBLAS each block's rows are bitwise those of the one-shot
 product); a depthwise convolution contracts the view, unreshaped, with its
 taps in one ``einsum``. Both take an optional bias, added in place to the
-fresh product. Convolution closures keep their input array, not a padded
-copy or a window matrix, and rebuild what they need in ``backward``.
+fresh product. Convolution closures keep their input array (or its
+recipe), not a padded copy or a window matrix, and rebuild what they need
+in ``backward``.
 ``split`` and ``concat`` work on the last axis.
 
 The memory-bound kernels make few passes over memory. One driver,
@@ -62,6 +71,7 @@ through the ``softmax`` kernels, bit for bit.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -141,20 +151,26 @@ def no_grad():
 
 
 class _Node:
-    """One recorded operator: its adjoint, its output's shape and its inputs.
+    """One recorded operator: its adjoint, its output's shape, its inputs and
+    maybe a recipe for its output.
 
     ``parents`` has one entry per input: the input's node when the input was
     computed, the leaf ``Tensor`` when it is a trainable leaf, and ``None``
-    when it needs no gradient. ``Tensor.backward()`` clears ``backward_fn``
-    and ``parents`` once the adjoint has run, which frees what the closure held.
+    when it needs no gradient. ``remake``, when not ``None``, rebuilds the
+    output array bit for bit from arrays the adjoint keeps anyway, so a
+    consumer that reads the output in its own adjoint keeps the recipe, not
+    the array. ``Tensor.backward()`` clears ``backward_fn``, ``parents`` and
+    ``remake`` once the adjoint has run, which frees what the closures held.
     """
 
-    __slots__ = ("backward_fn", "shape", "parents")
+    __slots__ = ("backward_fn", "shape", "parents", "remake")
 
-    def __init__(self, backward_fn, shape: tuple[int, ...], parents: tuple):
+    def __init__(self, backward_fn, shape: tuple[int, ...], parents: tuple,
+                 remake: Callable[[], Array] | None = None):
         self.backward_fn: Callable[[Array], Sequence[Array | None]] | None = backward_fn
         self.shape = shape
         self.parents = parents
+        self.remake = remake
 
 
 class Tensor:
@@ -241,7 +257,7 @@ class Tensor:
             gout = grads.pop(node, None)
             input_grads = () if gout is None else node.backward_fn(gout)
             parents = node.parents
-            node.backward_fn, node.parents = None, ()
+            node.backward_fn, node.parents, node.remake = None, (), None
             for parent, g in zip(parents, input_grads):
                 if g is None or parent is None:
                     continue
@@ -275,17 +291,40 @@ def _topo_order(root: _Node) -> list[_Node]:
     return order
 
 
-def _make(op: str, data: Array, inputs: tuple[Tensor, ...], backward_fn, macs: int = 0) -> Tensor:
+def _make(
+    op: str, data: Array, inputs: tuple[Tensor, ...], backward_fn, macs: int = 0,
+    remake: Callable[[], Array] | None = None,
+) -> Tensor:
+    """Wrap ``data`` as the result of ``op``, recording a node when an input needs a gradient.
+
+    The node keeps ``backward_fn`` and, when given, ``remake``: a recipe that
+    rebuilds ``data`` bit for bit from arrays ``backward_fn`` already keeps,
+    for consumers to keep in place of the array (``_kept``).
+    """
     out = Tensor(data)
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         parents = tuple((t._node or t) if t.requires_grad else None for t in inputs)
-        out._node = _Node(backward_fn, data.shape, parents)
+        out._node = _Node(backward_fn, data.shape, parents, remake)
     if _OBSERVERS:
         where = ".".join(_SCOPES)
         for fn in _OBSERVERS:
             fn(op, where, out, macs)
     return out
+
+
+def _kept(t: Tensor) -> Callable[[], Array]:
+    """What a consumer's adjoint keeps to read ``t``'s values: the recipe of
+    ``t``'s node when it has one, else the array itself.
+
+    A consumer's adjoint runs before its producer's, so a recipe keeps no
+    array alive longer than the producer's own adjoint does.
+    """
+    node = t._node
+    if node is not None and node.remake is not None:
+        return node.remake
+    data = t.data
+    return lambda: data
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -357,7 +396,10 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def backward(g: Array):
         return (g.reshape(a_shape),)
 
-    return _make("reshape", data, (a,), backward)
+    # a recipe passes through, so a ``linear`` on a map keeps its producer's
+    parent = None if a._node is None else a._node.remake
+    remake = None if parent is None else lambda: parent().reshape(shape)
+    return _make("reshape", data, (a,), backward, remake=remake)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -445,13 +487,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
     data = np.matmul(a.data, b.data)
-    # as in ``mul``: each operand is kept only for the other's gradient
-    a_data = a.data if b.requires_grad else None
-    b_data = b.data if a.requires_grad else None
+    # as in ``mul``: each operand is kept only for the other's gradient, as
+    # its producer's recipe when it has one
+    a_get = _kept(a) if b.requires_grad else None
+    b_get = _kept(b) if a.requires_grad else None
 
     def backward(g: Array):
-        ga = None if b_data is None else np.matmul(g, np.swapaxes(b_data, -1, -2))
-        gb = None if a_data is None else np.matmul(np.swapaxes(a_data, -1, -2), g)
+        ga = None if b_get is None else np.matmul(g, np.swapaxes(b_get(), -1, -2))
+        gb = None if a_get is None else np.matmul(np.swapaxes(a_get(), -1, -2), g)
         return (ga, gb)
 
     return _make("matmul", data, (a, b), backward, a.data.size * b.data.shape[-1])
@@ -613,18 +656,19 @@ def conv2d(
     if bias is not None:
         data += bias.data
 
-    # each operand is kept only for the other's gradient; the patch matrix is
-    # rebuilt in backward, not captured, since a captured matrix would stay
-    # alive as long as the tape does
-    x_data = x.data if weight.requires_grad else None
+    # each operand is kept only for the other's gradient, the input as its
+    # producer's recipe when it has one; the patch matrix is rebuilt in
+    # backward, not captured, since a captured matrix would stay alive as
+    # long as the tape does
+    x_get = _kept(x) if weight.requires_grad else None
     w_data = weight.data if x.requires_grad else None
     b_grad = bias is not None and bias.requires_grad
 
     def backward(g: Array):
         g_mat = g.reshape(n * ho * wo, o)
         gx = gw = None
-        if x_data is not None:
-            gw = _windows(x_data, kh, kw, stride, padding).reshape(n * ho * wo, -1).T @ g_mat
+        if x_get is not None:
+            gw = _windows(x_get(), kh, kw, stride, padding).reshape(n * ho * wo, -1).T @ g_mat
             gw = np.ascontiguousarray(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
         if w_data is not None:
             g_cols = (g_mat @ _conv_weight_matrix(w_data).T).reshape(n, ho, wo, kh, kw, c)
@@ -671,15 +715,15 @@ def dwconv2d(
         data += bias.data
 
     # as in ``conv2d``: each operand is kept only for the other's gradient
-    x_data = x.data if weight.requires_grad else None
+    x_get = _kept(x) if weight.requires_grad else None
     w_taps = taps if x.requires_grad else None
     b_grad = bias is not None and bias.requires_grad
     correlate = stride == 1 and c >= 2 and kh == kw and padding <= kh - 1
 
     def backward(g: Array):
         gx = gw = None
-        if x_data is not None:
-            gw = np.einsum("nhwijc,nhwc->ijc", _windows(x_data, kh, kw, stride, padding), g)
+        if x_get is not None:
+            gw = np.einsum("nhwijc,nhwc->ijc", _windows(x_get(), kh, kw, stride, padding), g)
             gw = np.ascontiguousarray(gw.transpose(2, 0, 1))[:, None]
         if w_taps is not None and correlate:
             # the windows of ``g`` read back to front meet the taps in the
@@ -736,33 +780,46 @@ def _gelu_tanh(x: Array, out: Array) -> None:
     np.tanh(out, out=out)
 
 
-def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
-    """Gaussian error linear unit, tanh form, of ``x`` or of ``x * gate``.
+def _gelu_rows(xd: Array, gate: Array | None) -> Array:
+    """``gelu(xd)``, or ``gelu(xd * gate)`` for a ``(C,)`` gate, as a fresh array.
 
-    A ``gate`` of shape ``(C,)`` scales the last axis, as a ``mul`` before
-    the ``gelu`` would, but the node keeps ``x`` and the gate, not their
-    product. The output is filled in blocks of whole rows (of single values
-    without a gate), each block of the output first holding its ``x * gate``,
-    through one block-sized scratch for ``tanh``. The adjoint recomputes each
-    block's ``x * gate`` in its result and its ``tanh`` in the first of three
-    scratches. Both run the ufuncs of the two-node expression in its order,
-    so the values are identical; the gate's gradient is ``mul``'s whole-array
-    sum of the unscaled input gradient times ``x``.
+    Filled in blocks of whole rows (of single values without a gate), each
+    block of the output first holding its ``xd * gate``, through one
+    block-sized scratch for ``tanh``.
     """
-    if gate is not None and (x.ndim == 0 or gate.data.shape != x.data.shape[-1:]):
-        raise ShapeError(f"gelu gate must have shape (C,) for input {x.shape}, got {gate.shape}")
-    width = 1 if gate is None else x.data.shape[-1]
-    xd = np.ascontiguousarray(x.data)
-    data = np.empty(x.data.shape)
-    gate_data = None if gate is None else gate.data
+    width = 1 if gate is None else xd.shape[-1]
+    data = np.empty(xd.shape)
     for xb, out, t in row_blocks(width, (xd, data), 1):
-        if gate_data is not None:
-            xb = np.multiply(xb, gate_data, out=out)
+        if gate is not None:
+            xb = np.multiply(xb, gate, out=out)
         _gelu_tanh(xb, t)
         # out = 0.5 * x * (1.0 + t)
         np.multiply(0.5, xb, out=out)
         np.add(1.0, t, out=t)
         np.multiply(out, t, out=out)
+    return data
+
+
+def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
+    """Gaussian error linear unit, tanh form, of ``x`` or of ``x * gate``.
+
+    A ``gate`` of shape ``(C,)`` scales the last axis, as a ``mul`` before
+    the ``gelu`` would, but the node keeps ``x`` and the gate, not their
+    product. ``_gelu_rows`` fills the output, and the same call on the kept
+    ``x`` and gate is the node's recipe, so no consumer keeps the output
+    itself. The adjoint recomputes each block's ``x * gate`` in its result
+    and its ``tanh`` in the first of three scratches. Both run the ufuncs of
+    the two-node expression in its order, so the values are identical; the
+    gate's gradient is ``mul``'s whole-array sum of the unscaled input
+    gradient times ``x``.
+    """
+    if gate is not None and (x.ndim == 0 or gate.data.shape != x.data.shape[-1:]):
+        raise ShapeError(f"gelu gate must have shape (C,) for input {x.shape}, got {gate.shape}")
+    width = 1 if gate is None else x.data.shape[-1]
+    xd = np.ascontiguousarray(x.data)
+    gate_data = None if gate is None else gate.data
+    remake = functools.partial(_gelu_rows, xd, gate_data)
+    data = remake()
     x_grad = x.requires_grad
     gate_grad = gate is not None and gate.requires_grad
 
@@ -770,7 +827,7 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
         # g * local, where sech2 = 1.0 - t**2 and
         # local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
         # for x the gated input
-        gx = np.empty(data.shape)
+        gx = np.empty(xd.shape)
         for xb, gb, gxb, t, s, u in row_blocks(width, (xd, g, gx), 3):
             if gate_data is not None:
                 xb = np.multiply(xb, gate_data, out=gxb)
@@ -795,7 +852,7 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
         ggate = _unbroadcast(gx * xd, gate_data.shape) if gate_grad else None
         return (np.multiply(gx, gate_data, out=gx) if x_grad else None, ggate)
 
-    return _make("gelu", data, (x,) if gate is None else (x, gate), backward)
+    return _make("gelu", data, (x,) if gate is None else (x, gate), backward, remake=remake)
 
 
 def _softmax_rows(x: Array, scale: float, out: Array) -> Array:
@@ -904,7 +961,9 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     The centred array becomes ``xhat`` in place, and the output array holds
-    the squares before it holds the result. The adjoint's input gradient
+    the squares before it holds the result, ``xhat * gamma + beta``. The node
+    keeps that last step, on the kept ``xhat``, as the recipe of the output,
+    so no consumer keeps the output itself. The adjoint's input gradient
     works through blocks of rows in two scratches; the scale and shift
     gradients stay whole-array sums over rows.
     """
@@ -918,9 +977,13 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     data = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(data.mean(axis=-1, keepdims=True) + _LN_EPS)
     np.multiply(xhat, inv, out=xhat)
-    gamma_data = gamma.data
-    np.multiply(xhat, gamma_data, out=data)
-    np.add(data, beta.data, out=data)
+    gamma_data, beta_data = gamma.data, beta.data
+
+    def affine(out: Array) -> Array:
+        np.multiply(xhat, gamma_data, out=out)
+        return np.add(out, beta_data, out=out)
+
+    affine(data)
 
     def backward(g: Array):
         axes = tuple(range(g.ndim - 1))
@@ -940,7 +1003,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             np.multiply(inv_b, gxhat, out=gxb)
         return (gx, ggamma, gbeta)
 
-    return _make("layernorm", data, (x, gamma, beta), backward)
+    return _make("layernorm", data, (x, gamma, beta), backward,
+                 remake=lambda: affine(np.empty(xhat.shape)))
 
 
 def avgpool_global(x: Tensor) -> Tensor:

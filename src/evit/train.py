@@ -33,9 +33,10 @@ class AdamW:
     parameters and gates (all 1-d) are left undecayed.
 
     ``step`` updates each parameter in the blocks of ``tensor.row_blocks``
-    (rows of single values) through two block-sized scratch arrays, running
-    the ufuncs of the whole-array update in the same order, so a blocked
-    update is bitwise the whole-array one.
+    (rows of single values) through two block-sized scratch arrays, made
+    once per call and shared by every parameter, running the ufuncs of the
+    whole-array update in the same order, so a blocked update is bitwise the
+    whole-array one.
     """
 
     beta1 = 0.9
@@ -60,6 +61,9 @@ class AdamW:
         lr = self.learning_rate * lr_scale
         correction1 = 1.0 - self.beta1**t
         correction2 = 1.0 - self.beta2**t
+        # one ``row_blocks`` block each, sliced to every block of every parameter
+        block = min(T._BLOCK_BYTES // 8, max((p.data.size for _, p in named_params), default=0))
+        scratch_rows, update_rows = np.empty((2, block, 1))
         for name, p in named_params:
             if name not in self._m:
                 self._m[name] = np.zeros_like(p.data, order="C")
@@ -67,8 +71,8 @@ class AdamW:
             decay = self.weight_decay if p.data.ndim >= 2 else 0.0
             # a C-contiguous parameter is updated through a view of itself
             data = np.ascontiguousarray(p.data)
-            blocks = T.row_blocks(1, (data, grads[name], self._m[name], self._v[name]), 2)
-            for pb, g, m, v, scratch, update in blocks:
+            for pb, g, m, v in T.row_blocks(1, (data, grads[name], self._m[name], self._v[name])):
+                scratch, update = scratch_rows[: len(pb)], update_rows[: len(pb)]
                 # update = (m / c1) / (sqrt(v / c2) + eps) (+ decay * p), the
                 # same operations in the same order
                 np.multiply(g, 1.0 - self.beta1, out=scratch)

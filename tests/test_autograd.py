@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import evit.tensor as T
+from evit.attention import ConnectionPattern
 from evit.backbone import VARIANTS, build, reduced_variant
 from evit.errors import ShapeError
+from evit.feedforward import FfnKind
 from evit.tensor import Tensor, finite_difference, relative_error
 
 from conftest import to_nhwc
@@ -349,10 +351,12 @@ class TestTapeMemory:
 
     def test_taped_tiny224_forward_peak(self):
         """A taped tiny@224 forward keeps what the adjoints read and no more:
-        it peaks at about 159 MB. A ``gelu`` node keeping a whole ``tanh``
-        array beside its input would add about 29 MB, a BFFN keeping its
-        gated map ``x * gate`` (a ``mul`` before the ``gelu``) about 20 MB,
-        and attention nodes keeping their softmax weights about 28 MB."""
+        it peaks at about 118 MB. ``fc2`` keeping the BFFN's GELU output
+        instead of its recipe would add about 20 MB, the consumers of the
+        layer norms keeping their outputs 13.5 MB and the stem convs keeping
+        the stem GELU outputs 8.4 MB; a ``gelu`` node keeping a whole ``tanh``
+        array beside its input about 29 MB, and attention nodes keeping their
+        softmax weights about 28 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
         tracemalloc.start()
@@ -362,7 +366,24 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert logits._node is not None
-        assert peak < 168e6, peak
+        assert peak < 125e6, peak
+
+    def test_tiny224_training_step_peak(self):
+        """A tiny@224 forward and ``graph.gradients`` peak at about 179 MB,
+        the taped forward's arrays plus the gradients finished so far; each
+        array the tape keeps instead of a recipe stays there until its
+        consumer's adjoint runs."""
+        graph = build("tiny", seed=0, zero_classifier=False)
+        image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
+        tracemalloc.start()
+        try:
+            loss = T.cross_entropy(graph.forward(image), np.array([3]))
+            grads = graph.gradients(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == len(graph.named_parameters())
+        assert peak < 185e6, peak
 
     def test_gradients_leaves_only_gradients_and_outputs(self):
         graph = build(reduced_variant(VARIANTS["tiny"]), seed=0, zero_classifier=False)
@@ -387,6 +408,121 @@ class TestTapeMemory:
         slack = 256 * 1024
         expected = sum(g.nbytes for g in grads.values()) + logits.data.nbytes
         assert retained <= expected + slack, (retained, expected)
+
+
+def _drop_recipes(monkeypatch):
+    """From here on, record nodes without recipes, so each consumer keeps its input array."""
+    make = T._make
+    monkeypatch.setattr(T, "_make", lambda *args, remake=None, **kwargs: make(*args, **kwargs))
+
+
+# producers that leave a recipe on their node, and consumers that read their
+# input in their own adjoint; each takes the tensor and the leaves by name
+RECIPE_PRODUCERS = {
+    "gelu": lambda x, p: T.gelu(x),
+    "gated_gelu": lambda x, p: T.gelu(x, p["gate"]),
+    "layernorm": lambda x, p: T.layernorm(x, p["gamma"], p["beta"]),
+}
+RECIPE_CONSUMERS = {
+    "linear": lambda h, p: T.linear(h, p["weight"], p["bias"]),
+    "conv2d": lambda h, p: T.conv2d(h, p["conv"], stride=2, padding=1, bias=p["conv_bias"]),
+    "dwconv2d": lambda h, p: T.dwconv2d(h, p["dw"], stride=1, padding=1),
+}
+RECIPE_SHAPES = {
+    "x": (2, 6, 6, 8), "gate": (8,), "gamma": (8,), "beta": (8,),
+    "weight": (8, 5), "bias": (5,), "conv": (4, 8, 3, 3), "conv_bias": (4,), "dw": (8, 1, 3, 3),
+}
+CONSUMER_WEIGHT = {"linear": "weight", "conv2d": "conv", "dwconv2d": "dw"}
+
+
+class TestRecipes:
+    """A consumer keeps its producer's recipe, not the output array, and
+    reads the same bits back from it."""
+
+    @staticmethod
+    def _leaves(consumer, frozen):
+        rng = np.random.default_rng(7)
+        leaves = {}
+        for name, shape in RECIPE_SHAPES.items():
+            # a frozen consumer asks for no weight gradient, so it reads nothing back
+            trainable = not (frozen and name == CONSUMER_WEIGHT[consumer])
+            leaves[name] = Tensor(rng.normal(size=shape), requires_grad=trainable)
+        return leaves
+
+    @staticmethod
+    def _loss(producer, consumer, reshaped, leaves):
+        """The loss of one producer read by one consumer, and a weakref to the producer's output.
+
+        Without ``reshaped`` the consumer reads the producer's output itself;
+        with it, through reshapes (``linear`` on a map makes its own).
+        """
+        x = leaves["x"]
+        if consumer == "linear" and not reshaped:
+            x = T.reshape(x, (72, 8))
+        h = RECIPE_PRODUCERS[producer](x, leaves)
+        output = weakref.ref(h.data)
+        if reshaped and consumer != "linear":
+            h = T.reshape(T.reshape(h, (72, 8)), RECIPE_SHAPES["x"])
+        y = RECIPE_CONSUMERS[consumer](h, leaves)
+        mix = np.random.default_rng(8).normal(size=y.shape)
+        return T.tensor_sum(T.mul(y, Tensor(mix))), output
+
+    def _grads(self, producer, consumer, reshaped, frozen):
+        leaves = self._leaves(consumer, frozen)
+        loss, output = self._loss(producer, consumer, reshaped, leaves)
+        kept = output() is not None
+        grads = loss.backward()
+        return {name: grads[leaf].tobytes() for name, leaf in leaves.items() if leaf in grads}, kept
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
+    @pytest.mark.parametrize("reshaped", [False, True], ids=["direct", "reshaped"])
+    @pytest.mark.parametrize("consumer", list(RECIPE_CONSUMERS))
+    @pytest.mark.parametrize("producer", list(RECIPE_PRODUCERS))
+    def test_gradients_bitwise_those_of_the_kept_array(
+        self, producer, consumer, reshaped, frozen, monkeypatch
+    ):
+        """Every gradient is byte-equal to the one the kept array gives, and
+        the producer's output is dead after the forward while the tape lives;
+        a frozen consumer weight gets no gradient and keeps neither."""
+        grads, kept = self._grads(producer, consumer, reshaped, frozen)
+        assert not kept
+        _drop_recipes(monkeypatch)
+        expected, kept = self._grads(producer, consumer, reshaped, frozen)
+        assert kept is not frozen  # without a recipe a trained consumer keeps the array
+        assert grads == expected
+        assert (CONSUMER_WEIGHT[consumer] in grads) is not frozen
+
+    def test_backward_clears_the_recipes(self, rng):
+        """The walk clears each node's recipe with its adjoint, so a forward
+        output still held after ``backward`` keeps nothing its recipe read."""
+        x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+        h = T.gelu(x)
+        alive = weakref.ref(x.data)  # what the recipe reads
+        T.tensor_sum(T.linear(h, Tensor(rng.normal(size=(8, 3)), requires_grad=True))).backward()
+        assert h._node.remake is None
+        del x
+        assert alive() is None
+
+    @pytest.mark.parametrize("ffn_kind", list(FfnKind))
+    @pytest.mark.parametrize("pattern", list(ConnectionPattern))
+    def test_model_gradients_bitwise_those_of_the_kept_arrays(
+        self, pattern, ffn_kind, toy_spec, monkeypatch
+    ):
+        """A reduced model's gradients, for every connection pattern and
+        feedforward kind, are byte-equal to those of a tape with no recipes."""
+        images = np.random.default_rng(0).normal(size=(2, 3, 32, 32))
+        labels = np.array([0, 1])
+
+        def gradients():
+            graph = build(toy_spec, seed=0, pattern=pattern, ffn_kind=ffn_kind,
+                          zero_classifier=False)
+            return graph.gradients(T.cross_entropy(graph.forward(images), labels))
+
+        grads = gradients()
+        _drop_recipes(monkeypatch)
+        expected = gradients()
+        for name, g in grads.items():
+            assert g.tobytes() == expected[name].tobytes(), name
 
 
 def test_corrupted_adjoint_is_detected(rng, scaled_gelu_adjoint):

@@ -1,5 +1,7 @@
 """Cost model: analytic counts against built models and observed forward passes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,74 @@ FROZEN_PARAM_TOTALS = {
     "small": 25_838_504,
     "base": 46_775_144,
     "large": 62_415_320,
+}
+
+
+# Golden pins from the cost model as it stood before its two walks merged:
+# (sha256 of ``render`` for every detail at 224 and 96 px, sha256 of the
+# ``write_csv`` bytes at the same sizes, ``parameter_count`` of the variant,
+# ``parameter_count`` of its ``reduced_variant`` at full depth).
+GOLDEN = {
+    ("base", "ffn"): (
+        "40b63c2dfcbd9cea81006ca30884b31ee00cea93102485cf59327fd9c79e01d7",
+        "7a842eede55abbdde4ef8894d9833c782d5d250564b5dabe021fe28ad9eb79d0",
+        46_400_616, 4_271_688,
+    ),
+    ("base", "cffn"): (
+        "89608932cf3305a4e703e6a0767f831f44f2e660651f083bbba85891d82fca1b",
+        "413e1e2c98f400b4521b1f1fe4b902f0f0b455b005cbfebec12f299f7fc186ab",
+        46_741_096, 4_356_808,
+    ),
+    ("base", "bffn"): (
+        "c96d8ed2a606c52de9d669af57776bcc4ebf417e70684c5072f65bf893e746be",
+        "de38a6e9334587cd93be1112faa3b63198211e9a960d86041fd10ff0f1c7faa9",
+        46_775_144, 4_365_320,
+    ),
+    ("large", "ffn"): (
+        "cace4e1baa1c36db21236fb241eb4b684a9c22dc96ae3bfeecf71b24a4b2664d",
+        "7d381fde0b9d50e4cc7025c22ec9c2a2be0c20b7943195789afcba82b720f631",
+        61_933_784, 5_264_726,
+    ),
+    ("large", "cffn"): (
+        "3b2323465f3d27f69c30a534872a81a1434266560f420d6eb07ec9b54bbdacc4",
+        "2dfeef539849e612ce74890f085c9e8067a69fbe797722cf230697f65f8d6b6b",
+        62_371_544, 5_374_166,
+    ),
+    ("large", "bffn"): (
+        "78ccf424e402d1bf952e6b3bff116964a11399044ffd1b560ea2fe8d5fd784c1",
+        "ede1e8dda5182600bafd13bae4da2efbb77b6fb55ce24ebb589e9de535a9c741",
+        62_415_320, 5_385_110,
+    ),
+    ("small", "ffn"): (
+        "fc88711bdebcac8a110dab2918bc48b6c1bd8d6fee0ce51f6b5758025806012b",
+        "4b4f5ac7cb2c1e96cd1a487359bb04515d2b1d6a1d132ed3cdeaca55635fbbf5",
+        25_667_432, 2_954_504,
+    ),
+    ("small", "cffn"): (
+        "44f91453eb5b8a5af9a9b426ba71a49889e542dc91f94c5e6754fef683ae3778",
+        "7c3a35b9b92b122a58e9458ce3803b1a949d713ab3633c6a766131fb2f9095d3",
+        25_822_952, 2_993_384,
+    ),
+    ("small", "bffn"): (
+        "e83b35d0fc3de897dea2ff2f00d3a68859bc68640f3d839440ccea1a98b5c269",
+        "42416c1d735b8a7f908355f2c17d4ff6b575e14aa0ec81876e4b0e54662ecada",
+        25_838_504, 2_997_272,
+    ),
+    ("tiny", "ffn"): (
+        "ec07e462004f65f0f3c2f17d484537d72b4dd05d19d39c1d0902da3ecc908320",
+        "4c28b434fe9c6d27bc5f2b168e0720ad0b9505b9913074f8ed01ee9982f1d739",
+        12_745_368, 2_119_158,
+    ),
+    ("tiny", "cffn"): (
+        "e786efd1d69b36f9dc4b879a08511506629a0d3d659d863718cebe008dc01e3d",
+        "1a643ed5e0f4afdbbb645bc368bb0723c505c9da0a2b813d3a238dd3ae046b29",
+        12_822_648, 2_138_478,
+    ),
+    ("tiny", "bffn"): (
+        "7066e5245910253d0af950a77d8a641b2e89e4fc652ab1460c16f26f552e1d4f",
+        "f443969d9518a80526bb18716cb2078a271b24da27b9b16afb7e199bb2a886fc",
+        12_830_376, 2_140_410,
+    ),
 }
 
 
@@ -74,6 +144,35 @@ class TestParamCounts:
 
     def test_reference_tables_cover_all_variants(self):
         assert set(REFERENCE_PARAMS) == set(VARIANTS) == set(REFERENCE_FLOPS)
+
+
+class TestGoldenOutputs:
+    """Any change to a row's price, name or order, or to the report text, shows here."""
+
+    @staticmethod
+    def _reports(name, kind):
+        return [cost_report(VARIANTS[name], size, ffn_kind=FfnKind(kind)) for size in (224, 96)]
+
+    @pytest.mark.parametrize("name, kind", sorted(GOLDEN))
+    def test_render_text(self, name, kind):
+        details = ("params", "flops", "table")
+        text = "\n".join(r.render(d) for r in self._reports(name, kind) for d in details)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name, kind][0]
+
+    @pytest.mark.parametrize("name, kind", sorted(GOLDEN))
+    def test_csv_bytes(self, name, kind, tmp_path):
+        blob = b""
+        for report in self._reports(name, kind):
+            report.write_csv(tmp_path / "cost.csv")
+            blob += (tmp_path / "cost.csv").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN[name, kind][1]
+
+    @pytest.mark.parametrize("name, kind", sorted(GOLDEN))
+    def test_parameter_count(self, name, kind):
+        spec, ffn_kind = VARIANTS[name], FfnKind(kind)
+        full_depth = reduced_variant(spec, blocks_per_stage=None)
+        counts = (parameter_count(spec, ffn_kind), parameter_count(full_depth, ffn_kind))
+        assert counts == GOLDEN[name, kind][2:]
 
 
 class TestMacCounts:

@@ -1,10 +1,13 @@
 """Cost accounting and inspection tools.
 
-``cost_report`` walks a stage table and predicts, per module, the parameter
-count and the multiply-accumulates of one forward image. The arithmetic
-mirrors the executed graph exactly: ``measure_macs`` observes an executed
-forward (``tensor.observe``) and matches the analytic totals integer for
-integer. Rows are named like the ``tensor.scope`` their operators run in.
+One walk over a stage table, ``_rows``, prices each module: its parameter
+count and the multiply-accumulates of one forward image, with every
+convolution-shaped layer priced by ``_conv_cost``. ``cost_report`` lists
+every block from it; ``parameter_count`` prices one block per stage times
+its depth, so it needs no input size and never iterates blocks. The sums
+mirror the executed graph exactly: ``measure_macs`` observes a forward
+(``tensor.observe``) and matches the analytic totals integer for integer.
+Rows are named like the ``tensor.scope`` their operators run in.
 
 Conventions (stated here once, printed with every report):
 
@@ -25,13 +28,13 @@ import csv
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import tensor as T
 from .attention import ConnectionPattern
-from .backbone import ModuleGraph, StageConfig, VariantSpec, stage_sides, validate_spec
+from .backbone import ModuleGraph, VariantSpec, stage_sides, validate_spec
 from .data import write_image
 from .errors import ConfigError
 from .feedforward import FfnConfig, FfnKind
@@ -59,6 +62,10 @@ INTERPRETATION_NOTES = [
     "headline FLOPs follow the dense-op convention (attention score/value "
     "products reported separately and in the inclusive total)",
 ]
+
+
+def _deviation(value: int, ref: float | None) -> float | None:
+    return None if ref is None else (value - ref) / ref
 
 
 @dataclass
@@ -109,17 +116,11 @@ class CostReport:
 
     @property
     def param_deviation(self) -> float | None:
-        ref = self.reference_params
-        if ref is None:
-            return None
-        return (self.total_params - ref) / ref
+        return _deviation(self.total_params, self.reference_params)
 
     @property
     def flop_deviation(self) -> float | None:
-        ref = self.reference_flops
-        if ref is None:
-            return None
-        return (self.total_macs_dense - ref) / ref
+        return _deviation(self.total_macs_dense, self.reference_flops)
 
     def render(self, detail: str = "table") -> str:
         """Human-readable report. ``detail``: params, flops or table."""
@@ -186,53 +187,64 @@ class CostReport:
 
 
 def _conv_cost(out_ch: int, in_ch: int, k: int, out_side: int) -> tuple[int, int]:
-    params = out_ch * in_ch * k * k + out_ch
-    macs = out_ch * in_ch * k * k * out_side * out_side
-    return params, macs
+    """(params, macs) of a biased conv: ``in_ch`` is 1 if depthwise, ``k`` 1 for a linear."""
+    weights = out_ch * in_ch * k * k
+    return weights + out_ch, weights * out_side * out_side
 
 
 def _fovea_rows(dim: int, reduction: int, side: int) -> tuple[int, int, int]:
     """(params, dense macs, attention-product macs) for one pathway."""
-    tokens = side * side
-    kv_tokens = (side // reduction) ** 2
-    params = 4 * dim * dim
-    macs = tokens * dim * dim  # queries
-    if reduction > 1:
-        params += dim * reduction * reduction + dim
-        macs += dim * reduction * reduction * kv_tokens
-    macs += 2 * kv_tokens * dim * dim  # keys, values
-    macs += tokens * dim * dim  # output projection
-    attn = 2 * tokens * kv_tokens * dim  # scores + value mixing
-    return params, macs, attn
+    tokens, kv_side = side * side, side // reduction
+    params = 4 * dim * dim  # unbiased query, key, value and output projections
+    macs = 2 * (tokens + kv_side * kv_side) * dim * dim
+    if reduction > 1:  # depthwise key/value pooling, kernel and stride ``reduction``
+        pool_params, pool_macs = _conv_cost(dim, 1, reduction, kv_side)
+        params, macs = params + pool_params, macs + pool_macs
+    return params, macs, 2 * tokens * kv_side * kv_side * dim  # scores + value mixing
 
 
 def _ffn_rows(cfg: FfnConfig, side: int) -> tuple[int, int]:
-    tokens = side * side
+    """fc1 and fc2, the 3x3 depthwise convs of ``cfg.kind`` and the BFFN gate."""
     h = cfg.hidden
-    params = cfg.dim * h + h + h * cfg.dim + cfg.dim
-    macs = 2 * tokens * cfg.dim * h
+    convs = [_conv_cost(h, cfg.dim, 1, side), _conv_cost(cfg.dim, h, 1, side)]
     if cfg.kind is FfnKind.CFFN:
-        params += 9 * h + h
-        macs += 9 * h * tokens
+        convs.append(_conv_cost(h, 1, 3, side))
     elif cfg.kind is FfnKind.BFFN:
-        hs, hd = cfg.shallow_width, cfg.deep_width
-        params += 9 * hs + hs + 9 * hd + hd + h
-        macs += 9 * (hs + hd) * tokens
-    return params, macs
+        convs += [_conv_cost(w, 1, 3, side) for w in (cfg.shallow_width, cfg.deep_width)]
+    gate = h if cfg.kind is FfnKind.BFFN else 0
+    return gate + sum(p for p, _ in convs), sum(m for _, m in convs)
 
 
-def _block_rows(tag: str, stage: StageConfig, ffn_kind: FfnKind, side: int) -> list[CostRow]:
-    """The six rows of one block on a ``side`` x ``side`` map."""
-    attn = stage.attention
-    dim = attn.dim
-    return [
-        CostRow(f"{tag}.cpe", *_conv_cost(dim, 1, 3, side)),
-        CostRow(f"{tag}.ln1", 2 * dim, 0),
-        CostRow(f"{tag}.bfsa.sfa", *_fovea_rows(dim, attn.sfa_reduction, side)),
-        CostRow(f"{tag}.bfsa.dfa", *_fovea_rows(dim, attn.dfa_reduction, side)),
-        CostRow(f"{tag}.ln2", 2 * dim, 0),
-        CostRow(f"{tag}.ffn", *_ffn_rows(stage.ffn(ffn_kind), side)),
-    ]
+def _rows(
+    spec: VariantSpec, ffn_kind: FfnKind, input_size: int, every_block: bool
+) -> Iterator[tuple[int, CostRow]]:
+    """``(times, row)`` for each row of one ``input_size`` image, in report order.
+
+    With ``every_block`` each block has its own rows, each once. Without it a
+    stage lists block 0 alone, ``stage.blocks`` times, however deep it is.
+    """
+    sides = stage_sides(input_size)
+    st = spec.stem_channels
+    for idx, in_ch in enumerate((3, st, st), start=1):
+        yield 1, CostRow(f"stem.conv{idx}", *_conv_cost(st, in_ch, 3, input_size // 2))
+    prev = st
+    for i, (stage, side) in enumerate(zip(spec.stages, sides), start=1):
+        dim, times = stage.channels, 1 if every_block else stage.blocks
+        yield 1, CostRow(f"stage{i}.embed", *_conv_cost(dim, prev, 2, side))
+        prev = dim
+        for j in range(stage.blocks if every_block else 1):
+            tag = f"stage{i}.block{j}"
+            for row in (
+                CostRow(f"{tag}.cpe", *_conv_cost(dim, 1, 3, side)),
+                CostRow(f"{tag}.ln1", 2 * dim, 0),
+                CostRow(f"{tag}.bfsa.sfa", *_fovea_rows(dim, stage.sfa_reduction, side)),
+                CostRow(f"{tag}.bfsa.dfa", *_fovea_rows(dim, stage.dfa_reduction, side)),
+                CostRow(f"{tag}.ln2", 2 * dim, 0),
+                CostRow(f"{tag}.ffn", *_ffn_rows(stage.ffn(ffn_kind), side)),
+            ):
+                yield times, row
+    yield 1, CostRow("head.proj", *_conv_cost(spec.head_channels, prev, 1, sides[-1]))
+    yield 1, CostRow("head.fc", *_conv_cost(spec.num_classes, spec.head_channels, 1, 1))
 
 
 def parameter_count(spec: VariantSpec, ffn_kind: FfnKind = FfnKind.BFFN) -> int:
@@ -241,15 +253,8 @@ def parameter_count(spec: VariantSpec, ffn_kind: FfnKind = FfnKind.BFFN) -> int:
     Parameter counts do not depend on the map sizes, so this needs no input
     size, and it costs one block per stage however many blocks a stage has.
     """
-    st = spec.stem_channels
-    total = sum(_conv_cost(st, in_ch, 3, 0)[0] for in_ch in (3, st, st))
-    prev = st
-    for stage in spec.stages:
-        block = sum(r.params for r in _block_rows("", stage, ffn_kind, 0))
-        total += _conv_cost(stage.channels, prev, 2, 0)[0] + stage.blocks * block
-        prev = stage.channels
-    head_fc = spec.head_channels * spec.num_classes + spec.num_classes
-    return total + _conv_cost(spec.head_channels, prev, 1, 0)[0] + head_fc
+    rows = _rows(spec, ffn_kind, 0, every_block=False)
+    return sum(times * row.params for times, row in rows)
 
 
 def cost_report(
@@ -260,40 +265,13 @@ def cost_report(
 ) -> CostReport:
     """Analytic per-module parameter and MAC budget for one forward image."""
     validate_spec(spec, input_size)
-    sides = stage_sides(input_size)
-    stem_side = input_size // 2
-    rows: list[CostRow] = []
-
-    st = spec.stem_channels
-    for idx, in_ch in enumerate((3, st, st), start=1):
-        p, m = _conv_cost(st, in_ch, 3, stem_side)
-        rows.append(CostRow(f"stem.conv{idx}", p, m))
-
-    prev = st
-    for i, (stage, side) in enumerate(zip(spec.stages, sides), start=1):
-        p, m = _conv_cost(stage.channels, prev, 2, side)
-        rows.append(CostRow(f"stage{i}.embed", p, m))
-        prev = stage.channels
-        for j in range(stage.blocks):
-            rows += _block_rows(f"stage{i}.block{j}", stage, ffn_kind, side)
-
-    p, m = _conv_cost(spec.head_channels, prev, 1, sides[-1])
-    rows.append(CostRow("head.proj", p, m))
-    rows.append(
-        CostRow(
-            "head.fc",
-            spec.head_channels * spec.num_classes + spec.num_classes,
-            spec.head_channels * spec.num_classes,
-        )
-    )
-
     return CostReport(
         variant=spec.name,
         input_size=input_size,
         pattern=pattern.value,
         ffn=ffn_kind.value,
         num_classes=spec.num_classes,
-        rows=rows,
+        rows=[row for _, row in _rows(spec, ffn_kind, input_size, every_block=True)],
         notes=list(INTERPRETATION_NOTES),
     )
 

@@ -10,6 +10,7 @@ gets exercised.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,14 +101,8 @@ def run_gradcheck(
     for name, _ in named:
         by_category.setdefault(_category(name), []).append(name)
     rng = np.random.default_rng(seed)
-    order = sorted(by_category)
-    chosen: list[str] = []
-    while len(chosen) < samples:
-        for cat in order:
-            pool = by_category[cat]
-            chosen.append(pool[int(rng.integers(len(pool)))])
-            if len(chosen) == samples:
-                break
+    pools = itertools.cycle([by_category[cat] for cat in sorted(by_category)])
+    chosen = [pool[int(rng.integers(len(pool)))] for pool in itertools.islice(pools, samples)]
 
     params = dict(named)
     result = GradcheckResult(tolerance=tolerance)

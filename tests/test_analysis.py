@@ -1,6 +1,7 @@
 """Cost model: analytic counts against built models and observed forward passes."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,10 +32,9 @@ FROZEN_PARAM_TOTALS = {
 }
 
 
-# Golden pins from the cost model as it stood before its two walks merged:
-# (sha256 of ``render`` for every detail at 224 and 96 px, sha256 of the
-# ``write_csv`` bytes at the same sizes, ``parameter_count`` of the variant,
-# ``parameter_count`` of its ``reduced_variant`` at full depth).
+# Golden pins per variant and kind: (sha256 of ``render`` for every detail at
+# 224 and 96 px, sha256 of the ``write_csv`` bytes at the same sizes,
+# ``parameter_count`` of the variant and of its full-depth ``reduced_variant``).
 GOLDEN = {
     ("base", "ffn"): (
         "40b63c2dfcbd9cea81006ca30884b31ee00cea93102485cf59327fd9c79e01d7",
@@ -98,6 +98,22 @@ GOLDEN = {
     ),
 }
 
+# the four variants, plus reduced tiny with every expansion 2.5: hidden widths
+# 35/70/140/280 are odd, so the BFFN's shallow half is one channel wider
+SPEC_NAMES = sorted(VARIANTS) + ["tiny-odd-hidden"]
+
+
+def _reduced(name, **kwargs):
+    if name != "tiny-odd-hidden":
+        return reduced_variant(VARIANTS[name], **kwargs)
+    spec = reduced_variant(VARIANTS["tiny"], **kwargs)
+    return replace(spec, stages=tuple(replace(s, expansion=2.5) for s in spec.stages))
+
+
+def test_odd_hidden_spec_has_odd_widths():
+    stages = _reduced("tiny-odd-hidden").stages
+    assert [s.ffn(FfnKind.BFFN).hidden for s in stages] == [35, 70, 140, 280]
+
 
 class TestParamCounts:
     @pytest.mark.parametrize("name", sorted(VARIANTS))
@@ -113,11 +129,11 @@ class TestParamCounts:
             assert row.params == group, row.name
 
     @pytest.mark.parametrize("ffn_kind", list(FfnKind))
-    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_each_row_owns_its_named_parameters(self, name, ffn_kind):
         """Row ``r`` counts exactly the parameters named ``r.name + "."...``,
         and every parameter falls under exactly one row."""
-        spec = reduced_variant(VARIANTS[name], num_classes=10)
+        spec = _reduced(name, num_classes=10)
         named = build(spec, seed=0, ffn_kind=ffn_kind).named_parameters()
         rows = cost_report(spec, ffn_kind=ffn_kind).rows
         for row in rows:
@@ -199,12 +215,12 @@ class TestMacCounts:
 
     @pytest.mark.parametrize("ffn_kind", list(FfnKind))
     @pytest.mark.parametrize("pattern", list(ConnectionPattern))
-    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_scope_macs_equal_cost_rows(self, name, pattern, ffn_kind):
         """Ops run under the scope named like their row: every row's
         ``macs + attn_macs`` are the MACs observed in exactly its scope, and
         no MACs run in a scope that is not a row."""
-        spec = reduced_variant(VARIANTS[name], blocks_per_stage=2, num_classes=10)
+        spec = _reduced(name, blocks_per_stage=2, num_classes=10)
         graph = build(spec, seed=0, pattern=pattern, ffn_kind=ffn_kind)
         by_scope = {}
 

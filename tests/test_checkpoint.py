@@ -261,6 +261,10 @@ def _nan_data(raw: bytes) -> bytes:
         pytest.param(_replace(b"expansion=3.0", b"expansion=inf"), id="expansion-inf"),
         pytest.param(_replace(b"expansion=3.0", b"expansion=nan"), id="expansion-nan"),
         pytest.param(_replace(b"stage1: blocks=1", b"stage1: blocks=0"), id="blocks-0"),
+        # sized in one step per stage: a walk over its blocks would not end
+        pytest.param(
+            _replace(b"stage3: blocks=1 ", b"stage3: blocks=1000000000000 "), id="huge-blocks"
+        ),
         pytest.param(_replace(b"stage1: blocks=1 channels=14 heads=1",
                               b"stage1: blocks=1 channels=14 heads=0"), id="heads-0"),
     ],

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .analysis import cost_report, export_attention_maps, measure_macs
+from .analysis import cost_report, export_attention_maps, measure_macs, parameter_count
 from .attention import ConnectionPattern
 from .backbone import VARIANTS, build, reduced_variant
 from .checkpoint import load_checkpoint
@@ -136,6 +136,14 @@ def _cmd_gradcheck(args) -> int:
     spec = reduced_variant(
         VARIANTS[args.variant], width_divisor=args.width_divisor, num_classes=2
     )
+    # each sample runs two forwards, so a count past the entries to sample
+    # would run for hours; checked before ``build`` allocates the model
+    entries = parameter_count(spec, FfnKind(args.ffn))
+    if args.samples > entries:
+        raise ConfigError(
+            f"--samples must be at most the reduced model's {entries:,} parameters, "
+            f"got {args.samples}"
+        )
     with np.errstate(**_QUIET):
         result = run_gradcheck(
             spec,

@@ -38,13 +38,14 @@ correlates the reversed windows of its output gradient with its taps, with
 the scatter's bits. A dense convolution is one matrix product of
 that view reshaped into its patch matrix (every output pixel's window as a
 row) with the reshaped weight, built and multiplied in blocks of whole
-images or of one image's output rows, about ``_CONV_BLOCK_BYTES`` each (with
-the bundled OpenBLAS each block's rows are bitwise those of the one-shot
-product); a depthwise convolution contracts the view, unreshaped, with its
-taps in one ``einsum``. Both take an optional bias, added in place to the
-fresh product. Convolution closures keep their input array (or its
-recipe), not a padded copy or a window matrix, and rebuild what they need
-in ``backward``.
+images or of one image's output rows, at most ``_CONV_BLOCK_BYTES`` each
+(with the bundled OpenBLAS each block's rows are bitwise those of the
+one-shot product); a depthwise convolution contracts the view, unreshaped,
+with its taps in one ``einsum``. Both, and ``matmul``, take an optional
+bias, added in place to the fresh product, so a biased ``linear`` is one
+``matmul`` node with no ``add``. Convolution closures keep their input
+array (or its recipe), not a padded copy or a window matrix, and rebuild
+what they need in ``backward``.
 ``split`` and ``concat`` work on the last axis.
 
 The memory-bound kernels make few passes over memory. One driver,
@@ -63,10 +64,13 @@ keeps the unscaled input, not the scaled array, and the values and
 gradients are bitwise those of the two nodes.
 
 ``attention(q, k, v, n, heads, scale)`` is multi-head attention on token
-rows as one node. Its forward runs ``matmul``, ``softmax`` and ``matmul`` on
-head-split copies inside ``no_grad()``, so observers see those operators;
-the node keeps the copies, not the weights, which its adjoint recomputes
-through the ``softmax`` kernels, bit for bit.
+rows as one node. Its forward runs ``matmul`` on head-split copies inside
+``no_grad()``, computes the weights inside the scores' own array with the
+``softmax`` kernel and reports them to observers as a ``softmax`` result,
+then runs ``matmul`` again, so observers see those three operators (an
+observer that keeps the scores' array sees it hold the weights). The node
+keeps the copies, not the weights, which its adjoint recomputes through the
+``softmax`` kernels, bit for bit.
 """
 from __future__ import annotations
 
@@ -475,8 +479,13 @@ def tensor_mean(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-d, or batched with identical leading dims."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product; 2-d, or batched with identical leading dims.
+
+    A ``bias`` of shape ``(b.shape[-1],)`` is added in place to the fresh
+    product, as in ``conv2d``: the values and gradients of a separate
+    ``add``, without a second output array.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2, got {a.shape} @ {b.shape}")
     if a.ndim != b.ndim:
@@ -485,26 +494,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    # checked here, since an in-place add would broadcast a (1,) bias
+    if bias is not None and bias.data.shape != b.data.shape[-1:]:
+        raise ShapeError(f"matmul bias must have shape ({b.data.shape[-1]},), got {bias.shape}")
 
     data = np.matmul(a.data, b.data)
+    if bias is not None:
+        data += bias.data
     # as in ``mul``: each operand is kept only for the other's gradient, as
     # its producer's recipe when it has one
     a_get = _kept(a) if b.requires_grad else None
     b_get = _kept(b) if a.requires_grad else None
+    bias_shape = bias.data.shape if bias is not None and bias.requires_grad else None
 
     def backward(g: Array):
         ga = None if b_get is None else np.matmul(g, np.swapaxes(b_get(), -1, -2))
         gb = None if a_get is None else np.matmul(np.swapaxes(a_get(), -1, -2), g)
-        return (ga, gb)
+        # ``add``'s reduction of the bias gradient
+        return (ga, gb, None if bias_shape is None else _unbroadcast(g, bias_shape))
 
-    return _make("matmul", data, (a, b), backward, a.data.size * b.data.shape[-1])
+    inputs = (a, b) if bias is None else (a, b, bias)
+    return _make("matmul", data, inputs, backward, a.data.size * b.data.shape[-1])
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map on the last axis: ``y = x @ weight (+ bias)``.
 
     ``x`` may have any leading shape; ``weight`` is ``(d_in, d_out)``.
-    Composite of the primitive ops, so it needs no adjoint of its own.
+    Composite of the primitive ops, so it needs no adjoint of its own: the
+    rows are one ``matmul`` node, which adds the bias in place to its product.
     """
     if weight.ndim != 2:
         raise ShapeError(f"linear weight must be 2-d, got {weight.shape}")
@@ -512,9 +530,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear input {x.shape} does not match weight {weight.shape}")
     lead = x.data.shape[:-1]
     flat = reshape(x, (math.prod(lead), x.data.shape[-1])) if x.ndim != 2 else x
-    out = matmul(flat, weight)
-    if bias is not None:
-        out = add(out, bias)
+    out = matmul(flat, weight, bias)
     if x.ndim != 2:
         out = reshape(out, lead + (weight.data.shape[1],))
     return out
@@ -577,36 +593,37 @@ def _conv_weight_matrix(weight: Array) -> Array:
     return weight.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
 
 
-# bytes of patch matrix ``conv2d``'s forward builds at a time. Blocks stay
-# large on purpose: the bundled OpenBLAS runs a product of under about 1e6
-# multiply-adds through a small-matrix kernel that rounds differently, so a
-# block of a few rows would not reproduce the rows of the one-shot product
-# bit for bit. That threshold is measured for this BLAS build, not promised
-_CONV_BLOCK_BYTES = 1 << 22
+# bytes of patch matrix ``conv2d``'s forward builds at a time, at most.
+# Blocks stay large on purpose: the bundled OpenBLAS runs a product of under
+# about 1e6 multiply-adds through a small-matrix kernel that rounds
+# differently, so a block of a few rows would not reproduce the rows of the
+# one-shot product bit for bit. That threshold is measured for this BLAS
+# build, not promised
+_CONV_BLOCK_BYTES = 1 << 20
 
 
 def _patch_product(windows: Array, w_mat: Array) -> Array:
     """The patch matrix of a ``_windows`` view times ``w_mat``, as ``(N, ho, wo, O)``.
 
-    The patch matrix is built and multiplied in equal blocks of about
-    ``_CONV_BLOCK_BYTES`` into one preallocated output, each block a reshape
-    copy of the view that dies after its product: blocks of whole images
-    when an image's patch matrix fits in one block (a batch that fits is one
-    product), blocks of output rows of one image otherwise. With the bundled
-    OpenBLAS each block's rows are those of the one-shot product, bit for
-    bit, as long as every block stays above its small-matrix threshold.
+    The patch matrix is built and multiplied in blocks of at most
+    ``_CONV_BLOCK_BYTES`` (at least one unit each) into one preallocated
+    output, each block a reshape copy of the view that dies after its
+    product: blocks of as many whole images as fit when an image's patch
+    matrix fits (a batch that fits is one product), blocks of as many output
+    rows of one image as fit otherwise. With the bundled OpenBLAS each
+    block's rows are those of the one-shot product, bit for bit, as long as
+    every block stays above its small-matrix threshold.
     """
     n, ho, wo = windows.shape[:3]
     k, o = w_mat.shape
     out = np.empty((n, ho, wo, o))
-    image = ho * wo * k * 8
-    if image <= _CONV_BLOCK_BYTES:
-        parts = max(1, -(-n * image // _CONV_BLOCK_BYTES))
-        spans = [np.s_[b * n // parts : (b + 1) * n // parts] for b in range(parts)]
+    row = wo * k * 8
+    if ho * row <= _CONV_BLOCK_BYTES:
+        step = _CONV_BLOCK_BYTES // max(1, ho * row)  # an image of no channels is 0 bytes
+        spans = [np.s_[lo : lo + step] for lo in range(0, n, step)]
     else:
-        parts = -(-image // _CONV_BLOCK_BYTES)
-        spans = [np.s_[i, b * ho // parts : (b + 1) * ho // parts]
-                 for i in range(n) for b in range(parts)]
+        step = max(1, _CONV_BLOCK_BYTES // row)
+        spans = [np.s_[i, lo : lo + step] for i in range(n) for lo in range(0, ho, step)]
     for span in spans:  # each ``out[span]`` is contiguous, so its reshape is a view
         np.matmul(windows[span].reshape(-1, k), w_mat, out=out[span].reshape(-1, o))
     return out
@@ -884,6 +901,8 @@ def softmax(x: Tensor, scale: float = 1.0) -> Tensor:
     subtracts, exponentiates and divides inside that array. The adjoint works
     through blocks of rows in one scratch and multiplies each block of its
     result by ``scale``; at the default 1.0 that is the unscaled softmax.
+    Like every operator it leaves ``x`` unwritten; only ``attention``, which
+    owns its scores, runs the kernel in place.
     """
     data = _softmax_rows(x.data, scale, np.empty(x.data.shape))
     return _make("softmax", data, (x,),
@@ -897,12 +916,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
     of ``C/heads`` channels, heads merged back. The rows are split into
     contiguous ``(N, heads, T, C/heads)`` copies, keys straight into the
     ``(N, heads, C/heads, S)`` layout of the scores, which run through
-    ``matmul``, ``softmax`` and ``matmul`` inside ``no_grad()``. The one node
-    keeps the three copies; its adjoint recomputes the scores and weights
-    with the same kernels in plain numpy, so values and gradients are
-    bitwise those of separate split, product, softmax, product and merge
-    nodes. Without a tape the input rows die once split, and the query and
-    key copies once the scores are made.
+    ``matmul``, the softmax and ``matmul`` inside ``no_grad()``. The softmax
+    overwrites the scores with the weights in their own array, running
+    ``T.softmax``'s ufuncs in its order, and is reported to observers as a
+    ``softmax`` result; the scores' ``matmul`` result therefore holds the
+    weights afterwards. The one node keeps the three copies; its adjoint
+    recomputes the scores and weights with the same kernels in plain numpy,
+    so values and gradients are bitwise those of separate split, product,
+    softmax, product and merge nodes. Without a tape the input rows die once
+    split, the query and key copies once the scores are made, and no second
+    scores-sized array is made.
     """
     if q.ndim != 2 or k.ndim != 2 or k.data.shape != v.data.shape:
         raise ShapeError(
@@ -924,12 +947,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
     def rows_of(a: Array, axes: tuple[int, ...]) -> Array:
         return np.ascontiguousarray(a.transpose(axes)).reshape(-1, c)
 
-    # ``a`` is rebound to the scores, the weights and the mixed values in turn
+    # ``a`` is rebound to the scores, the weights (in the scores' array) and
+    # the mixed values in turn
     with no_grad():
         a = matmul(Tensor(q4), Tensor(k4))
         if not inputs:
             q4 = k4 = None
-        a = softmax(a, scale)
+        a = _make("softmax", _softmax_rows(a.data, scale, a.data), (), None)
         a = matmul(a, Tensor(v4)).data
     data = rows_of(a, (0, 2, 1, 3))
     del a

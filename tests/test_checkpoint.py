@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import signal
 import tracemalloc
 
 import numpy as np
@@ -236,6 +237,32 @@ def _swap_names(a: bytes, b: bytes):
     return corrupt
 
 
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Fail the running test once the block has run ``seconds`` of wall time.
+
+    The ``SIGALRM`` handler calls ``pytest.fail``, whose exception is no
+    ``Exception``, so the CLI's error handling cannot turn it into an exit
+    code: a load that would never end fails under the test's name.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# for rows sized in one step per stage: a load that walked every block or
+# allocated the model would not end, so these fail after a few seconds
+_FEW_SECONDS = pytest.mark.time_limit(5)
+
+
 def _nan_data(raw: bytes) -> bytes:
     head, sep, data = raw.partition(b"\nEND\n")
     return head + sep + np.full(len(data) // 8, np.nan).astype("<f8").tobytes()
@@ -256,21 +283,23 @@ def _nan_data(raw: bytes) -> bytes:
         pytest.param(_replace(b"\nseed: 21\n", b"\nseed: 021\n"), id="seed-leading-zero"),
         # 14.1 GiB for the first stem weight alone, were it allocated
         pytest.param(
-            _replace(b"\nstem_channels: 7\n", b"\nstem_channels: 70000000\n"), id="huge-stem"
+            _replace(b"\nstem_channels: 7\n", b"\nstem_channels: 70000000\n"), id="huge-stem",
+            marks=_FEW_SECONDS,
         ),
         pytest.param(_replace(b"expansion=3.0", b"expansion=inf"), id="expansion-inf"),
         pytest.param(_replace(b"expansion=3.0", b"expansion=nan"), id="expansion-nan"),
         pytest.param(_replace(b"stage1: blocks=1", b"stage1: blocks=0"), id="blocks-0"),
         # sized in one step per stage: a walk over its blocks would not end
         pytest.param(
-            _replace(b"stage3: blocks=1 ", b"stage3: blocks=1000000000000 "), id="huge-blocks"
+            _replace(b"stage3: blocks=1 ", b"stage3: blocks=1000000000000 "), id="huge-blocks",
+            marks=_FEW_SECONDS,
         ),
         pytest.param(_replace(b"stage1: blocks=1 channels=14 heads=1",
                               b"stage1: blocks=1 channels=14 heads=0"), id="heads-0"),
     ],
 )
 def test_malformed_checkpoint_exits_2_with_one_line(
-    corrupt, saved, toy_spec, tmp_path, capsys, monkeypatch
+    corrupt, saved, toy_spec, tmp_path, capsys, monkeypatch, request
 ):
     _, path = saved
     raw = path.read_bytes()
@@ -287,8 +316,10 @@ def test_malformed_checkpoint_exits_2_with_one_line(
     assert bad.read_bytes() != raw
     image = tmp_path / "probe.ppm"
     write_image(image, np.random.default_rng(0).uniform(size=(3, 32, 32)))
-    code = main(["attnmap", "--checkpoint", str(bad), "--image", str(image),
-                 "--out", str(tmp_path / "maps")])
+    limit = request.node.get_closest_marker("time_limit")
+    with _time_limit(limit.args[0]) if limit else contextlib.nullcontext():
+        code = main(["attnmap", "--checkpoint", str(bad), "--image", str(image),
+                     "--out", str(tmp_path / "maps")])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:"), err

@@ -60,6 +60,36 @@ def test_matmul_shape_errors(bad_a, bad_b, rng):
         T.matmul(Tensor(rng.normal(size=bad_a)), Tensor(rng.normal(size=bad_b)))
 
 
+@pytest.mark.parametrize("frozen", [None, 0, 1, 2], ids=["none", "a", "b", "bias"])
+@pytest.mark.parametrize("a_shape,b_shape", [((7, 5), (5, 3)), ((2, 4, 3, 5), (2, 4, 5, 6))],
+                         ids=["2d", "batched"])
+def test_matmul_bias_equals_add(a_shape, b_shape, frozen, rng):
+    """``bias=`` gives the bits of ``add(matmul(a, b), bias)``: the values and
+    the gradient of every operand that needs one; a frozen operand gets none."""
+    arrays = rng.normal(size=a_shape), rng.normal(size=b_shape), rng.normal(size=b_shape[-1:])
+    mix = Tensor(rng.normal(size=a_shape[:-1] + b_shape[-1:]))
+    results = []
+    for fold in (True, False):
+        a, b, bias = (Tensor(x, requires_grad=i != frozen) for i, x in enumerate(arrays))
+        out = T.matmul(a, b, bias) if fold else T.add(T.matmul(a, b), bias)
+        grads = T.tensor_sum(T.mul(out, mix)).backward()
+        results.append([out.data] + [grads.get(t) for t in (a, b, bias)])
+    for i, (folded, added) in enumerate(zip(*results)):
+        assert (folded is None) == (added is None) == (i - 1 == frozen)
+        assert folded is None or folded.tobytes() == added.tobytes()
+
+
+def test_biased_linear_tapes_one_matmul_node(rng):
+    """A biased ``linear`` on a map is reshape, matmul (bias added inside) and
+    reshape: observers and the tape see no ``add``."""
+    x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 7, 5), (5, 4), (4,)))
+    seen = []
+    with T.observe(lambda op, scope, out, macs: seen.append(op)):
+        out = T.linear(x, w, b)
+    assert seen == ["reshape", "matmul", "reshape"]
+    assert len(T._topo_order(out._node)) == 3
+
+
 def _zeros(*shape):
     return Tensor(np.zeros(shape))
 
@@ -72,6 +102,12 @@ SHAPE_ERRORS = [
                  id="linear-weight-1d"),
     pytest.param(lambda: T.linear(_zeros(2, 3), _zeros(4, 5), _zeros(5)), "does not match",
                  id="linear-width"),
+    pytest.param(lambda: T.matmul(_zeros(2, 3), _zeros(3, 4), _zeros(3)),
+                 "bias must have shape (4,)", id="matmul-bias-width"),
+    pytest.param(lambda: T.matmul(_zeros(2, 3), _zeros(3, 4), _zeros(1)),
+                 "bias must have shape (4,)", id="matmul-bias-1"),
+    pytest.param(lambda: T.matmul(_zeros(2, 2, 3), _zeros(2, 3, 4), _zeros(2, 1, 4)),
+                 "bias must have shape (4,)", id="matmul-bias-batched"),
     pytest.param(lambda: T.conv2d(_zeros(4, 4, 2), _zeros(2, 2, 1, 1)), "4-d input",
                  id="conv-3d-input"),
     pytest.param(lambda: T.conv2d(_zeros(1, 4, 4, 2), _zeros(2, 2, 1, 1), stride=0),
@@ -291,14 +327,17 @@ class TestConv:
         assert gx.tobytes() == expected.tobytes()
         assert bool(scattered) == (stride != 1 or c == 1 or kh != kw or padding >= kh)
 
-    @pytest.mark.parametrize("shape", [(1, 112, 112, 28), (2, 112, 112, 28), (6, 32, 32, 28)],
-                             ids=["rows-of-one-image", "rows-of-each-image", "whole-images"])
+    @pytest.mark.parametrize("shape", [(1, 112, 112, 28), (2, 112, 112, 28), (6, 32, 32, 28),
+                                       (24, 16, 16, 28)],
+                             ids=["rows-of-one-image", "rows-of-each-image",
+                                  "rows-of-small-images", "whole-images"])
     def test_conv2d_peak_is_padded_map_output_and_one_block(self, shape, rng):
         """Patch matrices of several blocks: a stem conv's at 224 px (25 MB an
-        image) is built in blocks of each image's rows, and a batch of small
-        images in blocks of whole images. Either way peak memory holds the
-        padded map, the output and one block of the patch matrix, and the
-        result is bitwise the one-shot product."""
+        image) is built in blocks of each image's rows, as is a batch of 32 px
+        images (2 MB each), and a batch of 16 px images (0.5 MB each) in
+        blocks of whole images. Either way peak memory holds the padded map,
+        the output, the weight matrix and one block of the patch matrix, and
+        the result is bitwise the one-shot product."""
         n, h, w, c = shape
         assert n * h * w * (9 * c) * 8 > 2 * T._CONV_BLOCK_BYTES
         x = rng.normal(size=shape)
@@ -311,7 +350,8 @@ class TestConv:
         finally:
             tracemalloc.stop()
         padded = n * (h + 2) * (w + 2) * c * 8
-        bound = padded + out.data.nbytes + T._CONV_BLOCK_BYTES
+        w_mat = 9 * c * c * 8  # ``_conv_weight_matrix``'s (kh*kw*C, O) copy
+        bound = padded + out.data.nbytes + w_mat + T._CONV_BLOCK_BYTES
         assert peak < bound, (peak, bound)
         cols = T._windows(x, 3, 3, 1, 1).reshape(-1, 9 * c)
         np.testing.assert_array_equal(out.data.reshape(-1, c),
@@ -320,16 +360,20 @@ class TestConv:
     def test_conv2d_blocks_give_one_shot_product(self, toy_spec, monkeypatch, rng):
         """At the production block size, every dense convolution of a tiny@224
         forward and of the README toy's training and evaluation batches is
-        bitwise the one-shot product of its whole patch matrix and the weight.
+        bitwise the one-shot product of its whole patch matrix and the weight,
+        and no block's patch matrix is larger than ``_CONV_BLOCK_BYTES``.
 
         This pins the bundled OpenBLAS: its small-matrix kernel rounds
         differently, so a failure here after a BLAS change means that build
         rounds blocks differently, not that the blocking is wrong."""
-        patch_product = T._patch_product
-        sizes = []
+        patch_product, matmul = T._patch_product, np.matmul
+        sizes, blocks = [], []
 
         def checked(windows, w_mat):
-            out = patch_product(windows, w_mat)
+            with monkeypatch.context() as m:  # the blocks' products are its only matmuls
+                m.setattr(np, "matmul",
+                          lambda a, b, out: blocks.append(a.nbytes) or matmul(a, b, out=out))
+                out = patch_product(windows, w_mat)
             cols = windows.reshape(-1, w_mat.shape[0])
             sizes.append(cols.nbytes)
             np.testing.assert_array_equal(out.reshape(-1, w_mat.shape[1]), cols @ w_mat)
@@ -342,6 +386,7 @@ class TestConv:
             for batch in (16, 32):
                 toy.forward(rng.uniform(size=(batch, 3, 32, 32)))
         assert max(sizes) > T._CONV_BLOCK_BYTES  # some products did run in blocks
+        assert max(blocks) <= T._CONV_BLOCK_BYTES
 
     def test_conv2d_empty_batch(self, rng):
         out = T.conv2d(Tensor(np.zeros((0, 8, 8, 3))), Tensor(rng.normal(size=(4, 3, 3, 3))),

@@ -327,6 +327,9 @@ def _attnmap(d, checkpoint="model.ckpt", image="probe.ppm", out="maps"):
         pytest.param(lambda d: _attnmap(d, image="short.pgm"), id="attnmap-truncated-pgm"),
         pytest.param(lambda d: ["gradcheck", "--width-divisor", "0"], id="gradcheck-width-divisor-0"),
         pytest.param(lambda d: ["gradcheck", "--samples", "0"], id="gradcheck-samples-0"),
+        # past the reduced model's parameter count
+        pytest.param(lambda d: ["gradcheck", "--samples", "100000000"],
+                     id="gradcheck-samples-huge"),
         pytest.param(lambda d: ["gradcheck", "--seed", "-1"], id="gradcheck-seed-negative"),
         pytest.param(lambda d: ["gradcheck", "--step", "0"], id="gradcheck-step-0"),
         pytest.param(lambda d: ["gradcheck", "--step", "nan"], id="gradcheck-step-nan"),

@@ -115,13 +115,13 @@ def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Ten
 
 
 def sfa_forward(x: Tensor, cfg: AttentionConfig, params: dict) -> Tensor:
-    """Shallow fovea: light key/value pooling, sees the finer grid."""
+    """Shallow fovea: the stronger key/value pooling, onto the coarser grid."""
     with T.scope("sfa"):
         return _fovea_attention(x, cfg.heads, cfg.sfa_reduction, params)
 
 
 def dfa_forward(x: Tensor, cfg: AttentionConfig, params: dict) -> Tensor:
-    """Deep fovea: same attention with its own weights and (coarser) pooling."""
+    """Deep fovea: same attention with its own weights and a milder or no pooling."""
     with T.scope("dfa"):
         return _fovea_attention(x, cfg.heads, cfg.dfa_reduction, params)
 

@@ -36,6 +36,7 @@ and ``fuse`` (a gate, ``fuse.weight``) only in a ``bffn``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -234,6 +235,27 @@ class ModuleGraph:
             name: found[p] if p in found else np.zeros_like(p.data)
             for name, p in self.named_parameters()
         }
+
+    def gradient_stream(self, loss: Tensor) -> Iterator[tuple[str, np.ndarray]]:
+        """``gradients`` as ``(name, gradient)`` pairs, each as soon as the walk finishes it.
+
+        The pairs of ``loss.gradient_stream()`` come in the order the walk
+        finishes them, so the caller may update each parameter in place
+        before taking the next pair. After the walk, every parameter the loss
+        does not reach gets an all-zeros gradient, in ``named_parameters``
+        order. The loss's checks run on the call.
+        """
+        walk = loss.gradient_stream()
+        unreached = {p: name for name, p in self.named_parameters()}
+
+        def pairs():
+            for leaf, g in walk:
+                if leaf in unreached:
+                    yield unreached.pop(leaf), g
+            for p, name in unreached.items():
+                yield name, np.zeros_like(p.data)
+
+        return pairs()
 
     def forward(self, images, return_stage_maps: bool = False):
         """Run the backbone. ``images`` is (N, 3, H, W) with H = W divisible by 32.

@@ -14,9 +14,12 @@ input again for the other operand's gradient, keep that input's recipe
 instead of the array and rerun it in their adjoint, with the same ufuncs
 in the same order, so the tape holds neither GELU nor layer-norm outputs
 and every bit is kept. A scalar loss replays the adjoints in
-reverse topological order with ``Tensor.backward()``, which frees each node
-once its adjoint has run and returns the gradient of every leaf created with
-``requires_grad=True`` that the loss reaches; leaves hold no gradient state. An
+reverse topological order with ``Tensor.gradient_stream()``, which frees each
+node once its adjoint has run and yields the gradient of every leaf created
+with ``requires_grad=True`` that the loss reaches as soon as the leaf's last
+consumer has run, so a caller can update the leaf in place and drop the
+gradient before the walk goes on; ``Tensor.backward()`` collects the same
+walk into a dict. Leaves hold no gradient state. An
 operator whose inputs all lack ``requires_grad``, or any operator called
 inside ``no_grad()``, records nothing, so a forward pass over constants keeps
 no tape alive.
@@ -77,7 +80,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -163,7 +166,7 @@ class _Node:
     when it needs no gradient. ``remake``, when not ``None``, rebuilds the
     output array bit for bit from arrays the adjoint keeps anyway, so a
     consumer that reads the output in its own adjoint keeps the recipe, not
-    the array. ``Tensor.backward()`` clears ``backward_fn``, ``parents`` and
+    the array. The backward walk clears ``backward_fn``, ``parents`` and
     ``remake`` once the adjoint has run, which frees what the closures held.
     """
 
@@ -227,16 +230,31 @@ class Tensor:
 
         The dict has an entry, of the leaf's shape, for every leaf with
         ``requires_grad=True`` that the scalar was computed from; a scalar
-        that is itself such a leaf gets ``{self: ones}``. Each node's adjoint
-        and parents are cleared once the adjoint has run, so the tape is freed
-        as the walk goes: afterwards the scalar and the forward outputs hold
-        their values but no closures, and a second call raises ``ValueError``;
-        recompute the loss instead.
+        that is itself such a leaf gets ``{self: ones}``. It is
+        ``dict(self.gradient_stream())``: the tape is freed as the walk goes,
+        afterwards the scalar and the forward outputs hold their values but
+        no closures, and a second call raises ``ValueError``; recompute the
+        loss instead.
 
         Raises ``ValueError`` when the scalar itself does not require a
         gradient: then no tensor it was computed from needs one (for example
         every parameter of a graph from ``load_checkpoint``, or a loss
         computed inside ``no_grad()``), and there is nothing to differentiate.
+        """
+        return dict(self.gradient_stream())
+
+    def gradient_stream(self) -> Iterator[tuple[Tensor, Array]]:
+        """The walk of ``backward()``, yielding each ``(leaf, gradient)`` as soon as it is final.
+
+        Before the walk each trainable leaf's consuming nodes are counted; a
+        leaf is yielded, and its gradient dropped from the walk, right after
+        the adjoint of its last consumer has run. From then on no adjoint
+        reads the leaf's array, so the caller may update ``leaf.data`` in
+        place before taking the next pair: an array derived from the leaf is
+        kept only by the leaf's consumers and the nodes downstream of them,
+        and all of those have run. Each node's adjoint and parents are
+        cleared once the adjoint has run, so the tape is freed as the walk
+        goes. The scalar's checks run on the call, before anything is yielded.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
@@ -247,32 +265,47 @@ class Tensor:
                 "parameters to train, and compute the loss outside no_grad())"
             )
         if self._node is None:  # the scalar is itself a trainable leaf
-            return {self: np.ones_like(self.data)}
-        order = _topo_order(self._node)
-        # keyed by node or leaf; once every node has run, only leaves are left
-        grads: dict[_Node | Tensor, Array] = {self._node: np.ones_like(self.data)}
-        while order:
-            node = order.pop()
-            if node.backward_fn is None:
-                raise ValueError(
-                    "the loss's tape was consumed by an earlier backward pass; "
-                    "recompute the loss to differentiate it again"
+            return iter([(self, np.ones_like(self.data))])
+        return _walk(self._node)
+
+
+def _walk(root: _Node) -> Iterator[tuple[Tensor, Array]]:
+    order = _topo_order(root)
+    # consuming nodes not yet run, per trainable leaf (one per parent entry)
+    pending: dict[Tensor, int] = {}
+    for node in order:
+        for parent in node.parents:
+            if type(parent) is Tensor:
+                pending[parent] = pending.get(parent, 0) + 1
+    # keyed by node or leaf; a leaf leaves it when it is yielded
+    grads: dict[_Node | Tensor, Array] = {root: np.ones(root.shape)}
+    while order:
+        node = order.pop()
+        if node.backward_fn is None:
+            raise ValueError(
+                "the loss's tape was consumed by an earlier backward pass; "
+                "recompute the loss to differentiate it again"
+            )
+        gout = grads.pop(node, None)
+        input_grads = () if gout is None else node.backward_fn(gout)
+        parents = node.parents
+        node.backward_fn, node.parents, node.remake = None, (), None
+        for parent, g in zip(parents, input_grads):
+            if g is None or parent is None:
+                continue
+            shape = parent.shape
+            if g.shape != shape:
+                raise ShapeError(
+                    f"adjoint produced gradient of shape {g.shape} for a "
+                    f"parent of shape {shape}"
                 )
-            gout = grads.pop(node, None)
-            input_grads = () if gout is None else node.backward_fn(gout)
-            parents = node.parents
-            node.backward_fn, node.parents, node.remake = None, (), None
-            for parent, g in zip(parents, input_grads):
-                if g is None or parent is None:
-                    continue
-                shape = parent.shape
-                if g.shape != shape:
-                    raise ShapeError(
-                        f"adjoint produced gradient of shape {g.shape} for a "
-                        f"parent of shape {shape}"
-                    )
-                grads[parent] = grads[parent] + g if parent in grads else g
-        return grads
+            grads[parent] = grads[parent] + g if parent in grads else g
+        del gout, input_grads  # else both stay alive through the next adjoint
+        for parent in parents:
+            if type(parent) is Tensor:
+                pending[parent] -= 1
+                if not pending[parent] and parent in grads:
+                    yield parent, grads.pop(parent)
 
 
 def _topo_order(root: _Node) -> list[_Node]:

@@ -2,16 +2,20 @@
 
 Training is deterministic for a fixed config: the build seed, the batch
 sampler and the data generator all derive from ``train.seed``, and parameter
-updates happen in place between steps (single-writer; nothing else mutates
-tensors). Metrics are written as ``step,loss,accuracy`` rows, one per step,
-and the final model is saved as a checkpoint. A run whose loss turns NaN or
-infinite stops at that step with ``NonFiniteError`` and writes neither file.
+updates happen in place (single-writer; nothing else mutates tensors). Each
+step (``train_step``) runs the backward walk inside ``AdamW.step``, which
+updates every parameter as soon as its gradient is final, so no gradient set
+is kept between steps. Metrics are written as ``step,loss,accuracy`` rows,
+one per step, and the final model is saved as a checkpoint. A run whose loss
+turns NaN or infinite stops at that step with ``NonFiniteError`` and writes
+neither file.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,9 +36,17 @@ class AdamW:
     Decay applies only to matrix- and conv-shaped tensors; biases, norm
     parameters and gates (all 1-d) are left undecayed.
 
-    ``step`` updates each parameter in the blocks of ``tensor.row_blocks``
-    (rows of single values) through two block-sized scratch arrays, made
-    once per call and shared by every parameter, running the ufuncs of the
+    ``step`` takes the gradients as a ``{name: gradient}`` mapping or as
+    ``(name, gradient)`` pairs, applied as they come. Each update reads only
+    its own gradient and moments (no clipping, no global norm), so the order
+    changes no bit, and a stream such as ``ModuleGraph.gradient_stream`` runs
+    the backward walk inside ``step``: each parameter is updated, and its
+    gradient dropped, as soon as the walk has finished it. The step count
+    advances once per call.
+
+    Each parameter is updated in the blocks of ``tensor.row_blocks`` (rows
+    of single values) through two block-sized scratch arrays, made once per
+    call and shared by every parameter, running the ufuncs of the
     whole-array update in the same order, so a blocked update is bitwise the
     whole-array one.
     """
@@ -53,7 +65,7 @@ class AdamW:
     def step(
         self,
         named_params: list[tuple[str, Tensor]],
-        grads: dict[str, np.ndarray],
+        grads: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
         lr_scale: float = 1.0,
     ) -> None:
         self.step_count += 1
@@ -64,14 +76,18 @@ class AdamW:
         # one ``row_blocks`` block each, sliced to every block of every parameter
         block = min(T._BLOCK_BYTES // 8, max((p.data.size for _, p in named_params), default=0))
         scratch_rows, update_rows = np.empty((2, block, 1))
-        for name, p in named_params:
+        params = dict(named_params)
+        if isinstance(grads, Mapping):
+            grads = [(name, grads[name]) for name in params]
+        for name, grad in grads:
+            p = params[name]
             if name not in self._m:
                 self._m[name] = np.zeros_like(p.data, order="C")
                 self._v[name] = np.zeros_like(p.data, order="C")
             decay = self.weight_decay if p.data.ndim >= 2 else 0.0
             # a C-contiguous parameter is updated through a view of itself
             data = np.ascontiguousarray(p.data)
-            for pb, g, m, v in T.row_blocks(1, (data, grads[name], self._m[name], self._v[name])):
+            for pb, g, m, v in T.row_blocks(1, (data, grad, self._m[name], self._v[name])):
                 scratch, update = scratch_rows[: len(pb)], update_rows[: len(pb)]
                 # update = (m / c1) / (sqrt(v / c2) + eps) (+ decay * p), the
                 # same operations in the same order
@@ -145,6 +161,35 @@ def evaluate(graph: ModuleGraph, dataset: ToyDataset) -> float:
     return hits / len(dataset)
 
 
+def train_step(
+    graph: ModuleGraph,
+    optimizer: AdamW,
+    named: list[tuple[str, Tensor]],
+    images: np.ndarray,
+    labels: np.ndarray,
+    lr_scale: float = 1.0,
+) -> tuple[float, float]:
+    """One training step on a batch; returns its loss and accuracy.
+
+    Runs ``graph.forward`` once and ``optimizer.step`` once, with the
+    backward walk inside the step (``ModuleGraph.gradient_stream``), so each
+    parameter is updated as soon as its gradient is final and no gradient
+    outlives the call. Raises ``NonFiniteError`` when the loss is NaN or
+    infinite, before any parameter moves.
+    """
+    logits = graph.forward(images)
+    loss = T.cross_entropy(logits, labels)
+    loss_value = loss.item()
+    if not math.isfinite(loss_value):
+        raise NonFiniteError(
+            f"step {optimizer.step_count + 1}: the loss is {loss_value}; stopped before "
+            f"writing metrics or a checkpoint (lower train.learning_rate?)"
+        )
+    accuracy = float((logits.data.argmax(axis=1) == labels).mean())
+    optimizer.step(named, graph.gradient_stream(loss), lr_scale)
+    return loss_value, accuracy
+
+
 def run_training(config: RunConfig, out_dir: str | os.PathLike) -> TrainResult:
     """Train per ``config``, writing metrics.csv and model.ckpt into ``out_dir``.
 
@@ -175,21 +220,8 @@ def run_training(config: RunConfig, out_dir: str | os.PathLike) -> TrainResult:
         images = dataset.images[idx]
         labels = dataset.labels[idx]
 
-        logits = graph.forward(images)
-        loss = T.cross_entropy(logits, labels)
-        loss_value = loss.item()
-        if not math.isfinite(loss_value):
-            raise NonFiniteError(
-                f"step {step}: the loss is {loss_value}; stopped before writing "
-                f"metrics or a checkpoint (lower train.learning_rate?)"
-            )
-        grads = graph.gradients(loss)
-
-        accuracy = float((logits.data.argmax(axis=1) == labels).mean())
-        history.append((step, loss_value, accuracy))
-
         scale = cosine_scale(step, config.train.steps) if config.train.cosine else 1.0
-        optimizer.step(named, grads, scale)
+        history.append((step, *train_step(graph, optimizer, named, images, labels, scale)))
 
     # the checkpoint goes first: it refuses non-finite parameters, and then
     # no metrics.csv is left behind either

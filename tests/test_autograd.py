@@ -12,6 +12,7 @@ from evit.backbone import VARIANTS, build, reduced_variant
 from evit.errors import ShapeError
 from evit.feedforward import FfnKind
 from evit.tensor import Tensor, finite_difference, relative_error
+from evit.train import AdamW, train_step
 
 from conftest import to_nhwc
 from test_tensor_ops import CONV_CASES, DW_CASES
@@ -388,6 +389,23 @@ class TestTapeMemory:
         assert len(grads) == len(graph.named_parameters())
         assert peak < 185e6, peak
 
+    def test_tiny224_train_step_keeps_no_gradient_set(self):
+        """``train_step`` updates each parameter inside the walk, so a steady
+        tiny@224 step peaks at about 128 MB, the taped forward plus the
+        gradients in flight, and keeps nothing once it returns."""
+        graph = build("tiny", seed=0, zero_classifier=False)
+        optimizer, named = AdamW(1e-3, weight_decay=0.05), graph.named_parameters()
+        image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
+        train_step(graph, optimizer, named, image, np.array([3]))  # makes the moments
+        tracemalloc.start()
+        try:
+            train_step(graph, optimizer, named, image, np.array([3]))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 135e6, peak
+        assert retained < 1e6, retained
+
     def test_gradients_leaves_only_gradients_and_outputs(self):
         graph = build(reduced_variant(VARIANTS["tiny"]), seed=0, zero_classifier=False)
         images = np.random.default_rng(0).normal(size=(2, 3, 64, 64))
@@ -526,6 +544,57 @@ class TestRecipes:
         expected = gradients()
         for name, g in grads.items():
             assert g.tobytes() == expected[name].tobytes(), name
+
+
+class TestGradientStream:
+    """``gradient_stream`` yields each leaf once no adjoint reads it any more,
+    so the caller may update it in place before taking the next pair."""
+
+    @pytest.mark.parametrize("ffn_kind", list(FfnKind))
+    @pytest.mark.parametrize("pattern", list(ConnectionPattern))
+    def test_a_parameter_overwritten_when_yielded_changes_no_later_gradient(
+        self, pattern, ffn_kind, toy_spec
+    ):
+        """Each parameter is overwritten with NaN the moment its pair comes;
+        every gradient is still finite and bitwise that of ``gradients()`` on
+        a twin graph. At 64 px every fovea's score path is live."""
+        images = np.random.default_rng(0).normal(size=(2, 3, 64, 64))
+        labels = np.array([0, 1])
+        graph, twin = (
+            build(toy_spec, seed=0, pattern=pattern, ffn_kind=ffn_kind, zero_classifier=False)
+            for _ in range(2)
+        )
+        expected = twin.gradients(T.cross_entropy(twin.forward(images), labels))
+        params = dict(graph.named_parameters())
+        seen = []
+        for name, g in graph.gradient_stream(T.cross_entropy(graph.forward(images), labels)):
+            assert np.isfinite(g).all(), name
+            assert g.tobytes() == expected[name].tobytes(), name
+            params[name].data[...] = np.nan
+            seen.append(name)
+        assert sorted(seen) == sorted(params)
+
+    def test_a_shared_leaf_comes_after_its_last_consumer(self, rng):
+        """A weight read by two products comes once, after both have run, with
+        both uses summed; the leaves that come before it may be overwritten."""
+        start = {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 4)), "b": rng.normal(size=4)}
+        mix = Tensor(rng.normal(size=(3, 4)))
+
+        def loss(x, w, b):
+            return T.tensor_sum(T.mul(T.linear(T.gelu(T.linear(x, w)), w, b), mix))
+
+        leaves, twins = (
+            {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()} for _ in range(2)
+        )
+        expected = loss(**twins).backward()
+        names = {leaf: n for n, leaf in leaves.items()}
+        seen = []
+        for leaf, g in loss(**leaves).gradient_stream():
+            assert np.isfinite(g).all()
+            assert g.tobytes() == expected[twins[names[leaf]]].tobytes(), names[leaf]
+            leaf.data[...] = np.nan
+            seen.append(names[leaf])
+        assert seen[0] == "b" and sorted(seen) == ["b", "w", "x"]
 
 
 def test_corrupted_adjoint_is_detected(rng, scaled_gelu_adjoint):

@@ -40,7 +40,8 @@ def test_tracer_installs_and_restores_every_target(monkeypatch):
 def test_gradients_walk_runs_through_tensor_backward(monkeypatch, toy_spec):
     """``ModuleGraph.gradients`` reaches the walk through ``loss.backward()``,
     so a wrapper set on the class, as the tracer sets its ``tensor.backward``
-    span, runs once per training step."""
+    span, runs once per ``gradients`` call (``run_training`` streams the walk
+    into ``AdamW.step`` instead)."""
     original = evit.tensor.Tensor.__dict__["backward"]
     calls = []
 

@@ -5,14 +5,14 @@ import pytest
 
 import evit.cli
 import evit.tensor as T
-from evit.backbone import build
+from evit.backbone import ModuleGraph, build
 from evit.checkpoint import load_checkpoint, save_checkpoint
 from evit.cli import main
 from evit.config import RunConfig, render_config
 from evit.data import read_image, synthetic_shapes, write_image
-from evit.errors import ConfigError
+from evit.errors import ConfigError, NonFiniteError
 from evit.tensor import Tensor
-from evit.train import AdamW, cosine_scale, evaluate, run_training
+from evit.train import AdamW, cosine_scale, evaluate, run_training, train_step
 
 
 def _short_config(steps=4, **model_overrides):
@@ -90,6 +90,50 @@ class TestOptimizer:
             for n, p in params:
                 assert np.array_equal(p.data, expected[n]), (t, n)
 
+    def test_pairs_in_reverse_order_give_the_bits_of_the_mapping(self, rng):
+        shapes = {"w": (3, 4), "b": (4,), "conv": (2, 2, 3, 3)}
+        start = {n: rng.normal(size=s) for n, s in shapes.items()}
+        by_mapping, by_pairs = (
+            [(n, Tensor(a.copy(), requires_grad=True)) for n, a in start.items()]
+            for _ in range(2)
+        )
+        opts = [AdamW(learning_rate=0.01, weight_decay=0.05) for _ in range(2)]
+        for t in range(1, 4):
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            opts[0].step(by_mapping, grads, lr_scale=0.5**t)
+            opts[1].step(by_pairs, reversed(list(grads.items())), lr_scale=0.5**t)
+        for (n, p), (_, q) in zip(by_mapping, by_pairs):
+            assert p.data.tobytes() == q.data.tobytes(), n
+            assert opts[0]._m[n].tobytes() == opts[1]._m[n].tobytes(), n
+            assert opts[0]._v[n].tobytes() == opts[1]._v[n].tobytes(), n
+
+    def test_a_parameter_the_loss_misses_steps_after_the_walk(self, toy_spec):
+        """``gradient_stream`` gives every parameter the loss does not reach an
+        all-zeros gradient once the walk is done, so AdamW still steps it: its
+        moments decay and weight decay applies, bit for bit the textbook update."""
+        graph = build(toy_spec, seed=0, zero_classifier=False)
+        named = graph.named_parameters()
+        params = dict(named)
+        reached = "head.fc.weight"
+        missed = [n for n, p in named if n != reached and p.ndim >= 2][0]
+        rng = np.random.default_rng(0)
+        opt = AdamW(learning_rate=0.01, weight_decay=0.05)
+        opt.step(named, {n: rng.normal(size=p.shape) for n, p in named})
+        p1, m1, v1 = params[missed].data.copy(), opt._m[missed].copy(), opt._v[missed].copy()
+
+        def loss():
+            return T.tensor_sum(T.mul(params[reached], Tensor(rng.normal(size=params[reached].shape))))
+
+        assert [n for n, _ in graph.gradient_stream(loss())] == [reached] + [
+            n for n, _ in named if n != reached
+        ]
+        opt.step(named, graph.gradient_stream(loss()))
+        b1, b2, eps, t = AdamW.beta1, AdamW.beta2, AdamW.eps, 2
+        m2, v2 = b1 * m1, b2 * v1
+        update = (m2 / (1.0 - b1**t)) / (np.sqrt(v2 / (1.0 - b2**t)) + eps) + 0.05 * p1
+        assert np.array_equal(opt._m[missed], m2) and np.array_equal(opt._v[missed], v2)
+        assert np.array_equal(params[missed].data, p1 - 0.01 * update)
+
     def test_cosine_scale_endpoints(self):
         assert cosine_scale(1, 100) == 1.0
         assert cosine_scale(100, 100) < 0.001
@@ -117,6 +161,40 @@ class TestTrainingLoop:
         data = synthetic_shapes(8, 32, seed=config.train.seed)
         accuracy = evaluate(graph, data)
         assert 0.0 <= accuracy <= 1.0
+
+    def test_each_step_enters_adamw_once_after_its_forward(self, tmp_path, monkeypatch):
+        """The benchmark's step probe opens step 1 on the first
+        ``ModuleGraph.forward`` and closes each step on the return from
+        ``AdamW.step``, so each step runs its forward, then one ``AdamW.step``
+        with the backward walk inside."""
+        events = []
+        forward, step = ModuleGraph.forward, AdamW.step
+
+        def counted_forward(graph, *args, **kwargs):
+            events.append("forward")
+            return forward(graph, *args, **kwargs)
+
+        def counted_step(optimizer, *args, **kwargs):
+            events.append("step")
+            return step(optimizer, *args, **kwargs)
+
+        monkeypatch.setattr(ModuleGraph, "forward", counted_forward)
+        monkeypatch.setattr(AdamW, "step", counted_step)
+        run_training(_short_config(steps=3), tmp_path)
+        assert events.count("step") == 3
+        assert events[:6] == ["forward", "step"] * 3  # then evaluate's forward
+
+    def test_train_step_stops_before_any_parameter_moves(self, toy_spec):
+        graph = build(toy_spec, seed=0, zero_classifier=False)
+        named = graph.named_parameters()
+        before = [p.data.copy() for _, p in named]
+        optimizer = AdamW(learning_rate=0.01)
+        images = np.full((2, 3, 32, 32), np.nan)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="^step 1: "):
+            train_step(graph, optimizer, named, images, np.array([0, 1]))
+        assert optimizer.step_count == 0
+        for (name, p), data in zip(named, before):
+            assert np.array_equal(p.data, data), name
 
     def test_bitwise_deterministic(self, tmp_path):
         config = _short_config(steps=3)

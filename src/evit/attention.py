@@ -7,8 +7,8 @@ strided depthwise convolution that pools ``reduction x reduction`` patches
 (skipped entirely at reduction 1). Every projection is one matmul on the
 token rows ``(N*H*W, C)`` of its map, and one ``T.attention`` call splits
 the rows into heads, attends and merges the heads back into rows: one tape
-node that keeps the head-split queries, keys and values and recomputes the
-attention weights in backward.
+node that keeps the projections' recipes, not their rows or head splits,
+and rebuilds the splits and recomputes the attention weights in backward.
 The two pathways can be wired three ways:
 
 * ``parallel``  - shallow(x) + deep(x)
@@ -103,8 +103,8 @@ def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Ten
     # a second reshape even at reduction 1: sharing the queries' rows would
     # merge two gradient paths into one node and reorder the map's gradient sum
     kv = map_to_tokens(kv)
-    # the projections go in inline, so without a tape the op can free each
-    # one's rows once it has split them into heads
+    # the projections go in inline, so the op can free each one's rows once
+    # it has split them into heads; a tape keeps their recipes instead
     mixed = T.attention(
         T.linear(map_to_tokens(x), params["q_weight"]),
         T.linear(kv, params["k_weight"]),

@@ -8,12 +8,17 @@ reads, never an input tensor, so an activation that no adjoint reads is freed
 as soon as the forward code drops it. A node that can rebuild its output
 from what its adjoint keeps anyway also carries that recipe: ``gelu`` reruns
 its forward on its kept input and gate, ``layernorm`` computes
-``xhat * gamma + beta`` from its kept ``xhat``, and ``reshape`` passes its
-input's recipe on. ``matmul``, ``conv2d`` and ``dwconv2d``, which read an
-input again for the other operand's gradient, keep that input's recipe
-instead of the array and rerun it in their adjoint, with the same ufuncs
-in the same order, so the tape holds neither GELU nor layer-norm outputs
-and every bit is kept. A scalar loss replays the adjoints in
+``xhat * gamma + beta`` from its kept ``xhat``, a ``matmul`` that keeps both
+operands (every trained projection) reruns its product, and ``reshape`` and
+``split`` pass their input's recipe on, reshaped or sliced. ``matmul``,
+``conv2d`` and ``dwconv2d``, which read an input again for the other
+operand's gradient, and ``attention``, which reads its query, key and value
+rows, keep each input's recipe instead of the array and rerun it in their
+adjoint, with the same ufuncs and products in the same order, so the tape
+holds no GELU, layer-norm or projection output and every bit is kept. A
+recipe runs only inside its consumers' adjoints, which all run before its
+own node's, so every parameter it reads still holds its value then. A
+scalar loss replays the adjoints in
 reverse topological order with ``Tensor.gradient_stream()``, which frees each
 node once its adjoint has run and yields the gradient of every leaf created
 with ``requires_grad=True`` that the loss reaches as soon as the leaf's last
@@ -72,8 +77,9 @@ rows as one node. Its forward runs ``matmul`` on head-split copies inside
 ``softmax`` kernel and reports them to observers as a ``softmax`` result,
 then runs ``matmul`` again, so observers see those three operators (an
 observer that keeps the scores' array sees it hold the weights). The node
-keeps the copies, not the weights, which its adjoint recomputes through the
-``softmax`` kernels, bit for bit.
+keeps its inputs' recipes (the rows themselves where an input has none),
+not the copies or the weights: its adjoint rebuilds the head splits and
+recomputes the weights through the ``softmax`` kernels, bit for bit.
 """
 from __future__ import annotations
 
@@ -329,7 +335,7 @@ def _topo_order(root: _Node) -> list[_Node]:
 
 
 def _make(
-    op: str, data: Array, inputs: tuple[Tensor, ...], backward_fn, macs: int = 0,
+    op: str, data: Array, inputs: tuple[Tensor, ...], backward_fn, macs: int = 0, *,
     remake: Callable[[], Array] | None = None,
 ) -> Tensor:
     """Wrap ``data`` as the result of ``op``, recording a node when an input needs a gradient.
@@ -354,8 +360,11 @@ def _kept(t: Tensor) -> Callable[[], Array]:
     """What a consumer's adjoint keeps to read ``t``'s values: the recipe of
     ``t``'s node when it has one, else the array itself.
 
-    A consumer's adjoint runs before its producer's, so a recipe keeps no
-    array alive longer than the producer's own adjoint does.
+    ``matmul``, ``conv2d``, ``dwconv2d`` and ``attention`` keep their inputs
+    through it. A consumer's adjoint runs before its producer's, so a recipe
+    keeps no array alive longer than the producer's own adjoint does, and
+    the parameters it reads are not yet yielded by ``gradient_stream``, so
+    none has been updated in place when it runs.
     """
     node = t._node
     if node is not None and node.remake is not None:
@@ -467,21 +476,29 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def split(a: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
-    """Split the last axis into chunks of the given sizes."""
+    """Split the last axis into chunks of the given sizes.
+
+    When the input has a recipe, each piece's recipe is the same slice of
+    it, as ``reshape`` passes its input's on, so a consumer of a piece keeps
+    the input's recipe, not the piece.
+    """
     if sum(sizes) != a.data.shape[-1]:
         raise ShapeError(f"split sizes {tuple(sizes)} do not cover the last axis of {a.shape}")
     a_shape = a.data.shape
+    parent = None if a._node is None else a._node.remake
     outs = []
     lo = 0
     for size in sizes:
+        span = np.s_[..., lo : lo + size]
 
-        def backward(g: Array, lo=lo, size=size):
+        def backward(g: Array, span=span):
             full = np.zeros(a_shape)
-            full[..., lo : lo + size] = g
+            full[span] = g
             return (full,)
 
-        piece = np.ascontiguousarray(a.data[..., lo : lo + size])
-        outs.append(_make("split", piece, (a,), backward))
+        remake = None if parent is None else lambda span=span: np.ascontiguousarray(parent()[span])
+        piece = np.ascontiguousarray(a.data[span])
+        outs.append(_make("split", piece, (a,), backward, remake=remake))
         lo += size
     return tuple(outs)
 
@@ -517,7 +534,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
     A ``bias`` of shape ``(b.shape[-1],)`` is added in place to the fresh
     product, as in ``conv2d``: the values and gradients of a separate
-    ``add``, without a second output array.
+    ``add``, without a second output array. When the adjoint keeps both
+    operands (every trained projection) the node's recipe is the same
+    product of them, bias added in place, so no consumer keeps the output.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2, got {a.shape} @ {b.shape}")
@@ -546,8 +565,19 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         # ``add``'s reduction of the bias gradient
         return (ga, gb, None if bias_shape is None else _unbroadcast(g, bias_shape))
 
+    remake = None
+    if _GRAD_ENABLED and a_get is not None and b_get is not None:
+        bias_data = None if bias is None else bias.data
+
+        def remake() -> Array:
+            out = np.matmul(a_get(), b_get())
+            if bias_data is not None:
+                out += bias_data
+            return out
+
     inputs = (a, b) if bias is None else (a, b, bias)
-    return _make("matmul", data, inputs, backward, a.data.size * b.data.shape[-1])
+    return _make("matmul", data, inputs, backward, a.data.size * b.data.shape[-1],
+                 remake=remake)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -689,8 +719,10 @@ def conv2d(
     ``_windows`` view, reshaped, is the ``(N*ho*wo, kh*kw*C)`` patch matrix of
     one matrix product with the weight, run in blocks of whole images or of
     image rows (``_patch_product``); the weight gradient is a second
-    product, and ``_scatter_taps`` sends each tap's share of a third back to
-    the input. A ``bias`` of shape ``(O,)`` is added in place to the fresh
+    product, ``g.T @ patches``, whose ``(O, kh*kw*C)`` result needs only a
+    transpose of its last three axes (none at 1x1) to be ``(O, C, kh, kw)``,
+    and ``_scatter_taps`` sends each tap's share of a third back to the
+    input. A ``bias`` of shape ``(O,)`` is added in place to the fresh
     product: the values of a separate ``add``, without a second map.
     """
     _check_conv_args(x, weight, stride, padding, bias)
@@ -718,8 +750,8 @@ def conv2d(
         g_mat = g.reshape(n * ho * wo, o)
         gx = gw = None
         if x_get is not None:
-            gw = _windows(x_get(), kh, kw, stride, padding).reshape(n * ho * wo, -1).T @ g_mat
-            gw = np.ascontiguousarray(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
+            gw = g_mat.T @ _windows(x_get(), kh, kw, stride, padding).reshape(n * ho * wo, -1)
+            gw = np.ascontiguousarray(gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
         if w_data is not None:
             g_cols = (g_mat @ _conv_weight_matrix(w_data).T).reshape(n, ho, wo, kh, kw, c)
             gx = _scatter_taps((n, h, w, c), kh, kw, stride, padding,
@@ -953,11 +985,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
     overwrites the scores with the weights in their own array, running
     ``T.softmax``'s ufuncs in its order, and is reported to observers as a
     ``softmax`` result; the scores' ``matmul`` result therefore holds the
-    weights afterwards. The one node keeps the three copies; its adjoint
-    recomputes the scores and weights with the same kernels in plain numpy,
-    so values and gradients are bitwise those of separate split, product,
-    softmax, product and merge nodes. Without a tape the input rows die once
-    split, the query and key copies once the scores are made, and no second
+    weights afterwards. The query and key copies die once the scores are
+    made and the value copy once the values are mixed, with or without a
+    tape. The one node keeps ``_kept`` of each input, so a projection's
+    recipe rather than its rows; its adjoint rebuilds the copies with the
+    forward's reshapes and transposes and recomputes the scores and weights
+    with the same kernels in plain numpy, so values and gradients are
+    bitwise those of separate split, product, softmax, product and merge
+    nodes. Without a tape the input rows die once split, and no second
     scores-sized array is made.
     """
     if q.ndim != 2 or k.ndim != 2 or k.data.shape != v.data.shape:
@@ -972,34 +1007,47 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
     t, s, d = rows // n, k.data.shape[0] // n, c // heads
     grad = tuple(_GRAD_ENABLED and a.requires_grad for a in (q, k, v))
     inputs = (q, k, v) if any(grad) else ()
-    q4 = np.ascontiguousarray(q.data.reshape(n, t, heads, d).transpose(0, 2, 1, 3))
-    k4 = np.ascontiguousarray(k.data.reshape(n, s, heads, d).transpose(0, 2, 3, 1))
-    v4 = np.ascontiguousarray(v.data.reshape(n, s, heads, d).transpose(0, 2, 1, 3))
-    del q, k, v
+    gets = tuple(_kept(a) for a in inputs)
+
+    # the head splits of the rows, queries and values as ``(N, heads, T, d)``
+    # and keys straight into the scores' ``(N, heads, d, S)`` layout
+    def q_heads(a: Array) -> Array:
+        return np.ascontiguousarray(a.reshape(n, t, heads, d).transpose(0, 2, 1, 3))
+
+    def k_heads(a: Array) -> Array:
+        return np.ascontiguousarray(a.reshape(n, s, heads, d).transpose(0, 2, 3, 1))
+
+    def v_heads(a: Array) -> Array:
+        return np.ascontiguousarray(a.reshape(n, s, heads, d).transpose(0, 2, 1, 3))
 
     def rows_of(a: Array, axes: tuple[int, ...]) -> Array:
         return np.ascontiguousarray(a.transpose(axes)).reshape(-1, c)
+
+    q4, k4, v4 = q_heads(q.data), k_heads(k.data), v_heads(v.data)
+    del q, k, v
 
     # ``a`` is rebound to the scores, the weights (in the scores' array) and
     # the mixed values in turn
     with no_grad():
         a = matmul(Tensor(q4), Tensor(k4))
-        if not inputs:
-            q4 = k4 = None
+        del q4, k4
         a = _make("softmax", _softmax_rows(a.data, scale, a.data), (), None)
         a = matmul(a, Tensor(v4)).data
+        del v4
     data = rows_of(a, (0, 2, 1, 3))
     del a
 
     def backward(g: Array):
-        go = np.ascontiguousarray(g.reshape(n, t, heads, d).transpose(0, 2, 1, 3))
+        q_get, k_get, v_get = gets
+        go = q_heads(g)
+        q4, k4 = q_heads(q_get()), k_heads(k_get())
         weights = np.matmul(q4, k4)
         _softmax_rows(weights, scale, weights)
         gq = gk = gv = None
         if grad[2]:
             gv = rows_of(np.matmul(np.swapaxes(weights, -1, -2), go), (0, 2, 1, 3))
         if grad[0] or grad[1]:
-            gs = np.matmul(go, np.swapaxes(v4, -1, -2))
+            gs = np.matmul(go, np.swapaxes(v_heads(v_get()), -1, -2))
             _softmax_adjoint(weights, gs, scale, gs)
             del weights
             if grad[0]:

@@ -65,3 +65,19 @@ def scaled_gelu_adjoint(monkeypatch):
         return out
 
     monkeypatch.setattr(T, "gelu", broken_gelu)
+
+
+@pytest.fixture
+def scaled_softmax_adjoint(monkeypatch):
+    """Swap ``_softmax_adjoint`` for one that returns 1.5 times the true result.
+
+    ``attention``'s adjoint reaches it through the module global and works
+    in place, so the scaling goes into ``out``; only the gradients of the
+    attention scores change.
+    """
+    adjoint = T._softmax_adjoint
+
+    def broken_adjoint(weights, g, scale, out):
+        return np.multiply(adjoint(weights, g, scale, out), 1.5, out=out)
+
+    monkeypatch.setattr(T, "_softmax_adjoint", broken_adjoint)

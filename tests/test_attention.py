@@ -1,6 +1,7 @@
 """Attention pathways against naive oracles, plus wiring identities."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -151,6 +152,22 @@ def _attention_chain(q, k, v, n, heads, scale):
     return T.reshape(T.transpose(a, (0, 2, 1, 3)), (rows, c))
 
 
+def _closure_arrays(fn, seen=None):
+    """The ids of the arrays a closure holds, directly or through the
+    closures (recipes) it holds in turn."""
+    seen = set() if seen is None else seen
+    found = set()
+    for cell in getattr(fn, "__closure__", None) or ():
+        value = cell.cell_contents
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                found.add(id(item))
+            elif callable(item) and id(item) not in seen:
+                seen.add(id(item))
+                found |= _closure_arrays(item, seen)
+    return found
+
+
 class TestAttentionOp:
     # query and key rows per image, channels: no shape of a kept array can
     # be mistaken for the weights' (N, heads, 5, 3)
@@ -187,15 +204,24 @@ class TestAttentionOp:
             out = T.attention(*leaves, 2, 2, 0.5)
         assert out._node is None and not out.requires_grad
 
-    def test_node_keeps_the_head_splits_not_the_weights(self, rng):
+    def test_node_keeps_its_input_rows_not_the_weights(self, rng):
+        """On leaves the node keeps the three input row arrays themselves, no
+        head-split copy; on a trained projection's queries it keeps the
+        projection's recipe, which reads its operands, not its output."""
         n, heads = 2, 2
-        d = self.C // heads
         leaves = [Tensor(a, requires_grad=True) for a in self._rows(rng, n)]
         out = T.attention(*leaves, n, heads, 0.5)
-        kept = [cell.cell_contents for cell in out._node.backward_fn.__closure__]
-        shapes = sorted(a.shape for a in kept if isinstance(a, np.ndarray))
-        assert shapes == sorted([(n, heads, self.QUERIES, d), (n, heads, d, self.KEYS),
-                                 (n, heads, self.KEYS, d)])
+        assert _closure_arrays(out._node.backward_fn) == {id(leaf.data) for leaf in leaves}
+
+        x, weight = (Tensor(rng.normal(size=(n * self.QUERIES, self.C)), requires_grad=True),
+                     Tensor(rng.normal(size=(self.C, self.C)), requires_grad=True))
+        q = T.linear(x, weight)
+        projected = weakref.ref(q.data)
+        out = T.attention(q, *leaves[1:], n, heads, 0.5)
+        del q
+        assert projected() is None
+        assert _closure_arrays(out._node.backward_fn) == {
+            id(x.data), id(weight.data), id(leaves[1].data), id(leaves[2].data)}
 
     def test_observers_see_the_products_and_the_weights(self, rng):
         n, heads = 2, 4

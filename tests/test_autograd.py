@@ -355,12 +355,14 @@ class TestTapeMemory:
 
     def test_taped_tiny224_forward_peak(self):
         """A taped tiny@224 forward keeps what the adjoints read and no more:
-        it peaks at about 118 MB. ``fc2`` keeping the BFFN's GELU output
-        instead of its recipe would add about 20 MB, the consumers of the
-        layer norms keeping their outputs 13.5 MB and the stem convs keeping
-        the stem GELU outputs 8.4 MB; a ``gelu`` node keeping a whole ``tanh``
-        array beside its input about 29 MB, and attention nodes keeping their
-        softmax weights about 28 MB."""
+        it peaks at about 80 MB. Attention nodes keeping head-split copies of
+        q, k and v instead of their projections' recipes would add about
+        21 MB, the BFFN's shallow depthwise conv keeping its split piece
+        instead of ``fc1``'s recipe 10 MB and the deep fovea keeping the
+        shallow fovea's output 6.7 MB; ``fc2`` keeping the BFFN's GELU output
+        about 20 MB, a ``gelu`` node keeping a whole ``tanh`` array beside
+        its input about 29 MB, and attention nodes keeping their softmax
+        weights about 28 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
         tracemalloc.start()
@@ -370,13 +372,14 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert logits._node is not None
-        assert peak < 125e6, peak
+        assert peak < 85e6, peak
 
     def test_tiny224_training_step_peak(self):
-        """A tiny@224 forward and ``graph.gradients`` peak at about 179 MB,
+        """A tiny@224 forward and ``graph.gradients`` peak at about 159 MB,
         the taped forward's arrays plus the gradients finished so far; each
         array the tape keeps instead of a recipe stays there until its
-        consumer's adjoint runs."""
+        consumer's adjoint runs: attention nodes keeping head-split copies of
+        q, k and v instead of their projections' recipes peak at 169 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
         tracemalloc.start()
@@ -387,12 +390,14 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert len(grads) == len(graph.named_parameters())
-        assert peak < 185e6, peak
+        assert peak < 165e6, peak
 
     def test_tiny224_train_step_keeps_no_gradient_set(self):
         """``train_step`` updates each parameter inside the walk, so a steady
-        tiny@224 step peaks at about 128 MB, the taped forward plus the
-        gradients in flight, and keeps nothing once it returns."""
+        tiny@224 step peaks at about 90 MB, the taped forward plus the
+        gradients in flight, and keeps nothing once it returns. Any array
+        the tape keeps instead of a recipe raises it: attention nodes keeping
+        head-split copies of q, k and v peak at 111 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         optimizer, named = AdamW(1e-3, weight_decay=0.05), graph.named_parameters()
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
@@ -403,7 +408,7 @@ class TestTapeMemory:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 135e6, peak
+        assert peak < 95e6, peak
         assert retained < 1e6, retained
 
     def test_gradients_leaves_only_gradients_and_outputs(self):
@@ -443,17 +448,40 @@ RECIPE_PRODUCERS = {
     "gelu": lambda x, p: T.gelu(x),
     "gated_gelu": lambda x, p: T.gelu(x, p["gate"]),
     "layernorm": lambda x, p: T.layernorm(x, p["gamma"], p["beta"]),
+    "linear": lambda x, p: T.linear(x, p["proj"], p["proj_bias"]),
+    "split": lambda x, p: T.split(T.linear(x, p["wide"], p["wide_bias"]), (8, 4))[0],
 }
+
+
+def _attention_consumer(role):
+    """``attention`` reading ``h``'s rows as its query, key or value."""
+    def consume(h, p):
+        rows = [p["rows_a"], p["rows_b"]]
+        rows.insert("qkv".index(role), T.reshape(h, (72, 8)) if h.ndim != 2 else h)
+        return T.attention(*rows, 2, 2, 0.5)
+
+    return consume
+
+
 RECIPE_CONSUMERS = {
     "linear": lambda h, p: T.linear(h, p["weight"], p["bias"]),
     "conv2d": lambda h, p: T.conv2d(h, p["conv"], stride=2, padding=1, bias=p["conv_bias"]),
     "dwconv2d": lambda h, p: T.dwconv2d(h, p["dw"], stride=1, padding=1),
+    **{f"attention_{role}": _attention_consumer(role) for role in "qkv"},
 }
 RECIPE_SHAPES = {
     "x": (2, 6, 6, 8), "gate": (8,), "gamma": (8,), "beta": (8,),
+    "proj": (8, 8), "proj_bias": (8,), "wide": (8, 12), "wide_bias": (12,),
     "weight": (8, 5), "bias": (5,), "conv": (4, 8, 3, 3), "conv_bias": (4,), "dw": (8, 1, 3, 3),
+    "rows_a": (72, 8), "rows_b": (72, 8),
 }
-CONSUMER_WEIGHT = {"linear": "weight", "conv2d": "conv", "dwconv2d": "dw"}
+# the leaves a frozen row does not train: the consumer's weight, or the
+# attention operands other than the producer's output
+CONSUMER_FROZEN = {"linear": ("weight",), "conv2d": ("conv",), "dwconv2d": ("dw",),
+                   **{f"attention_{role}": ("rows_a", "rows_b") for role in "qkv"}}
+# consumers that take token rows, which read the producer's output directly
+# when the producer runs on rows
+ROW_CONSUMERS = {"linear", "attention_q", "attention_k", "attention_v"}
 
 
 class TestRecipes:
@@ -465,8 +493,9 @@ class TestRecipes:
         rng = np.random.default_rng(7)
         leaves = {}
         for name, shape in RECIPE_SHAPES.items():
-            # a frozen consumer asks for no weight gradient, so it reads nothing back
-            trainable = not (frozen and name == CONSUMER_WEIGHT[consumer])
+            # a frozen row asks no gradient of the consumer's weight (or the
+            # other attention operands), so that consumer reads nothing back
+            trainable = not (frozen and name in CONSUMER_FROZEN[consumer])
             leaves[name] = Tensor(rng.normal(size=shape), requires_grad=trainable)
         return leaves
 
@@ -475,14 +504,16 @@ class TestRecipes:
         """The loss of one producer read by one consumer, and a weakref to the producer's output.
 
         Without ``reshaped`` the consumer reads the producer's output itself;
-        with it, through reshapes (``linear`` on a map makes its own).
+        with it, through reshapes (``linear`` and ``attention`` on a map make
+        their own).
         """
         x = leaves["x"]
-        if consumer == "linear" and not reshaped:
+        if consumer in ROW_CONSUMERS and not reshaped:
             x = T.reshape(x, (72, 8))
         h = RECIPE_PRODUCERS[producer](x, leaves)
-        output = weakref.ref(h.data)
-        if reshaped and consumer != "linear":
+        # the array itself: a ``linear`` on a map returns a view of its product
+        output = weakref.ref(h.data if h.data.base is None else h.data.base)
+        if reshaped and consumer not in ROW_CONSUMERS:
             h = T.reshape(T.reshape(h, (72, 8)), RECIPE_SHAPES["x"])
         y = RECIPE_CONSUMERS[consumer](h, leaves)
         mix = np.random.default_rng(8).normal(size=y.shape)
@@ -504,14 +535,17 @@ class TestRecipes:
     ):
         """Every gradient is byte-equal to the one the kept array gives, and
         the producer's output is dead after the forward while the tape lives;
-        a frozen consumer weight gets no gradient and keeps neither."""
+        a frozen consumer weight gets no gradient and keeps neither, while
+        ``attention`` reads its query, key and value for any gradient."""
         grads, kept = self._grads(producer, consumer, reshaped, frozen)
         assert not kept
         _drop_recipes(monkeypatch)
         expected, kept = self._grads(producer, consumer, reshaped, frozen)
-        assert kept is not frozen  # without a recipe a trained consumer keeps the array
+        # without a recipe a consumer that reads its input keeps the array
+        assert kept is (not frozen or consumer.startswith("attention"))
         assert grads == expected
-        assert (CONSUMER_WEIGHT[consumer] in grads) is not frozen
+        for name in CONSUMER_FROZEN[consumer]:
+            assert (name in grads) is not frozen
 
     def test_backward_clears_the_recipes(self, rng):
         """The walk clears each node's recipe with its adjoint, so a forward

@@ -296,6 +296,25 @@ class TestConv:
         assert scattered.shape == x.shape
         np.testing.assert_allclose(np.vdot(windows, g), np.vdot(x, scattered), rtol=1e-12)
 
+    @pytest.mark.parametrize("stride,padding,kernel,channels,hw", CONV_CASES)
+    def test_conv2d_weight_gradient_bitwise_the_transposed_product(
+        self, stride, padding, kernel, channels, hw, rng
+    ):
+        """``conv2d``'s weight gradient, ``g.T @ patches`` laid out as
+        ``(O, C, kh, kw)``, is byte-equal to ``patches.T @ g`` transposed into
+        that layout. With the bundled OpenBLAS the two products' sums agree
+        bit for bit; that is measured for this BLAS build, not promised."""
+        (c, o), (kh, kw) = channels, kernel
+        x = rng.normal(size=(2,) + hw + (c,))
+        xt, wt = Tensor(x), Tensor(rng.normal(size=(o, c, kh, kw)), requires_grad=True)
+        out = T.conv2d(xt, wt, stride, padding)
+        g = rng.normal(size=out.shape)
+        grad = T.tensor_sum(T.mul(out, Tensor(g))).backward()[wt]
+        patches = T._windows(x, kh, kw, stride, padding).reshape(g.size // o, -1)
+        expected = (patches.T @ g.reshape(-1, o)).reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
+        assert grad.flags.c_contiguous
+        assert grad.tobytes() == np.ascontiguousarray(expected).tobytes()
+
     @pytest.mark.parametrize(
         "x_shape,stride,padding,kernel",
         [

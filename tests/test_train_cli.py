@@ -295,6 +295,17 @@ class TestCli:
         assert main(["gradcheck", "--samples", "4", "--seed", "1"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_gradcheck_at_64_px_reaches_the_attention_scores(self, capsys, request):
+        """At 64 px the shallow fovea attends over four keys, so a softmax
+        adjoint scaled by 1.5 moves sampled gradients and the check fails; at
+        the default 32 px it attends over one key and the same mutant passes."""
+        argv = ["gradcheck", "--variant", "tiny", "--input", "64", "--samples", "12"]
+        assert main(argv) == 0
+        assert "PASS" in capsys.readouterr().out
+        request.getfixturevalue("scaled_softmax_adjoint")
+        assert main(argv) == 1
+        assert "FAIL" in capsys.readouterr().err
+
     def test_gradcheck_non_finite_exits_3_with_one_line(self, capsys):
         # a step of 1e308 overflows the perturbed loss, so some numeric estimates are NaN
         assert main(["gradcheck", "--step", "1e308"]) == 3

@@ -80,6 +80,16 @@ observer that keeps the scores' array sees it hold the weights). The node
 keeps its inputs' recipes (the rows themselves where an input has none),
 not the copies or the weights: its adjoint rebuilds the head splits and
 recomputes the weights through the ``softmax`` kernels, bit for bit.
+
+A composite outside this module can be one node the same way: it runs its
+operators inside ``no_grad()``, so observers still see each of them, keeps
+its inputs through ``kept`` and, when ``taped`` says a node records, wraps
+its result with ``record``, which calls no observer. Its adjoint calls the
+array kernels that the operators' own adjoints call (``dwconv_apply``,
+``dwconv_weight_grad``, ``dwconv_input_grad``, ``gelu_rows``,
+``gelu_adjoint``), never an operator, so no bit moves and no tracer counts
+the recomputed work as forward work. The BFFN after its first linear
+(``feedforward``) is such a node.
 """
 from __future__ import annotations
 
@@ -334,21 +344,39 @@ def _topo_order(root: _Node) -> list[_Node]:
     return order
 
 
+def taped(*inputs: Tensor) -> bool:
+    """Whether an operator over ``inputs`` records a node: outside ``no_grad()``,
+    when one of them needs a gradient."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+
+
+def record(
+    data: Array, inputs: tuple[Tensor, ...], backward_fn, *,
+    remake: Callable[[], Array] | None = None,
+) -> Tensor:
+    """Wrap ``data`` as the result of one node over ``inputs`` when ``taped(*inputs)``.
+
+    ``backward_fn`` maps the output's gradient to one gradient (or ``None``)
+    per input. No observer is called: a composite that runs its operators
+    inside ``no_grad()``, so that observers see each of them, records its
+    result as one node through this. ``remake``, when given, is a recipe that
+    rebuilds ``data`` bit for bit from arrays ``backward_fn`` already keeps,
+    for consumers to keep in place of the array (``kept``).
+    """
+    out = Tensor(data)
+    if taped(*inputs):
+        out.requires_grad = True
+        parents = tuple((t._node or t) if t.requires_grad else None for t in inputs)
+        out._node = _Node(backward_fn, data.shape, parents, remake)
+    return out
+
+
 def _make(
     op: str, data: Array, inputs: tuple[Tensor, ...], backward_fn, macs: int = 0, *,
     remake: Callable[[], Array] | None = None,
 ) -> Tensor:
-    """Wrap ``data`` as the result of ``op``, recording a node when an input needs a gradient.
-
-    The node keeps ``backward_fn`` and, when given, ``remake``: a recipe that
-    rebuilds ``data`` bit for bit from arrays ``backward_fn`` already keeps,
-    for consumers to keep in place of the array (``_kept``).
-    """
-    out = Tensor(data)
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        parents = tuple((t._node or t) if t.requires_grad else None for t in inputs)
-        out._node = _Node(backward_fn, data.shape, parents, remake)
+    """``record`` the result of ``op``, then report it to the observers."""
+    out = record(data, inputs, backward_fn, remake=remake)
     if _OBSERVERS:
         where = ".".join(_SCOPES)
         for fn in _OBSERVERS:
@@ -356,15 +384,16 @@ def _make(
     return out
 
 
-def _kept(t: Tensor) -> Callable[[], Array]:
+def kept(t: Tensor) -> Callable[[], Array]:
     """What a consumer's adjoint keeps to read ``t``'s values: the recipe of
     ``t``'s node when it has one, else the array itself.
 
     ``matmul``, ``conv2d``, ``dwconv2d`` and ``attention`` keep their inputs
-    through it. A consumer's adjoint runs before its producer's, so a recipe
-    keeps no array alive longer than the producer's own adjoint does, and
-    the parameters it reads are not yet yielded by ``gradient_stream``, so
-    none has been updated in place when it runs.
+    through it, and so can a composite's adjoint (``record``). A consumer's
+    adjoint runs before its producer's, so a recipe keeps no array alive
+    longer than the producer's own adjoint does, and the parameters it reads
+    are not yet yielded by ``gradient_stream``, so none has been updated in
+    place when it runs.
     """
     node = t._node
     if node is not None and node.remake is not None:
@@ -555,8 +584,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         data += bias.data
     # as in ``mul``: each operand is kept only for the other's gradient, as
     # its producer's recipe when it has one
-    a_get = _kept(a) if b.requires_grad else None
-    b_get = _kept(b) if a.requires_grad else None
+    a_get = kept(a) if b.requires_grad else None
+    b_get = kept(b) if a.requires_grad else None
     bias_shape = bias.data.shape if bias is not None and bias.requires_grad else None
 
     def backward(g: Array):
@@ -742,7 +771,7 @@ def conv2d(
     # producer's recipe when it has one; the patch matrix is rebuilt in
     # backward, not captured, since a captured matrix would stay alive as
     # long as the tape does
-    x_get = _kept(x) if weight.requires_grad else None
+    x_get = kept(x) if weight.requires_grad else None
     w_data = weight.data if x.requires_grad else None
     b_grad = bias is not None and bias.requires_grad
 
@@ -762,6 +791,42 @@ def conv2d(
     return _make("conv2d", data, inputs, backward, n * o * c * kh * kw * ho * wo)
 
 
+def dwconv_taps(weight: Array) -> Array:
+    """A ``(C, 1, kh, kw)`` depthwise weight as ``dwconv2d``'s C-contiguous ``(kh, kw, C)`` taps."""
+    return np.ascontiguousarray(weight[:, 0].transpose(1, 2, 0))
+
+
+def dwconv_apply(
+    x: Array, taps: Array, stride: int, padding: int, bias: Array | None = None
+) -> Array:
+    """``dwconv2d``'s forward on arrays: the taps against the windows of ``x``, plus ``bias``."""
+    out = np.einsum("nhwijc,ijc->nhwc", _windows(x, *taps.shape[:2], stride, padding), taps)
+    if bias is not None:
+        out += bias
+    return out
+
+
+def dwconv_weight_grad(x: Array, g: Array, kh: int, kw: int, stride: int, padding: int) -> Array:
+    """``dwconv2d``'s ``(C, 1, kh, kw)`` weight gradient at input ``x``, output gradient ``g``."""
+    gw = np.einsum("nhwijc,nhwc->ijc", _windows(x, kh, kw, stride, padding), g)
+    return np.ascontiguousarray(gw.transpose(2, 0, 1))[:, None]
+
+
+def dwconv_input_grad(
+    g: Array, taps: Array, x_shape: tuple[int, ...], stride: int, padding: int
+) -> Array:
+    """``dwconv2d``'s input gradient at output gradient ``g``: a correlation of
+    the reversed windows of ``g`` with the taps where ``dwconv2d`` says it
+    holds the scatter's bits, else ``_scatter_taps``."""
+    kh, kw, c = taps.shape
+    if stride == 1 and c >= 2 and kh == kw and padding <= kh - 1:
+        # the windows of ``g`` read back to front meet the taps in the
+        # scatter's row-major order, so each pixel's sum is the scatter's
+        flipped = _windows(g, kh, kw, 1, kh - 1 - padding)[:, :, :, ::-1, ::-1]
+        return np.einsum("nhwijc,ijc->nhwc", flipped, taps)
+    return _scatter_taps(x_shape, kh, kw, stride, padding, lambda i, j: g * taps[i, j])
+
+
 def dwconv2d(
     x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None
 ) -> Tensor:
@@ -771,54 +836,40 @@ def dwconv2d(
     when given, added in place as in ``conv2d``.
 
     The forward and the weight gradient are each one ``einsum`` over the
-    ``_windows`` view. The weight enters as a C-contiguous ``(kh, kw, C)``
-    copy, ``taps``: einsum's loop order follows its operands' strides, and
-    with these, for C >= 2, every output element adds its taps in row-major
-    tap order. At C = 1 einsum picks another loop order, and the output can
-    differ from that sum in the last bits. At stride 1, C >= 2 and a square
-    kernel of ``k > padding`` taps a side, the input gradient is the same kind
-    of ``einsum``: the taps against the reversed windows of the output
-    gradient padded by ``k - 1 - padding``, a correlation whose sums match
-    the scatter's bit for bit. Otherwise ``_scatter_taps`` adds each tap's
-    product with the output gradient into the input grid.
+    ``_windows`` view (``dwconv_apply``, ``dwconv_weight_grad``). The weight
+    enters as a C-contiguous ``(kh, kw, C)`` copy, ``dwconv_taps``: einsum's
+    loop order follows its operands' strides, and with these, for C >= 2,
+    every output element adds its taps in row-major tap order. At C = 1
+    einsum picks another loop order, and the output can differ from that sum
+    in the last bits. At stride 1, C >= 2 and a square kernel of
+    ``k > padding`` taps a side, the input gradient (``dwconv_input_grad``)
+    is the same kind of ``einsum``: the taps against the reversed windows of
+    the output gradient padded by ``k - 1 - padding``, a correlation whose
+    sums match the scatter's bit for bit. Otherwise ``_scatter_taps`` adds
+    each tap's product with the output gradient into the input grid.
     """
     _check_conv_args(x, weight, stride, padding, bias)
     if weight.data.shape[1] != 1 or weight.data.shape[0] != x.data.shape[3]:
         raise ShapeError(
             f"dwconv2d weight must be (C,1,kh,kw) with C={x.data.shape[3]}, got {weight.shape}"
         )
-    n, h, w, c = x.data.shape
+    x_shape = x.data.shape
     kh, kw = weight.data.shape[2], weight.data.shape[3]
-    taps = np.ascontiguousarray(weight.data[:, 0].transpose(1, 2, 0))
-    windows = _windows(x.data, kh, kw, stride, padding)
-    ho, wo = windows.shape[1:3]
-    data = np.einsum("nhwijc,ijc->nhwc", windows, taps)
-    if bias is not None:
-        data += bias.data
+    taps = dwconv_taps(weight.data)
+    data = dwconv_apply(x.data, taps, stride, padding, None if bias is None else bias.data)
 
     # as in ``conv2d``: each operand is kept only for the other's gradient
-    x_get = _kept(x) if weight.requires_grad else None
+    x_get = kept(x) if weight.requires_grad else None
     w_taps = taps if x.requires_grad else None
     b_grad = bias is not None and bias.requires_grad
-    correlate = stride == 1 and c >= 2 and kh == kw and padding <= kh - 1
 
     def backward(g: Array):
-        gx = gw = None
-        if x_get is not None:
-            gw = np.einsum("nhwijc,nhwc->ijc", _windows(x_get(), kh, kw, stride, padding), g)
-            gw = np.ascontiguousarray(gw.transpose(2, 0, 1))[:, None]
-        if w_taps is not None and correlate:
-            # the windows of ``g`` read back to front meet the taps in the
-            # scatter's row-major order, so each pixel's sum is the scatter's
-            flipped = _windows(g, kh, kw, 1, kh - 1 - padding)[:, :, :, ::-1, ::-1]
-            gx = np.einsum("nhwijc,ijc->nhwc", flipped, w_taps)
-        elif w_taps is not None:
-            gx = _scatter_taps((n, h, w, c), kh, kw, stride, padding,
-                               lambda i, j: g * w_taps[i, j])
+        gw = None if x_get is None else dwconv_weight_grad(x_get(), g, kh, kw, stride, padding)
+        gx = None if w_taps is None else dwconv_input_grad(g, w_taps, x_shape, stride, padding)
         return (gx, gw, g.sum(axis=(0, 1, 2)) if b_grad else None)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _make("dwconv2d", data, inputs, backward, n * c * kh * kw * ho * wo)
+    return _make("dwconv2d", data, inputs, backward, data.size * kh * kw)
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +913,7 @@ def _gelu_tanh(x: Array, out: Array) -> None:
     np.tanh(out, out=out)
 
 
-def _gelu_rows(xd: Array, gate: Array | None) -> Array:
+def gelu_rows(xd: Array, gate: Array | None) -> Array:
     """``gelu(xd)``, or ``gelu(xd * gate)`` for a ``(C,)`` gate, as a fresh array.
 
     Filled in blocks of whole rows (of single values without a gate), each
@@ -882,57 +933,84 @@ def _gelu_rows(xd: Array, gate: Array | None) -> Array:
     return data
 
 
+def gelu_adjoint(
+    xd: Array, gate: Array | None, g: Array, out: Array, *,
+    scale: bool = True, gate_grad: bool = False,
+) -> Array | None:
+    """The adjoint of ``gelu_rows(xd, gate)`` at output gradient ``g``, into ``out``.
+
+    ``out``, which may be ``g``, gets ``g * gelu'(xd * gate)``, the gradient
+    of the gated input, times the gate when ``scale`` (``mul``'s adjoint).
+    Each block of rows recomputes its ``xd * gate`` and its ``tanh`` in
+    block-sized scratch. With ``gate_grad`` it returns the gate's gradient,
+    the sum over rows of the unscaled gradient times ``xd``: each block's
+    products are summed with the running sum carried in their first row,
+    the row-by-row order numpy's ``.sum`` over leading axes takes, so the
+    bits are those of ``(gx * xd).sum(...)`` with no full-size product.
+    """
+    gated = gate is not None
+    width = xd.shape[-1] if gated else 1
+    gate_sum = np.zeros(width) if gate_grad and not xd.size else None
+    # each block's gated input goes into its slice of ``out``, or into a
+    # fourth scratch when ``out`` is ``g``, whose block it would overwrite
+    scratch = gated and out is g
+    # g * local, where sech2 = 1.0 - t**2 and
+    # local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    # for x the gated input
+    for xb, gb, ob, t, s, u, *v in row_blocks(width, (xd, g, out), 3 + scratch):
+        x0 = xb
+        if gated:
+            xb = np.multiply(xb, gate, out=v[0] if scratch else ob)
+        _gelu_tanh(xb, t)
+        np.multiply(t, t, out=s)
+        np.subtract(1.0, s, out=s)
+        np.multiply(0.5, xb, out=u)
+        np.multiply(u, s, out=u)
+        np.multiply(u, _GELU_C, out=u)
+        np.multiply(xb, xb, out=s)
+        np.multiply(3 * 0.044715, s, out=s)
+        np.add(1.0, s, out=s)
+        np.multiply(u, s, out=u)
+        np.add(1.0, t, out=t)
+        np.multiply(0.5, t, out=t)
+        np.add(t, u, out=t)
+        np.multiply(gb, t, out=ob)
+        if gate_grad:
+            np.multiply(ob, x0, out=s)
+            if gate_sum is not None:
+                s[0] += gate_sum
+            gate_sum = s.sum(axis=0)
+        if gated and scale:
+            np.multiply(ob, gate, out=ob)
+    return gate_sum
+
+
 def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
     """Gaussian error linear unit, tanh form, of ``x`` or of ``x * gate``.
 
     A ``gate`` of shape ``(C,)`` scales the last axis, as a ``mul`` before
     the ``gelu`` would, but the node keeps ``x`` and the gate, not their
-    product. ``_gelu_rows`` fills the output, and the same call on the kept
+    product. ``gelu_rows`` fills the output, and the same call on the kept
     ``x`` and gate is the node's recipe, so no consumer keeps the output
-    itself. The adjoint recomputes each block's ``x * gate`` in its result
-    and its ``tanh`` in the first of three scratches. Both run the ufuncs of
-    the two-node expression in its order, so the values are identical; the
-    gate's gradient is ``mul``'s whole-array sum of the unscaled input
-    gradient times ``x``.
+    itself. The adjoint, ``gelu_adjoint``, recomputes each block's
+    ``x * gate`` and ``tanh`` in scratch. Both run the ufuncs of the
+    two-node expression in its order, so the values are identical, and the
+    gate's gradient is bitwise ``mul``'s whole-array sum of the unscaled
+    input gradient times ``x``, without that full-size product.
     """
     if gate is not None and (x.ndim == 0 or gate.data.shape != x.data.shape[-1:]):
         raise ShapeError(f"gelu gate must have shape (C,) for input {x.shape}, got {gate.shape}")
-    width = 1 if gate is None else x.data.shape[-1]
     xd = np.ascontiguousarray(x.data)
     gate_data = None if gate is None else gate.data
-    remake = functools.partial(_gelu_rows, xd, gate_data)
+    remake = functools.partial(gelu_rows, xd, gate_data)
     data = remake()
     x_grad = x.requires_grad
     gate_grad = gate is not None and gate.requires_grad
 
     def backward(g: Array):
-        # g * local, where sech2 = 1.0 - t**2 and
-        # local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        # for x the gated input
         gx = np.empty(xd.shape)
-        for xb, gb, gxb, t, s, u in row_blocks(width, (xd, g, gx), 3):
-            if gate_data is not None:
-                xb = np.multiply(xb, gate_data, out=gxb)
-            _gelu_tanh(xb, t)
-            np.multiply(t, t, out=s)
-            np.subtract(1.0, s, out=s)
-            np.multiply(0.5, xb, out=u)
-            np.multiply(u, s, out=u)
-            np.multiply(u, _GELU_C, out=u)
-            np.multiply(xb, xb, out=s)
-            np.multiply(3 * 0.044715, s, out=s)
-            np.add(1.0, s, out=s)
-            np.multiply(u, s, out=u)
-            np.add(1.0, t, out=t)
-            np.multiply(0.5, t, out=t)
-            np.add(t, u, out=t)
-            np.multiply(gb, t, out=gxb)
-        if gate_data is None:
-            return (gx,)
-        # then ``mul``'s adjoint: the gate's gradient sums over whole rows at
-        # once (a sum per block would reassociate it), then gx is scaled
-        ggate = _unbroadcast(gx * xd, gate_data.shape) if gate_grad else None
-        return (np.multiply(gx, gate_data, out=gx) if x_grad else None, ggate)
+        ggate = gelu_adjoint(xd, gate_data, g, gx, scale=x_grad, gate_grad=gate_grad)
+        return (gx,) if gate is None else (gx if x_grad else None, ggate)
 
     return _make("gelu", data, (x,) if gate is None else (x, gate), backward, remake=remake)
 
@@ -987,7 +1065,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
     ``softmax`` result; the scores' ``matmul`` result therefore holds the
     weights afterwards. The query and key copies die once the scores are
     made and the value copy once the values are mixed, with or without a
-    tape. The one node keeps ``_kept`` of each input, so a projection's
+    tape. The one node keeps ``kept`` of each input, so a projection's
     recipe rather than its rows; its adjoint rebuilds the copies with the
     forward's reshapes and transposes and recomputes the scores and weights
     with the same kernels in plain numpy, so values and gradients are
@@ -1007,7 +1085,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
     t, s, d = rows // n, k.data.shape[0] // n, c // heads
     grad = tuple(_GRAD_ENABLED and a.requires_grad for a in (q, k, v))
     inputs = (q, k, v) if any(grad) else ()
-    gets = tuple(_kept(a) for a in inputs)
+    gets = tuple(kept(a) for a in inputs)
 
     # the head splits of the rows, queries and values as ``(N, heads, T, d)``
     # and keys straight into the scores' ``(N, heads, d, S)`` layout

@@ -48,23 +48,20 @@ def toy_spec():
 
 @pytest.fixture
 def scaled_gelu_adjoint(monkeypatch):
-    """Swap ``gelu`` for one whose backward returns 1.5 times the true gradient.
+    """Swap ``gelu_adjoint`` for one whose gradients are 1.5 times the true ones.
 
-    Gradient checks must flag it; the forward values are unchanged. A gated
-    call scales the gate's gradient too; a gradient the adjoint leaves out
-    (``None``) passes through.
+    Gradient checks must flag it; the forward values are unchanged. ``gelu``'s
+    adjoint and the BFFN node's both reach it through the module global, so
+    both scale the input gradient they get from it, and the gate's gradient.
     """
-    gelu = T.gelu
+    adjoint = T.gelu_adjoint
 
-    def broken_gelu(x, gate=None):
-        out = gelu(x, gate)
-        if out._backward_fn is not None:
-            backward = out._backward_fn
-            out._backward_fn = lambda g: tuple(
-                None if gx is None else 1.5 * gx for gx in backward(g))
-        return out
+    def broken_adjoint(xd, gate, g, out, **kwargs):
+        gate_sum = adjoint(xd, gate, g, out, **kwargs)
+        np.multiply(out, 1.5, out=out)
+        return None if gate_sum is None else 1.5 * gate_sum
 
-    monkeypatch.setattr(T, "gelu", broken_gelu)
+    monkeypatch.setattr(T, "gelu_adjoint", broken_adjoint)
 
 
 @pytest.fixture

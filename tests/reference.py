@@ -1,7 +1,9 @@
 """Naive reference implementations used as oracles.
 
 Everything here favors obviousness over speed: explicit loops, no shared
-code with the package internals beyond plain numpy.
+code with the package internals beyond plain numpy. The one exception is
+``taped_bffn``, a composition of the package's own taped operators: it is
+the oracle for the bits of the gradients, which loops cannot reproduce.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+import evit.tensor as T
 
 
 def naive_conv2d(x, w, stride=1, padding=0):
@@ -122,3 +126,20 @@ def naive_fovea_attention(x, heads, reduction, q_w, k_w, v_w, out_w, reduce_w, r
 def naive_gelu(x):
     c = math.sqrt(2.0 / math.pi)
     return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+
+
+def taped_bffn(hidden, cfg, params):
+    """The BFFN after fc1 as one taped node per operator: split, shallow
+    depthwise conv, add, deep depthwise conv, concat, gated GELU and fc2.
+
+    Every node records its own adjoint, and the walk sums the pieces, so
+    these gradients are the bits the BFFN's single node must reproduce.
+    """
+    hs, hd = cfg.shallow_width, cfg.deep_width
+    shallow_dw, deep_dw, fc2 = params["shallow_dw"], params["deep_dw"], params["fc2"]
+    shallow, deep = T.split(hidden, [hs, hd])
+    shallow = T.dwconv2d(shallow, shallow_dw["weight"], 1, 1, shallow_dw["bias"])
+    deep = T.add(shallow if hs == hd else T.split(shallow, [hd, hs - hd])[0], deep)
+    deep = T.dwconv2d(deep, deep_dw["weight"], 1, 1, deep_dw["bias"])
+    gated = T.gelu(T.concat([shallow, deep]), params["fuse"]["weight"])
+    return T.linear(gated, fc2["weight"], fc2["bias"])

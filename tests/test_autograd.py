@@ -355,14 +355,15 @@ class TestTapeMemory:
 
     def test_taped_tiny224_forward_peak(self):
         """A taped tiny@224 forward keeps what the adjoints read and no more:
-        it peaks at about 80 MB. Attention nodes keeping head-split copies of
-        q, k and v instead of their projections' recipes would add about
-        21 MB, the BFFN's shallow depthwise conv keeping its split piece
-        instead of ``fc1``'s recipe 10 MB and the deep fovea keeping the
-        shallow fovea's output 6.7 MB; ``fc2`` keeping the BFFN's GELU output
-        about 20 MB, a ``gelu`` node keeping a whole ``tanh`` array beside
-        its input about 29 MB, and attention nodes keeping their softmax
-        weights about 28 MB."""
+        it peaks at about 50 MB. A BFFN node keeping its concat (the GELU's
+        input), or ``fc1``'s output instead of its recipe, peaks at 69.6 MB,
+        and the BFFN as one node per operator, which keeps its GELU and deep
+        depthwise inputs, at 79.6 MB. Attention nodes keeping head-split
+        copies of q, k and v instead of their projections' recipes would add
+        about 21 MB and the deep fovea keeping the shallow fovea's output
+        6.7 MB; a ``gelu`` node keeping a whole ``tanh`` array beside its
+        input would add the stem GELUs' 8.4 MB, and attention nodes keeping
+        their softmax weights about 28 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
         tracemalloc.start()
@@ -372,14 +373,15 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert logits._node is not None
-        assert peak < 85e6, peak
+        assert peak < 52e6, peak
 
     def test_tiny224_training_step_peak(self):
-        """A tiny@224 forward and ``graph.gradients`` peak at about 159 MB,
-        the taped forward's arrays plus the gradients finished so far; each
-        array the tape keeps instead of a recipe stays there until its
-        consumer's adjoint runs: attention nodes keeping head-split copies of
-        q, k and v instead of their projections' recipes peak at 169 MB."""
+        """A tiny@224 forward and ``graph.gradients`` peak at about 143 MB,
+        in the stem conv's adjoint: the gradients finished so far plus its
+        patch matrices. Each array the tape keeps instead of a recipe stays
+        there until its consumer's adjoint runs and moves the peak earlier:
+        a BFFN node keeping its concat peaks at 152.9 MB and the BFFN as one
+        node per operator at 158.9 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
         tracemalloc.start()
@@ -390,14 +392,15 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert len(grads) == len(graph.named_parameters())
-        assert peak < 165e6, peak
+        assert peak < 150e6, peak
 
     def test_tiny224_train_step_keeps_no_gradient_set(self):
         """``train_step`` updates each parameter inside the walk, so a steady
-        tiny@224 step peaks at about 90 MB, the taped forward plus the
+        tiny@224 step peaks at about 60 MB, the taped forward plus the
         gradients in flight, and keeps nothing once it returns. Any array
-        the tape keeps instead of a recipe raises it: attention nodes keeping
-        head-split copies of q, k and v peak at 111 MB."""
+        the tape keeps instead of a recipe raises it: a BFFN node keeping its
+        concat peaks at 79.6 MB and the BFFN as one node per operator at
+        89.6 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         optimizer, named = AdamW(1e-3, weight_decay=0.05), graph.named_parameters()
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
@@ -408,7 +411,7 @@ class TestTapeMemory:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 95e6, peak
+        assert peak < 63e6, peak
         assert retained < 1e6, retained
 
     def test_gradients_leaves_only_gradients_and_outputs(self):

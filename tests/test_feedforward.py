@@ -1,4 +1,4 @@
-"""Feedforward variants: hand-computed oracles and the parameter ordering."""
+"""Feedforward variants: hand-computed oracles, the BFFN node's bits and the parameter ordering."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from evit.feedforward import (
 from evit.tensor import Tensor, finite_difference, relative_error
 
 from conftest import to_nchw, to_nhwc
-from reference import naive_dwconv2d, naive_gelu
+from reference import naive_dwconv2d, naive_gelu, taped_bffn
 
 
 def _affine(t, params):
@@ -154,6 +154,69 @@ class TestGradients:
             for idx in indices:
                 err = relative_error(float(grads[leaf][idx]), numeric[idx])
                 assert err <= 1e-4, (leaf.shape, idx, err)
+
+
+# what trains in each case: the FFN's input ``x`` and its parameter groups
+NODE_CASES = {
+    "trained": ("x", "fc1", "shallow_dw", "deep_dw", "fuse", "fc2"),
+    "frozen-params": ("x",),  # as in a ``load_checkpoint`` graph
+    "frozen-input": ("fc1", "shallow_dw", "deep_dw", "fuse", "fc2"),
+    "fc1-frozen": ("shallow_dw", "deep_dw", "fuse", "fc2"),  # fc1's output needs no gradient
+    "shallow-only": ("shallow_dw",),
+    "deep-only": ("deep_dw",),
+    "gate-only": ("fuse",),
+    "fc2-only": ("fc2",),
+}
+
+
+def _taped_ops(x, cfg, params):
+    """``feedforward_forward``'s BFFN with one node per operator."""
+    fc1 = params["fc1"]
+    return taped_bffn(T.linear(x, fc1["weight"], fc1["bias"]), cfg, params)
+
+
+class TestBffnNode:
+    """On a tape the BFFN after fc1 is one node; every gradient it gives is
+    byte-equal to the per-operator tape's (``reference.taped_bffn``)."""
+
+    @staticmethod
+    def _run(wiring, cfg, trained):
+        rng = np.random.default_rng(5)
+        params = init_ffn_params(rng, cfg)
+        params["fuse"]["weight"].data[:] = rng.normal(size=cfg.hidden)
+        for group, leaves in params.items():
+            for leaf in leaves.values():
+                leaf.requires_grad = group in trained
+        x = Tensor(rng.normal(size=(2, 5, 6, cfg.dim)), requires_grad="x" in trained)
+        out = wiring(x, cfg, params)
+        inputs = len(out._node.parents)
+        grads = T.tensor_sum(T.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+        named = [("x", x)] + [(f"{group}.{name}", leaf) for group, leaves in params.items()
+                              for name, leaf in leaves.items()]
+        grads = {name: grads[leaf].tobytes() for name, leaf in named if leaf in grads}
+        return out.data.tobytes(), inputs, grads
+
+    @pytest.mark.parametrize("trained", list(NODE_CASES.values()), ids=list(NODE_CASES))
+    @pytest.mark.parametrize("dim,expansion", [(6, 2.0), (3, 3.0)])  # even and odd hidden
+    def test_gradients_bitwise_those_of_the_operators(self, dim, expansion, trained):
+        cfg = FfnConfig(dim, expansion, FfnKind.BFFN)
+        out, inputs, grads = self._run(feedforward_forward, cfg, trained)
+        expected_out, _, expected = self._run(_taped_ops, cfg, trained)
+        assert inputs == 8  # one node: fc1's output and the seven parameters after it
+        assert out == expected_out
+        assert grads.keys() == expected.keys()
+        for name in grads:
+            assert grads[name] == expected[name], name
+
+    def test_no_tape_records_no_node(self, rng):
+        cfg = FfnConfig(6, 2.0, FfnKind.BFFN)
+        params = init_ffn_params(rng, cfg)
+        x = Tensor(rng.normal(size=(1, 4, 4, 6)), requires_grad=True)
+        with T.no_grad():
+            assert feedforward_forward(x, cfg, params)._node is None
+        for _, leaf in named_tensors(params):
+            leaf.requires_grad = False
+        assert feedforward_forward(Tensor(x.data), cfg, params)._node is None
 
 
 class TestShapesAndCounts:

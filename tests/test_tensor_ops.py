@@ -532,6 +532,28 @@ def test_row_blocks_of_no_rows_yield_nothing():
     assert list(T.row_blocks(5, (np.empty((0, 5)), np.empty((0, 1))), 1)) == []
 
 
+# tiny@224's stage 1-3 hidden maps, the README toy's at 32 px and a one-channel map
+GATE_FOLD_SHAPES = [(1, 56, 56, 168), (1, 28, 28, 336), (1, 14, 14, 672),
+                    (16, 8, 8, 42), (16, 4, 4, 84), (16, 2, 2, 168), (4, 64, 64, 1)]
+
+
+@pytest.mark.parametrize("shape", GATE_FOLD_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_gelu_gate_gradient_fold_is_numpy_sum(shape, rng):
+    """``gelu_adjoint`` sums the gate's gradient a ``row_blocks`` block at a
+    time, each block's first row carrying the running sum. numpy's ``.sum``
+    over leading axes adds row by row, so the fold is bitwise the
+    whole-array sum of the unscaled gradient times the input; written into
+    ``g`` itself, the adjoint gives the same bits, scaled by the gate."""
+    x, g = rng.normal(size=shape), rng.normal(size=shape)
+    gate = rng.normal(size=shape[-1])
+    gx = np.empty(shape)
+    ggate = T.gelu_adjoint(x, gate, g, gx, scale=False, gate_grad=True)
+    assert ggate.tobytes() == (gx * x).sum(axis=tuple(range(x.ndim - 1))).tobytes()
+    inplace = g.copy()
+    assert T.gelu_adjoint(x, gate, inplace, inplace, gate_grad=True).tobytes() == ggate.tobytes()
+    assert inplace.tobytes() == (gx * gate).tobytes()
+
+
 def test_gelu_values(rng):
     x = rng.normal(scale=2.0, size=(5, 7))
     np.testing.assert_allclose(T.gelu(Tensor(x)).data, naive_gelu(x), atol=1e-12)
@@ -565,7 +587,7 @@ def test_gelu_keeps_no_tanh_array(tape, gated, rng):
 ADJOINT_CASES = [
     pytest.param(lambda x, rng: T.gelu(x), 0, id="gelu"),
     pytest.param(lambda x, rng: T.gelu(x, Tensor(rng.normal(size=168), requires_grad=True)),
-                 1, id="gelu-gated"),
+                 0, id="gelu-gated"),
     pytest.param(lambda x, rng: T.softmax(x), 0, id="softmax"),
     pytest.param(lambda x, rng: T.softmax(x, 0.125), 0, id="softmax-scaled"),
 ]
@@ -575,9 +597,9 @@ ADJOINT_CASES = [
 def test_adjoint_allocates_its_result_and_block_scratch(call, temporaries, rng):
     """The ``gelu`` and ``softmax`` adjoints of a stage-1 hidden map allocate
     their results and a few ``_BLOCK_BYTES`` scratch blocks: no full-size
-    temporary of the whole-array expression is built. A gated ``gelu`` adds
-    ``mul``'s whole-array product for the gate's gradient, one x-sized
-    temporary; a scaled ``softmax`` scales its result in place."""
+    temporary of the whole-array expression is built. A gated ``gelu`` sums
+    the gate's gradient block by block, so it builds no x-sized product for
+    it either; a scaled ``softmax`` scales its result in place."""
     x = Tensor(rng.normal(size=(1, 56, 56, 168)), requires_grad=True)
     out = call(x, rng)
     g = rng.normal(size=x.shape)

@@ -1,5 +1,5 @@
 """The benchmark's tracer wraps package functions by name; every name must exist,
-and its MAC gate must see the attention products the cost report counts."""
+and its MAC gate must see the products and convolutions the cost report counts."""
 
 import functools
 from pathlib import Path
@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import evit.tensor
-from evit.analysis import cost_report
+from evit.analysis import cost_report, measure_macs
 from evit.backbone import build
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -74,3 +74,29 @@ def test_traced_attention_products_match_the_cost_report(monkeypatch, toy_spec):
     attn = t.table([0])["tensor.matmul[attn]"]["macs"]
     report = cost_report(toy_spec, 32, graph.pattern, graph.ffn_kind)
     assert attn == 2 * report.total_attn_macs > 0
+
+
+def test_traced_dense_macs_match_the_cost_report(monkeypatch, toy_spec):
+    """Over a taped forward and its backward, the tracer's MACs for each of
+    ``matmul``, ``conv2d`` and ``dwconv2d`` are the forward's alone: those
+    an observed forward counts (``measure_macs``, pinned row by row to the
+    cost report in ``test_analysis``) times the batch, summing to the cost
+    report's inclusive total. An adjoint or recipe that recomputed through
+    a traced operator, such as the BFFN node's through ``T.dwconv2d``, fails
+    here; the harness checks the same only under ``--trace 1``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    graph = build(toy_spec, seed=0, zero_classifier=False)
+    images = np.random.default_rng(0).normal(size=(2, 3, 32, 32))
+    t = tracer.Tracer(SimpleNamespace(current=0), {})
+    with t.installed():
+        graph.gradients(evit.tensor.cross_entropy(graph.forward(images), np.array([0, 1])))
+    rows = t.table([0])
+    traced = {op: sum(r["macs"] for key, r in rows.items()
+                      if key == f"tensor.{op}" or key.startswith(f"tensor.{op}["))
+              for op in tracer.DENSE_OPS}
+    forward = measure_macs(graph, 32).by_op
+    assert traced == {op: 2 * forward[op] for op in tracer.DENSE_OPS}
+    report = cost_report(toy_spec, 32, graph.pattern, graph.ffn_kind)
+    assert sum(traced.values()) == 2 * report.total_macs_inclusive

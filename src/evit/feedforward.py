@@ -13,8 +13,9 @@ each taking and returning a channels-last ``(N, H, W, C)`` map:
   (``T.gelu(hidden, gate)``), so no gated copy of the rejoined map is made.
   On a tape everything after fc1 is one node (``T.record``) that keeps only
   fc1's recipe and its seven parameters, not the rejoined map or the deep
-  conv's input: its adjoint rebuilds them once and runs every operator's
-  adjoint in plain numpy, bit for bit.
+  conv's input: its adjoint rebuilds them once, runs every operator's
+  adjoint in plain numpy, bit for bit, and returns one gradient for each of
+  the node's eight inputs.
 
 Hidden width is ``round(dim * expansion)``. When that is odd the shallow half
 takes the extra channel and only the first ``floor(hidden/2)`` shallow outputs
@@ -153,7 +154,9 @@ def _bffn_backward(inputs: tuple[Tensor, ...], cfg: FfnConfig):
     """The adjoint of the BFFN's node over ``inputs``: the fc1 output, then ``_bffn_leaves``.
 
     It keeps ``T.kept`` of the fc1 output (``fc1``'s recipe on a trained
-    graph) and the leaves' arrays. It rebuilds the shallow conv's output, the deep conv's
+    graph) and the leaves' arrays, and returns one gradient per input, as
+    every operator's adjoint does; the walk drops those of inputs that need
+    none. It rebuilds the shallow conv's output, the deep conv's
     input and output and their concat once, then runs in plain numpy what
     the adjoints of ``fc2``, the gated GELU, the concat, both depthwise
     convs, the add and the splits would, through the kernels those
@@ -167,19 +170,10 @@ def _bffn_backward(inputs: tuple[Tensor, ...], cfg: FfnConfig):
     get = T.kept(inputs[0])
     sw, sb, dw, db, gate, w2 = (t.data for t in inputs[1:7])
     s_taps, d_taps = T.dwconv_taps(sw), T.dwconv_taps(dw)
-    # which inputs need a gradient, and so which intermediates do
-    need_in, need_sw, need_sb, need_dw, need_db, need_gate, need_w2, need_b2 = (
-        t.requires_grad for t in inputs)
-    need_shallow = need_in or need_sw or need_sb  # the shallow conv's output
-    need_concat = need_shallow or need_dw or need_db
 
     def backward(g: np.ndarray):
-        grads: list[np.ndarray | None] = [None] * 8
         g2 = g.reshape(-1, g.shape[-1])
-        if need_b2:
-            grads[7] = g2.sum(axis=0)
-        if not (need_concat or need_gate or need_w2):
-            return grads
+        gb2 = g2.sum(axis=0)
         h = get()
         shallow_in = np.ascontiguousarray(h[..., :hs])
         shallow = T.dwconv_apply(shallow_in, s_taps, 1, 1, sb)
@@ -187,25 +181,16 @@ def _bffn_backward(inputs: tuple[Tensor, ...], cfg: FfnConfig):
         del h
         concat = np.concatenate([shallow, T.dwconv_apply(deep_in, d_taps, 1, 1, db)], axis=-1)
         del shallow
-        if need_w2:
-            act = T.gelu_rows(concat, gate).reshape(len(g2), -1)
-            grads[6] = np.matmul(np.swapaxes(act, -1, -2), g2)
-            del act
-        if not (need_concat or need_gate):
-            return grads
+        act = T.gelu_rows(concat, gate).reshape(len(g2), -1)
+        gw2 = np.matmul(np.swapaxes(act, -1, -2), g2)
+        del act
         gx = np.matmul(g2, np.swapaxes(w2, -1, -2)).reshape(concat.shape)
-        grads[5] = T.gelu_adjoint(concat, gate, gx, gx, scale=need_concat, gate_grad=need_gate)
+        ggate = T.gelu_adjoint(concat, gate, gx, gx)
         del concat
-        if not need_concat:
-            return grads
         g_deep = np.ascontiguousarray(gx[..., hs:])
-        if need_dw:
-            grads[3] = T.dwconv_weight_grad(deep_in, g_deep, *dw.shape[2:], 1, 1)
+        gdw = T.dwconv_weight_grad(deep_in, g_deep, *dw.shape[2:], 1, 1)
         del deep_in
-        if need_db:
-            grads[4] = g_deep.sum(axis=(0, 1, 2))
-        if not need_shallow:
-            return grads
+        gdb = g_deep.sum(axis=(0, 1, 2))
         g_add = T.dwconv_input_grad(g_deep, d_taps, g_deep.shape, 1, 1)
         del g_deep
         # the shallow output's gradient: the concat's piece plus the add's,
@@ -214,18 +199,14 @@ def _bffn_backward(inputs: tuple[Tensor, ...], cfg: FfnConfig):
         np.add(gx[..., :hd], g_add, out=g_shallow[..., :hd])
         np.add(gx[..., hd:hs], 0.0, out=g_shallow[..., hd:])
         del gx
-        if need_sw:
-            grads[1] = T.dwconv_weight_grad(shallow_in, g_shallow, *sw.shape[2:], 1, 1)
+        gsw = T.dwconv_weight_grad(shallow_in, g_shallow, *sw.shape[2:], 1, 1)
         del shallow_in
-        if need_sb:
-            grads[2] = g_shallow.sum(axis=(0, 1, 2))
-        if need_in:
-            # fc1's split adjoint: each piece's gradient plus the other's zero padding
-            g_in = np.empty(g_add.shape[:-1] + (hs + hd,))
-            np.add(T.dwconv_input_grad(g_shallow, s_taps, g_shallow.shape, 1, 1), 0.0,
-                   out=g_in[..., :hs])
-            np.add(0.0, g_add, out=g_in[..., hs:])
-            grads[0] = g_in
-        return grads
+        gsb = g_shallow.sum(axis=(0, 1, 2))
+        # fc1's split adjoint: each piece's gradient plus the other's zero padding
+        g_in = np.empty(g_add.shape[:-1] + (hs + hd,))
+        np.add(T.dwconv_input_grad(g_shallow, s_taps, g_shallow.shape, 1, 1), 0.0,
+               out=g_in[..., :hs])
+        np.add(0.0, g_add, out=g_in[..., hs:])
+        return g_in, gsw, gsb, gdw, gdb, ggate, gw2, gb2
 
     return backward

@@ -9,8 +9,8 @@ as soon as the forward code drops it. A node that can rebuild its output
 from what its adjoint keeps anyway also carries that recipe: ``gelu`` reruns
 its forward on its kept input and gate, ``layernorm`` computes
 ``xhat * gamma + beta`` from its kept ``xhat``, a ``matmul`` that keeps both
-operands (every trained projection) reruns its product, and ``reshape`` and
-``split`` pass their input's recipe on, reshaped or sliced. ``matmul``,
+operands (every trained projection) reruns its product, and ``reshape``
+passes its input's recipe on, reshaped. ``matmul``,
 ``conv2d`` and ``dwconv2d``, which read an input again for the other
 operand's gradient, and ``attention``, which reads its query, key and value
 rows, keep each input's recipe instead of the array and rerun it in their
@@ -505,16 +505,10 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def split(a: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
-    """Split the last axis into chunks of the given sizes.
-
-    When the input has a recipe, each piece's recipe is the same slice of
-    it, as ``reshape`` passes its input's on, so a consumer of a piece keeps
-    the input's recipe, not the piece.
-    """
+    """Split the last axis into chunks of the given sizes."""
     if sum(sizes) != a.data.shape[-1]:
         raise ShapeError(f"split sizes {tuple(sizes)} do not cover the last axis of {a.shape}")
     a_shape = a.data.shape
-    parent = None if a._node is None else a._node.remake
     outs = []
     lo = 0
     for size in sizes:
@@ -525,9 +519,8 @@ def split(a: Tensor, sizes: Sequence[int]) -> tuple[Tensor, ...]:
             full[span] = g
             return (full,)
 
-        remake = None if parent is None else lambda span=span: np.ascontiguousarray(parent()[span])
         piece = np.ascontiguousarray(a.data[span])
-        outs.append(_make("split", piece, (a,), backward, remake=remake))
+        outs.append(_make("split", piece, (a,), backward))
         lo += size
     return tuple(outs)
 
@@ -933,16 +926,13 @@ def gelu_rows(xd: Array, gate: Array | None) -> Array:
     return data
 
 
-def gelu_adjoint(
-    xd: Array, gate: Array | None, g: Array, out: Array, *,
-    scale: bool = True, gate_grad: bool = False,
-) -> Array | None:
+def gelu_adjoint(xd: Array, gate: Array | None, g: Array, out: Array) -> Array | None:
     """The adjoint of ``gelu_rows(xd, gate)`` at output gradient ``g``, into ``out``.
 
     ``out``, which may be ``g``, gets ``g * gelu'(xd * gate)``, the gradient
-    of the gated input, times the gate when ``scale`` (``mul``'s adjoint).
-    Each block of rows recomputes its ``xd * gate`` and its ``tanh`` in
-    block-sized scratch. With ``gate_grad`` it returns the gate's gradient,
+    of the gated input, times the gate (``mul``'s adjoint). Each block of
+    rows recomputes its ``xd * gate`` and its ``tanh`` in block-sized
+    scratch. Given a gate, it returns the gate's gradient (else ``None``),
     the sum over rows of the unscaled gradient times ``xd``: each block's
     products are summed with the running sum carried in their first row,
     the row-by-row order numpy's ``.sum`` over leading axes takes, so the
@@ -950,7 +940,7 @@ def gelu_adjoint(
     """
     gated = gate is not None
     width = xd.shape[-1] if gated else 1
-    gate_sum = np.zeros(width) if gate_grad and not xd.size else None
+    gate_sum = np.zeros(width) if gated and not xd.size else None
     # each block's gated input goes into its slice of ``out``, or into a
     # fourth scratch when ``out`` is ``g``, whose block it would overwrite
     scratch = gated and out is g
@@ -975,12 +965,11 @@ def gelu_adjoint(
         np.multiply(0.5, t, out=t)
         np.add(t, u, out=t)
         np.multiply(gb, t, out=ob)
-        if gate_grad:
+        if gated:
             np.multiply(ob, x0, out=s)
             if gate_sum is not None:
                 s[0] += gate_sum
             gate_sum = s.sum(axis=0)
-        if gated and scale:
             np.multiply(ob, gate, out=ob)
     return gate_sum
 
@@ -993,10 +982,12 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
     product. ``gelu_rows`` fills the output, and the same call on the kept
     ``x`` and gate is the node's recipe, so no consumer keeps the output
     itself. The adjoint, ``gelu_adjoint``, recomputes each block's
-    ``x * gate`` and ``tanh`` in scratch. Both run the ufuncs of the
-    two-node expression in its order, so the values are identical, and the
-    gate's gradient is bitwise ``mul``'s whole-array sum of the unscaled
-    input gradient times ``x``, without that full-size product.
+    ``x * gate`` and ``tanh`` in scratch; the node returns the gradients of
+    ``x`` and of the gate, and the walk drops one that is not needed. Both
+    run the ufuncs of the two-node expression in its order, so the values
+    are identical, and the gate's gradient is bitwise ``mul``'s whole-array
+    sum of the unscaled input gradient times ``x``, without that full-size
+    product.
     """
     if gate is not None and (x.ndim == 0 or gate.data.shape != x.data.shape[-1:]):
         raise ShapeError(f"gelu gate must have shape (C,) for input {x.shape}, got {gate.shape}")
@@ -1004,13 +995,11 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
     gate_data = None if gate is None else gate.data
     remake = functools.partial(gelu_rows, xd, gate_data)
     data = remake()
-    x_grad = x.requires_grad
-    gate_grad = gate is not None and gate.requires_grad
 
     def backward(g: Array):
         gx = np.empty(xd.shape)
-        ggate = gelu_adjoint(xd, gate_data, g, gx, scale=x_grad, gate_grad=gate_grad)
-        return (gx,) if gate is None else (gx if x_grad else None, ggate)
+        ggate = gelu_adjoint(xd, gate_data, g, gx)
+        return (gx,) if gate_data is None else (gx, ggate)
 
     return _make("gelu", data, (x,) if gate is None else (x, gate), backward, remake=remake)
 
@@ -1067,11 +1056,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
     made and the value copy once the values are mixed, with or without a
     tape. The one node keeps ``kept`` of each input, so a projection's
     recipe rather than its rows; its adjoint rebuilds the copies with the
-    forward's reshapes and transposes and recomputes the scores and weights
-    with the same kernels in plain numpy, so values and gradients are
-    bitwise those of separate split, product, softmax, product and merge
-    nodes. Without a tape the input rows die once split, and no second
-    scores-sized array is made.
+    forward's reshapes and transposes, recomputes the scores and weights
+    with the same kernels in plain numpy and returns the gradients of all
+    three inputs, so values and gradients are bitwise those of separate
+    split, product, softmax, product and merge nodes. Without a tape the
+    input rows die once split, and no second scores-sized array is made.
     """
     if q.ndim != 2 or k.ndim != 2 or k.data.shape != v.data.shape:
         raise ShapeError(
@@ -1082,26 +1071,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
         raise ShapeError(
             f"attention rows {q.shape}, {k.shape} do not split into {n} images of {heads} heads"
         )
-    t, s, d = rows // n, k.data.shape[0] // n, c // heads
-    grad = tuple(_GRAD_ENABLED and a.requires_grad for a in (q, k, v))
-    inputs = (q, k, v) if any(grad) else ()
+    d = c // heads
+    inputs = (q, k, v) if taped(q, k, v) else ()
     gets = tuple(kept(a) for a in inputs)
 
-    # the head splits of the rows, queries and values as ``(N, heads, T, d)``
-    # and keys straight into the scores' ``(N, heads, d, S)`` layout
-    def q_heads(a: Array) -> Array:
-        return np.ascontiguousarray(a.reshape(n, t, heads, d).transpose(0, 2, 1, 3))
-
-    def k_heads(a: Array) -> Array:
-        return np.ascontiguousarray(a.reshape(n, s, heads, d).transpose(0, 2, 3, 1))
-
-    def v_heads(a: Array) -> Array:
-        return np.ascontiguousarray(a.reshape(n, s, heads, d).transpose(0, 2, 1, 3))
+    # the head splits of the rows: queries as ``(N, heads, T, d)``, values as
+    # ``(N, heads, S, d)`` and, with ``axes`` (0, 2, 3, 1), keys straight into
+    # the scores' ``(N, heads, d, S)`` layout
+    def heads_of(a: Array, axes: tuple[int, ...] = (0, 2, 1, 3)) -> Array:
+        return np.ascontiguousarray(a.reshape(n, -1, heads, d).transpose(axes))
 
     def rows_of(a: Array, axes: tuple[int, ...]) -> Array:
         return np.ascontiguousarray(a.transpose(axes)).reshape(-1, c)
 
-    q4, k4, v4 = q_heads(q.data), k_heads(k.data), v_heads(v.data)
+    q4, k4, v4 = heads_of(q.data), heads_of(k.data, (0, 2, 3, 1)), heads_of(v.data)
     del q, k, v
 
     # ``a`` is rebound to the scores, the weights (in the scores' array) and
@@ -1117,21 +1100,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
 
     def backward(g: Array):
         q_get, k_get, v_get = gets
-        go = q_heads(g)
-        q4, k4 = q_heads(q_get()), k_heads(k_get())
+        go = heads_of(g)
+        q4, k4 = heads_of(q_get()), heads_of(k_get(), (0, 2, 3, 1))
         weights = np.matmul(q4, k4)
         _softmax_rows(weights, scale, weights)
-        gq = gk = gv = None
-        if grad[2]:
-            gv = rows_of(np.matmul(np.swapaxes(weights, -1, -2), go), (0, 2, 1, 3))
-        if grad[0] or grad[1]:
-            gs = np.matmul(go, np.swapaxes(v_heads(v_get()), -1, -2))
-            _softmax_adjoint(weights, gs, scale, gs)
-            del weights
-            if grad[0]:
-                gq = rows_of(np.matmul(gs, np.swapaxes(k4, -1, -2)), (0, 2, 1, 3))
-            if grad[1]:
-                gk = rows_of(np.matmul(np.swapaxes(q4, -1, -2), gs), (0, 3, 1, 2))
+        gv = rows_of(np.matmul(np.swapaxes(weights, -1, -2), go), (0, 2, 1, 3))
+        gs = np.matmul(go, np.swapaxes(heads_of(v_get()), -1, -2))
+        _softmax_adjoint(weights, gs, scale, gs)
+        del weights
+        gq = rows_of(np.matmul(gs, np.swapaxes(k4, -1, -2)), (0, 2, 1, 3))
+        gk = rows_of(np.matmul(np.swapaxes(q4, -1, -2), gs), (0, 3, 1, 2))
         return gq, gk, gv
 
     return _make("attention", data, inputs, backward)

@@ -56,8 +56,8 @@ def scaled_gelu_adjoint(monkeypatch):
     """
     adjoint = T.gelu_adjoint
 
-    def broken_adjoint(xd, gate, g, out, **kwargs):
-        gate_sum = adjoint(xd, gate, g, out, **kwargs)
+    def broken_adjoint(xd, gate, g, out):
+        gate_sum = adjoint(xd, gate, g, out)
         np.multiply(out, 1.5, out=out)
         return None if gate_sum is None else 1.5 * gate_sum
 

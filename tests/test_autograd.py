@@ -454,6 +454,9 @@ RECIPE_PRODUCERS = {
     "linear": lambda x, p: T.linear(x, p["proj"], p["proj_bias"]),
     "split": lambda x, p: T.split(T.linear(x, p["wide"], p["wide_bias"]), (8, 4))[0],
 }
+# producers whose output carries no recipe: a ``split`` piece is a fresh copy
+# its consumers keep as they would with recipes dropped
+ARRAY_PRODUCERS = {"split"}
 
 
 def _attention_consumer(role):
@@ -537,18 +540,33 @@ class TestRecipes:
         self, producer, consumer, reshaped, frozen, monkeypatch
     ):
         """Every gradient is byte-equal to the one the kept array gives, and
-        the producer's output is dead after the forward while the tape lives;
+        the producer's output is dead after the forward while the tape lives
+        (a ``split`` piece, which has no recipe, lives as the kept array does);
         a frozen consumer weight gets no gradient and keeps neither, while
         ``attention`` reads its query, key and value for any gradient."""
+        # without a recipe a consumer that reads its input keeps the array
+        reads = not frozen or consumer.startswith("attention")
         grads, kept = self._grads(producer, consumer, reshaped, frozen)
-        assert not kept
+        assert kept is (producer in ARRAY_PRODUCERS and reads)
         _drop_recipes(monkeypatch)
         expected, kept = self._grads(producer, consumer, reshaped, frozen)
-        # without a recipe a consumer that reads its input keeps the array
-        assert kept is (not frozen or consumer.startswith("attention"))
+        assert kept is reads
         assert grads == expected
         for name in CONSUMER_FROZEN[consumer]:
             assert (name in grads) is not frozen
+
+    @pytest.mark.parametrize("consumer", [c for c in RECIPE_CONSUMERS if c.startswith("attention")])
+    @pytest.mark.parametrize("producer", list(RECIPE_PRODUCERS))
+    def test_attention_adjoint_returns_every_gradient(self, producer, consumer):
+        """With ``rows_a`` and ``rows_b`` frozen the attention node's adjoint
+        still returns all three inputs' gradients; the walk drops the two
+        that nothing needs (``test_gradients_bitwise_those_of_the_kept_array``)."""
+        leaves = self._leaves(consumer, frozen=True)
+        h = RECIPE_PRODUCERS[producer](T.reshape(leaves["x"], (72, 8)), leaves)
+        y = RECIPE_CONSUMERS[consumer](h, leaves)
+        grads = y._node.backward_fn(np.random.default_rng(8).normal(size=y.shape))
+        assert [type(g) for g in grads] == [np.ndarray] * 3
+        assert [g.shape for g in grads] == [(72, 8)] * 3
 
     def test_backward_clears_the_recipes(self, rng):
         """The walk clears each node's recipe with its adjoint, so a forward

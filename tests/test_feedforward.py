@@ -190,19 +190,26 @@ class TestBffnNode:
         x = Tensor(rng.normal(size=(2, 5, 6, cfg.dim)), requires_grad="x" in trained)
         out = wiring(x, cfg, params)
         inputs = len(out._node.parents)
+        # what the last node's adjoint returns, frozen inputs included
+        returned = out._node.backward_fn(np.ones(out.shape))
+        returned = [None if g is None else g.shape for g in returned]
         grads = T.tensor_sum(T.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
         named = [("x", x)] + [(f"{group}.{name}", leaf) for group, leaves in params.items()
                               for name, leaf in leaves.items()]
         grads = {name: grads[leaf].tobytes() for name, leaf in named if leaf in grads}
-        return out.data.tobytes(), inputs, grads
+        return out.data.tobytes(), inputs, returned, grads
 
     @pytest.mark.parametrize("trained", list(NODE_CASES.values()), ids=list(NODE_CASES))
     @pytest.mark.parametrize("dim,expansion", [(6, 2.0), (3, 3.0)])  # even and odd hidden
     def test_gradients_bitwise_those_of_the_operators(self, dim, expansion, trained):
         cfg = FfnConfig(dim, expansion, FfnKind.BFFN)
-        out, inputs, grads = self._run(feedforward_forward, cfg, trained)
-        expected_out, _, expected = self._run(_taped_ops, cfg, trained)
+        out, inputs, returned, grads = self._run(feedforward_forward, cfg, trained)
+        expected_out, _, _, expected = self._run(_taped_ops, cfg, trained)
         assert inputs == 8  # one node: fc1's output and the seven parameters after it
+        # its adjoint returns every input's gradient; the walk drops those nothing needs
+        h, hs, hd = cfg.hidden, cfg.shallow_width, cfg.deep_width
+        assert returned == [(2, 5, 6, h), (hs, 1, 3, 3), (hs,), (hd, 1, 3, 3), (hd,), (h,),
+                            (h, dim), (dim,)]
         assert out == expected_out
         assert grads.keys() == expected.keys()
         for name in grads:

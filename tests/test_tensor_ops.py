@@ -543,14 +543,17 @@ def test_gelu_gate_gradient_fold_is_numpy_sum(shape, rng):
     time, each block's first row carrying the running sum. numpy's ``.sum``
     over leading axes adds row by row, so the fold is bitwise the
     whole-array sum of the unscaled gradient times the input; written into
-    ``g`` itself, the adjoint gives the same bits, scaled by the gate."""
+    ``g`` itself, the adjoint gives the same bits, scaled by the gate. The
+    unscaled gradient is the ungated adjoint's at ``x * gate``: its ufuncs
+    are elementwise, so it has the bits the gated adjoint has before scaling."""
     x, g = rng.normal(size=shape), rng.normal(size=shape)
     gate = rng.normal(size=shape[-1])
     gx = np.empty(shape)
-    ggate = T.gelu_adjoint(x, gate, g, gx, scale=False, gate_grad=True)
+    assert T.gelu_adjoint(x * gate, None, g, gx) is None
+    ggate = T.gelu_adjoint(x, gate, g, np.empty(shape))
     assert ggate.tobytes() == (gx * x).sum(axis=tuple(range(x.ndim - 1))).tobytes()
     inplace = g.copy()
-    assert T.gelu_adjoint(x, gate, inplace, inplace, gate_grad=True).tobytes() == ggate.tobytes()
+    assert T.gelu_adjoint(x, gate, inplace, inplace).tobytes() == ggate.tobytes()
     assert inplace.tobytes() == (gx * gate).tobytes()
 
 

@@ -4,12 +4,14 @@ Both pathways run the same multi-head attention; they differ only in their
 parameters and in how aggressively they shrink the key/value grid. Queries
 are projected from the full-resolution map; keys and values come from a
 strided depthwise convolution that pools ``reduction x reduction`` patches
-(skipped entirely at reduction 1). Every projection is one matmul on the
-token rows ``(N*H*W, C)`` of its map, and one ``T.attention`` call splits
-the rows into heads, attends and merges the heads back into rows: one tape
-node that keeps the projections' recipes, not their rows or head splits,
-and rebuilds the splits and recomputes the attention weights in backward.
-The two pathways can be wired three ways:
+(skipped entirely at reduction 1). The query, key and value projections
+are each one matmul on the token rows ``(N*H*W, C)`` of their map, and one
+``T.attention`` call splits the rows into heads, attends, merges the heads
+back into rows and applies the output projection: one tape node that keeps
+the projections' recipes and the output weight, not their rows, head
+splits or mixed rows, and rebuilds the splits and recomputes the attention
+weights and mixed rows in backward. The two pathways can be wired three
+ways:
 
 * ``parallel``  - shallow(x) + deep(x)
 * ``cascade``   - deep(shallow(x))
@@ -105,13 +107,14 @@ def _fovea_attention(x: Tensor, heads: int, reduction: int, params: dict) -> Ten
     kv = map_to_tokens(kv)
     # the projections go in inline, so the op can free each one's rows once
     # it has split them into heads; a tape keeps their recipes instead
-    mixed = T.attention(
+    out = T.attention(
         T.linear(map_to_tokens(x), params["q_weight"]),
         T.linear(kv, params["k_weight"]),
         T.linear(kv, params["v_weight"]),
+        params["out_weight"],
         n, heads, 1.0 / math.sqrt(c // heads),
     )
-    return tokens_to_map(T.linear(mixed, params["out_weight"]), h, w)
+    return tokens_to_map(out, h, w)
 
 
 def sfa_forward(x: Tensor, cfg: AttentionConfig, params: dict) -> Tensor:

@@ -9,15 +9,18 @@ as soon as the forward code drops it. A node that can rebuild its output
 from what its adjoint keeps anyway also carries that recipe: ``gelu`` reruns
 its forward on its kept input and gate, ``layernorm`` computes
 ``xhat * gamma + beta`` from its kept ``xhat``, a ``matmul`` that keeps both
-operands (every trained projection) reruns its product, and ``reshape``
-passes its input's recipe on, reshaped. ``matmul``,
-``conv2d`` and ``dwconv2d``, which read an input again for the other
-operand's gradient, and ``attention``, which reads its query, key and value
-rows, keep each input's recipe instead of the array and rerun it in their
-adjoint, with the same ufuncs and products in the same order, so the tape
-holds no GELU, layer-norm or projection output and every bit is kept. A
-recipe runs only inside its consumers' adjoints, which all run before its
-own node's, so every parameter it reads still holds its value then. A
+operands (every trained projection) reruns its product, a ``conv2d`` whose
+weight trains over an input kept as its array (the image, a residual sum)
+reruns its patch product, and ``reshape`` passes its input's recipe on,
+reshaped. ``matmul``, ``conv2d`` and ``dwconv2d``, which read an input again
+for the other operand's gradient, and ``gelu`` and ``attention``, which read
+their inputs for any gradient, keep each input's recipe instead of the array
+and rerun it in their adjoint, with the same ufuncs and products in the same
+order, so the tape holds no GELU, layer-norm or projection output, no
+output of such a convolution, and every bit is kept. A convolution over a
+recipe leaves none, so no recipe reruns a chain of convolutions. A recipe
+runs only inside its consumers' adjoints, which all run before its own
+node's, so every parameter it reads still holds its value then. A
 scalar loss replays the adjoints in
 reverse topological order with ``Tensor.gradient_stream()``, which frees each
 node once its adjoint has run and yields the gradient of every leaf created
@@ -48,7 +51,9 @@ that view reshaped into its patch matrix (every output pixel's window as a
 row) with the reshaped weight, built and multiplied in blocks of whole
 images or of one image's output rows, at most ``_CONV_BLOCK_BYTES`` each
 (with the bundled OpenBLAS each block's rows are bitwise those of the
-one-shot product); a depthwise convolution contracts the view, unreshaped,
+one-shot product), and its weight gradient is built tap by tap from
+contiguous copies of each tap's window slice, bitwise the one product with
+the patch matrix; a depthwise convolution contracts the view, unreshaped,
 with its taps in one ``einsum``. Both, and ``matmul``, take an optional
 bias, added in place to the fresh product, so a biased ``linear`` is one
 ``matmul`` node with no ``add``. Convolution closures keep their input
@@ -71,15 +76,18 @@ rows, and ``softmax(x, scale)`` a Python float (1.0 unless given). The node
 keeps the unscaled input, not the scaled array, and the values and
 gradients are bitwise those of the two nodes.
 
-``attention(q, k, v, n, heads, scale)`` is multi-head attention on token
-rows as one node. Its forward runs ``matmul`` on head-split copies inside
-``no_grad()``, computes the weights inside the scores' own array with the
-``softmax`` kernel and reports them to observers as a ``softmax`` result,
-then runs ``matmul`` again, so observers see those three operators (an
-observer that keeps the scores' array sees it hold the weights). The node
-keeps its inputs' recipes (the rows themselves where an input has none),
-not the copies or the weights: its adjoint rebuilds the head splits and
-recomputes the weights through the ``softmax`` kernels, bit for bit.
+``attention(q, k, v, proj, n, heads, scale)`` is multi-head attention on
+token rows and its output projection as one node. Its forward runs
+``matmul`` on head-split copies inside ``no_grad()``, computes the weights
+inside the scores' own array with the ``softmax`` kernel and reports them to
+observers as a ``softmax`` result, then runs ``matmul`` again and, on the
+merged rows, a ``matmul`` with ``proj``, so observers see those four
+operators (an observer that keeps the scores' array sees it hold the
+weights). The node keeps its inputs' recipes (the rows themselves where an
+input has none) and ``proj``, not the copies, the weights or the mixed
+rows: its adjoint rebuilds the head splits, recomputes the weights through
+the ``softmax`` kernels and the mixed rows with one more product, bit for
+bit, and takes the projection's gradients as ``matmul``'s adjoint would.
 
 A composite outside this module can be one node the same way: it runs its
 operators inside ``no_grad()``, so observers still see each of them, keeps
@@ -94,7 +102,6 @@ the recomputed work as forward work. The BFFN after its first linear
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from typing import Callable, Iterator, Sequence
 
@@ -388,8 +395,10 @@ def kept(t: Tensor) -> Callable[[], Array]:
     """What a consumer's adjoint keeps to read ``t``'s values: the recipe of
     ``t``'s node when it has one, else the array itself.
 
-    ``matmul``, ``conv2d``, ``dwconv2d`` and ``attention`` keep their inputs
-    through it, and so can a composite's adjoint (``record``). A consumer's
+    ``matmul``, ``conv2d``, ``dwconv2d``, ``gelu`` and ``attention`` keep
+    their inputs through it, and so can a composite's adjoint (``record``);
+    ``gelu``'s recipe then reads its input's recipe in turn, such as the
+    stem's first convolution's. A consumer's
     adjoint runs before its producer's, so a recipe keeps no array alive
     longer than the producer's own adjoint does, and the parameters it reads
     are not yet yielded by ``gradient_stream``, so none has been updated in
@@ -658,7 +667,9 @@ def _scatter_taps(
     """A convolution's input gradient, the transpose of ``_windows``: adds
     ``share(i, j)``, the ``(N, ho, wo, C)`` gradient of the pixels tap ``(i, j)``
     read, into a zeroed padded grid, one tap at a time in row-major order, and
-    drops the padding."""
+    drops the padding. ``share`` is released before the padding is dropped,
+    so a caller that hands over the only reference to the arrays it reads
+    (``conv2d``'s ``g_cols``) has them freed first."""
     n, h, w, c = x_shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
@@ -667,9 +678,16 @@ def _scatter_taps(
         for j in range(kw):
             tap = grid[:, i : i + ho * stride : stride, j : j + wo * stride : stride]
             tap += share(i, j)
+    del share
     if padding:
         grid = np.ascontiguousarray(grid[:, padding:-padding, padding:-padding])
     return grid
+
+
+def _tap_slices(cols: Array) -> Callable[[int, int], Array]:
+    """``_scatter_taps``' ``share`` over a ``(N, ho, wo, kh, kw, C)`` array of
+    per-tap gradients, which the returned function holds alone."""
+    return lambda i, j: cols[:, :, :, i, j]
 
 
 def _conv_weight_matrix(weight: Array) -> Array:
@@ -678,12 +696,16 @@ def _conv_weight_matrix(weight: Array) -> Array:
     return weight.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
 
 
+# the bundled OpenBLAS runs a product of at most about this many
+# multiply-adds through a small-matrix kernel that rounds differently, so a
+# product cut into pieces this small does not reproduce the bits of the
+# whole. That threshold is measured for this BLAS build, not promised
+_SMALL_GEMM_MACS = 10**6
+
 # bytes of patch matrix ``conv2d``'s forward builds at a time, at most.
-# Blocks stay large on purpose: the bundled OpenBLAS runs a product of under
-# about 1e6 multiply-adds through a small-matrix kernel that rounds
-# differently, so a block of a few rows would not reproduce the rows of the
-# one-shot product bit for bit. That threshold is measured for this BLAS
-# build, not promised
+# Blocks stay large on purpose: a block of a few rows would fall under
+# ``_SMALL_GEMM_MACS`` and not reproduce the rows of the one-shot product
+# bit for bit
 _CONV_BLOCK_BYTES = 1 << 20
 
 
@@ -714,6 +736,29 @@ def _patch_product(windows: Array, w_mat: Array) -> Array:
     return out
 
 
+def _conv_weight_grad(windows: Array, g_mat: Array) -> Array:
+    """``conv2d``'s ``(O, C, kh, kw)`` weight gradient: ``g_mat.T @ patches``
+    for a ``_windows`` view and the ``(N*ho*wo, O)`` output gradient.
+
+    Built tap by tap: each tap's ``(O, C)`` block is ``g_mat.T`` times a
+    contiguous copy of that tap's window slice, so no ``(N*ho*wo, kh*kw*C)``
+    patch matrix is made. With the bundled OpenBLAS each block is bitwise
+    the one-shot product's columns as long as it stays above
+    ``_SMALL_GEMM_MACS``; a 1x1 kernel, or a tap whose product would fall
+    under it, takes the one-shot product.
+    """
+    kh, kw, c = windows.shape[3:]
+    m, o = g_mat.shape
+    if kh * kw == 1 or o * c * m <= _SMALL_GEMM_MACS:
+        gw = g_mat.T @ windows.reshape(m, -1)
+        return np.ascontiguousarray(gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+    gw = np.empty((o, c, kh, kw))
+    for i in range(kh):
+        for j in range(kw):
+            gw[:, :, i, j] = g_mat.T @ np.ascontiguousarray(windows[:, :, :, i, j]).reshape(m, c)
+    return gw
+
+
 def _check_conv_args(
     x: Tensor, w: Tensor, stride: int, padding: int, bias: Tensor | None
 ) -> None:
@@ -740,12 +785,25 @@ def conv2d(
     Output spatial size follows floor((H + 2p - kh)/stride) + 1. The
     ``_windows`` view, reshaped, is the ``(N*ho*wo, kh*kw*C)`` patch matrix of
     one matrix product with the weight, run in blocks of whole images or of
-    image rows (``_patch_product``); the weight gradient is a second
-    product, ``g.T @ patches``, whose ``(O, kh*kw*C)`` result needs only a
-    transpose of its last three axes (none at 1x1) to be ``(O, C, kh, kw)``,
-    and ``_scatter_taps`` sends each tap's share of a third back to the
-    input. A ``bias`` of shape ``(O,)`` is added in place to the fresh
-    product: the values of a separate ``add``, without a second map.
+    image rows (``_patch_product``). A ``bias`` of shape ``(O,)`` is added in
+    place to the fresh product: the values of a separate ``add``, without a
+    second map. When the weight trains and the input is kept as its array
+    (it has no recipe), that product is the node's recipe, so a consumer
+    such as the stem's GELU keeps neither the output nor a copy of it.
+
+    The weight gradient is ``g.T @ patches``, built tap by tap without the
+    patch matrix (``_conv_weight_grad``). The input gradient is one product
+    ``g_cols = g @ w_mat.T`` of every tap's share, which ``_scatter_taps``
+    adds back into the input grid; ``g_cols`` is freed before the grid is
+    trimmed. It stays one product on purpose. With the bundled OpenBLAS, at
+    ``kh*kw*C = 252`` (the stem's 3x3 convs over 28 channels), a product
+    cut into blocks of rows gives its last four columns (248-251) bits that
+    depend on the blocks: row blocks of 4 to 56 rows of a 112x112 map
+    differed from the one-shot product in 129 to 1,305 elements, on a
+    tiny@224 step's gradients and on random operands alike, while columns
+    in whole 8-wide panels were bitwise in any block. A blocked or per-tap
+    input gradient is therefore a numerics decision of its own, not a
+    bitwise rewrite.
     """
     _check_conv_args(x, weight, stride, padding, bias)
     if x.data.shape[3] != weight.data.shape[1]:
@@ -754,34 +812,48 @@ def conv2d(
         )
     n, h, w, c = x.data.shape
     o, _, kh, kw = weight.data.shape
-    data = _patch_product(_windows(x.data, kh, kw, stride, padding),
-                          _conv_weight_matrix(weight.data))
+    w_data, bias_data = weight.data, None if bias is None else bias.data
+
+    def product(x_data: Array) -> Array:
+        out = _patch_product(_windows(x_data, kh, kw, stride, padding),
+                             _conv_weight_matrix(w_data))
+        if bias_data is not None:
+            out += bias_data
+        return out
+
+    data = product(x.data)
     ho, wo = data.shape[1:3]
-    if bias is not None:
-        data += bias.data
 
     # each operand is kept only for the other's gradient, the input as its
     # producer's recipe when it has one; the patch matrix is rebuilt in
     # backward, not captured, since a captured matrix would stay alive as
     # long as the tape does
     x_get = kept(x) if weight.requires_grad else None
-    w_data = weight.data if x.requires_grad else None
+    w_kept = w_data if x.requires_grad else None
     b_grad = bias is not None and bias.requires_grad
+    # over an input kept as its array the forward is the node's recipe; over
+    # a recipe it is not, so a recipe never reruns a chain of convolutions
+    remake = None
+    if _GRAD_ENABLED and x_get is not None and (x._node is None or x._node.remake is None):
+
+        def remake() -> Array:
+            return product(x_get())
 
     def backward(g: Array):
         g_mat = g.reshape(n * ho * wo, o)
         gx = gw = None
         if x_get is not None:
-            gw = g_mat.T @ _windows(x_get(), kh, kw, stride, padding).reshape(n * ho * wo, -1)
-            gw = np.ascontiguousarray(gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
-        if w_data is not None:
-            g_cols = (g_mat @ _conv_weight_matrix(w_data).T).reshape(n, ho, wo, kh, kw, c)
-            gx = _scatter_taps((n, h, w, c), kh, kw, stride, padding,
-                               lambda i, j: g_cols[:, :, :, i, j])
+            gw = _conv_weight_grad(_windows(x_get(), kh, kw, stride, padding), g_mat)
+        if w_kept is not None:
+            # ``g_cols``, each tap's input gradient, is held by the scatter's
+            # ``share`` alone, so it is freed before the padded grid is trimmed
+            gx = _scatter_taps((n, h, w, c), kh, kw, stride, padding, _tap_slices(
+                (g_mat @ _conv_weight_matrix(w_kept).T).reshape(n, ho, wo, kh, kw, c)))
         return (gx, gw, g.sum(axis=(0, 1, 2)) if b_grad else None)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _make("conv2d", data, inputs, backward, n * o * c * kh * kw * ho * wo)
+    return _make("conv2d", data, inputs, backward, n * o * c * kh * kw * ho * wo,
+                 remake=remake)
 
 
 def dwconv_taps(weight: Array) -> Array:
@@ -978,9 +1050,10 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
     """Gaussian error linear unit, tanh form, of ``x`` or of ``x * gate``.
 
     A ``gate`` of shape ``(C,)`` scales the last axis, as a ``mul`` before
-    the ``gelu`` would, but the node keeps ``x`` and the gate, not their
-    product. ``gelu_rows`` fills the output, and the same call on the kept
-    ``x`` and gate is the node's recipe, so no consumer keeps the output
+    the ``gelu`` would, but the node keeps ``kept(x)`` (``x``'s recipe when
+    it has one, such as a convolution's over a kept array) and the gate, not
+    their product. ``gelu_rows`` fills the output, and the same call on the
+    kept ``x`` and gate is the node's recipe, so no consumer keeps the output
     itself. The adjoint, ``gelu_adjoint``, recomputes each block's
     ``x * gate`` and ``tanh`` in scratch; the node returns the gradients of
     ``x`` and of the gate, and the walk drops one that is not needed. Both
@@ -991,12 +1064,15 @@ def gelu(x: Tensor, gate: Tensor | None = None) -> Tensor:
     """
     if gate is not None and (x.ndim == 0 or gate.data.shape != x.data.shape[-1:]):
         raise ShapeError(f"gelu gate must have shape (C,) for input {x.shape}, got {gate.shape}")
-    xd = np.ascontiguousarray(x.data)
+    x_get = kept(x)
     gate_data = None if gate is None else gate.data
-    remake = functools.partial(gelu_rows, xd, gate_data)
-    data = remake()
+    data = gelu_rows(x.data, gate_data)
+
+    def remake() -> Array:
+        return gelu_rows(x_get(), gate_data)
 
     def backward(g: Array):
+        xd = x_get()
         gx = np.empty(xd.shape)
         ggate = gelu_adjoint(xd, gate_data, g, gx)
         return (gx,) if gate_data is None else (gx, ggate)
@@ -1041,26 +1117,33 @@ def softmax(x: Tensor, scale: float = 1.0) -> Tensor:
                  lambda g: (_softmax_adjoint(data, g, scale, np.empty(data.shape)),))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float) -> Tensor:
-    """Multi-head attention of query rows ``q (N*T, C)`` over key and value rows ``k, v (N*S, C)``.
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, proj: Tensor, n: int, heads: int, scale: float
+) -> Tensor:
+    """Multi-head attention of query rows ``q (N*T, C)`` over key and value
+    rows ``k, v (N*S, C)``, then the output projection ``proj (C, C)``.
 
     Returns the ``(N*T, C)`` rows of ``softmax(q @ k^T, scale) @ v`` per head
-    of ``C/heads`` channels, heads merged back. The rows are split into
-    contiguous ``(N, heads, T, C/heads)`` copies, keys straight into the
-    ``(N, heads, C/heads, S)`` layout of the scores, which run through
-    ``matmul``, the softmax and ``matmul`` inside ``no_grad()``. The softmax
-    overwrites the scores with the weights in their own array, running
-    ``T.softmax``'s ufuncs in its order, and is reported to observers as a
-    ``softmax`` result; the scores' ``matmul`` result therefore holds the
-    weights afterwards. The query and key copies die once the scores are
-    made and the value copy once the values are mixed, with or without a
-    tape. The one node keeps ``kept`` of each input, so a projection's
-    recipe rather than its rows; its adjoint rebuilds the copies with the
-    forward's reshapes and transposes, recomputes the scores and weights
-    with the same kernels in plain numpy and returns the gradients of all
-    three inputs, so values and gradients are bitwise those of separate
-    split, product, softmax, product and merge nodes. Without a tape the
-    input rows die once split, and no second scores-sized array is made.
+    of ``C/heads`` channels, heads merged back, times ``proj``. The rows are
+    split into contiguous ``(N, heads, T, C/heads)`` copies, keys straight
+    into the ``(N, heads, C/heads, S)`` layout of the scores, which run
+    through ``matmul``, the softmax and ``matmul`` inside ``no_grad()``; the
+    merged rows then go through a fourth ``matmul``, the projection. The
+    softmax overwrites the scores with the weights in their own array,
+    running ``T.softmax``'s ufuncs in its order, and is reported to
+    observers as a ``softmax`` result; the scores' ``matmul`` result
+    therefore holds the weights afterwards. The query and key copies die
+    once the scores are made, the value copy once the values are mixed and
+    the mixed rows once projected, with or without a tape. The one node
+    keeps ``kept`` of each input, so a projection's recipe rather than its
+    rows, and no mixed rows; its adjoint rebuilds the copies with the
+    forward's reshapes and transposes, recomputes the scores, weights and
+    mixed rows with the same kernels in plain numpy, takes the gradients of
+    ``proj`` and of the mixed rows with ``matmul``'s own expressions and
+    returns the gradients of all four inputs, so values and gradients are
+    bitwise those of separate split, product, softmax, product, merge and
+    projection nodes. Without a tape the input rows die once split, and no
+    second scores-sized array is made.
     """
     if q.ndim != 2 or k.ndim != 2 or k.data.shape != v.data.shape:
         raise ShapeError(
@@ -1071,8 +1154,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
         raise ShapeError(
             f"attention rows {q.shape}, {k.shape} do not split into {n} images of {heads} heads"
         )
+    if proj.data.shape != (c, c):
+        raise ShapeError(f"attention projection must have shape ({c}, {c}), got {proj.shape}")
     d = c // heads
-    inputs = (q, k, v) if taped(q, k, v) else ()
+    inputs = (q, k, v, proj) if taped(q, k, v, proj) else ()
     gets = tuple(kept(a) for a in inputs)
 
     # the head splits of the rows: queries as ``(N, heads, T, d)``, values as
@@ -1087,30 +1172,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n: int, heads: int, scale: float)
     q4, k4, v4 = heads_of(q.data), heads_of(k.data, (0, 2, 3, 1)), heads_of(v.data)
     del q, k, v
 
-    # ``a`` is rebound to the scores, the weights (in the scores' array) and
-    # the mixed values in turn
+    # ``a`` is rebound to the scores, the weights (in the scores' array), the
+    # mixed values and the mixed rows in turn
     with no_grad():
         a = matmul(Tensor(q4), Tensor(k4))
         del q4, k4
         a = _make("softmax", _softmax_rows(a.data, scale, a.data), (), None)
         a = matmul(a, Tensor(v4)).data
         del v4
-    data = rows_of(a, (0, 2, 1, 3))
+        a = rows_of(a, (0, 2, 1, 3))
+        data = matmul(Tensor(a), proj).data
     del a
 
     def backward(g: Array):
-        q_get, k_get, v_get = gets
-        go = heads_of(g)
+        q_get, k_get, v_get, proj_get = gets
         q4, k4 = heads_of(q_get()), heads_of(k_get(), (0, 2, 3, 1))
         weights = np.matmul(q4, k4)
         _softmax_rows(weights, scale, weights)
+        v4 = heads_of(v_get())
+        # the projection's adjoint, as ``matmul``'s, on the rebuilt mixed rows
+        mixed = rows_of(np.matmul(weights, v4), (0, 2, 1, 3))
+        gproj = np.matmul(np.swapaxes(mixed, -1, -2), g)
+        del mixed
+        go = heads_of(np.matmul(g, np.swapaxes(proj_get(), -1, -2)))
         gv = rows_of(np.matmul(np.swapaxes(weights, -1, -2), go), (0, 2, 1, 3))
-        gs = np.matmul(go, np.swapaxes(heads_of(v_get()), -1, -2))
+        gs = np.matmul(go, np.swapaxes(v4, -1, -2))
+        del go, v4
         _softmax_adjoint(weights, gs, scale, gs)
         del weights
         gq = rows_of(np.matmul(gs, np.swapaxes(k4, -1, -2)), (0, 2, 1, 3))
         gk = rows_of(np.matmul(np.swapaxes(q4, -1, -2), gs), (0, 3, 1, 2))
-        return gq, gk, gv
+        return gq, gk, gv, gproj
 
     return _make("attention", data, inputs, backward)
 

@@ -1,9 +1,10 @@
 """Naive reference implementations used as oracles.
 
 Everything here favors obviousness over speed: explicit loops, no shared
-code with the package internals beyond plain numpy. The one exception is
-``taped_bffn``, a composition of the package's own taped operators: it is
-the oracle for the bits of the gradients, which loops cannot reproduce.
+code with the package internals beyond plain numpy. The exceptions are
+``taped_attention`` and ``taped_bffn``, compositions of the package's own
+taped operators: they are the oracles for the bits of the gradients, which
+loops cannot reproduce.
 """
 
 from __future__ import annotations
@@ -126,6 +127,24 @@ def naive_fovea_attention(x, heads, reduction, q_w, k_w, v_w, out_w, reduce_w, r
 def naive_gelu(x):
     c = math.sqrt(2.0 / math.pi)
     return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+
+
+def taped_attention(q, k, v, proj, n, heads, scale):
+    """``T.attention`` as one taped node per operator: head splits, the two
+    products with the softmax between them, the merge and a separate
+    ``T.linear`` for the output projection.
+
+    These are the bits the attention node's output and its four gradients
+    must reproduce.
+    """
+    rows, c = q.shape
+
+    def split(t, axes):
+        return T.transpose(T.reshape(t, (n, t.shape[0] // n, heads, c // heads)), axes)
+
+    a = T.matmul(split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1)))
+    a = T.matmul(T.softmax(a, scale), split(v, (0, 2, 1, 3)))
+    return T.linear(T.reshape(T.transpose(a, (0, 2, 1, 3)), (rows, c)), proj)
 
 
 def taped_bffn(hidden, cfg, params):

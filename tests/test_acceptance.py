@@ -177,6 +177,14 @@ def test_criterion_4_gradient_verification(capsys):
     per_op_worst = max(per_op_worst, check_against_fd(
         lambda: T.tensor_sum(T.mul(T.avgpool_global(xp), mixp)), [xp], rng))
 
+    # the attention node with its output projection: query rows of two
+    # images, key and value rows, and the projection, all four trained
+    attn = [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((6, 4), (4, 4), (4, 4), (4, 4))]
+    mixa = Tensor(rng.normal(size=(6, 4)))
+    per_op_worst = max(per_op_worst, check_against_fd(
+        lambda: T.tensor_sum(T.mul(T.attention(*attn, 2, 2, 0.7), mixa)), attn, rng))
+
     spec = reduced_variant(VARIANTS["tiny"], num_classes=2)
     result = run_gradcheck(spec, seed=0, input_size=32, samples=12)
 

@@ -26,7 +26,7 @@ from evit.tensor import Tensor
 from evit.train import AdamW
 
 from conftest import softmax_outputs, to_nchw, to_nhwc
-from reference import naive_fovea_attention, naive_single_head_attention
+from reference import naive_fovea_attention, naive_single_head_attention, taped_attention
 
 
 class TestConfig:
@@ -140,18 +140,6 @@ class TestTokenRows:
             np.testing.assert_array_equal(a, b)
 
 
-def _attention_chain(q, k, v, n, heads, scale):
-    """``T.attention`` as separate operators: head splits, products, softmax and merge."""
-    rows, c = q.shape
-
-    def split(t, axes):
-        return T.transpose(T.reshape(t, (n, t.shape[0] // n, heads, c // heads)), axes)
-
-    a = T.matmul(split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1)))
-    a = T.matmul(T.softmax(a, scale), split(v, (0, 2, 1, 3)))
-    return T.reshape(T.transpose(a, (0, 2, 1, 3)), (rows, c))
-
-
 def _closure_arrays(fn, seen=None):
     """The ids of the arrays a closure holds, directly or through the
     closures (recipes) it holds in turn."""
@@ -170,25 +158,31 @@ def _closure_arrays(fn, seen=None):
 
 class TestAttentionOp:
     # query and key rows per image, channels: no shape of a kept array can
-    # be mistaken for the weights' (N, heads, 5, 3)
+    # be mistaken for the weights' (N, heads, 5, 3), and neither row count
+    # divides into the BLAS kernels' panels
     QUERIES, KEYS, C = 5, 3, 8
 
-    def _rows(self, rng, n):
-        return [rng.normal(size=(n * m, self.C)) for m in (self.QUERIES, self.KEYS, self.KEYS)]
+    def _inputs(self, rng, n):
+        """Query, key and value rows, then the ``(C, C)`` output projection."""
+        rows = [rng.normal(size=(n * m, self.C)) for m in (self.QUERIES, self.KEYS, self.KEYS)]
+        return rows + [rng.normal(size=(self.C, self.C))]
 
-    @pytest.mark.parametrize("needs", [pytest.param(tuple(c in ids for c in "qkv"), id=ids)
-                                       for ids in ("qkv", "q", "k", "v", "kv")])
+    @pytest.mark.parametrize("needs", [pytest.param(tuple(c in ids for c in "qkvp"), id=ids)
+                                       for ids in ("qkvp", "qkv", "kvp", "qvp", "qkp", "p",
+                                                   "q", "k", "v", "kv")])
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("n", [1, 2])
     def test_bitwise_equal_to_operator_chain(self, n, heads, needs, rng):
-        """Values and the gradient of every input that needs one are bitwise
-        those of the chain of operators; the others get none."""
-        rows = self._rows(rng, n)
+        """Values and the gradient of every input that needs one (``p`` is
+        the projection) are bitwise those of the chain of operators with a
+        separate ``T.linear`` (``reference.taped_attention``); the others get
+        none."""
+        inputs = self._inputs(rng, n)
         probe = Tensor(rng.normal(size=(n * self.QUERIES, self.C)))
         scale = 1.0 / math.sqrt(self.C // heads)
         results = []
-        for op in (T.attention, _attention_chain):
-            leaves = [Tensor(a, requires_grad=need) for a, need in zip(rows, needs)]
+        for op in (T.attention, taped_attention):
+            leaves = [Tensor(a, requires_grad=need) for a, need in zip(inputs, needs)]
             out = op(*leaves, n, heads, scale)
             grads = T.tensor_sum(T.mul(out, probe)).backward()
             results.append((out.data, [grads.get(leaf) for leaf in leaves]))
@@ -199,17 +193,18 @@ class TestAttentionOp:
             assert not need or a.tobytes() == b.tobytes()
 
     def test_no_grad_records_no_node(self, rng):
-        leaves = [Tensor(a, requires_grad=True) for a in self._rows(rng, 2)]
+        leaves = [Tensor(a, requires_grad=True) for a in self._inputs(rng, 2)]
         with T.no_grad():
             out = T.attention(*leaves, 2, 2, 0.5)
         assert out._node is None and not out.requires_grad
 
     def test_node_keeps_its_input_rows_not_the_weights(self, rng):
-        """On leaves the node keeps the three input row arrays themselves, no
-        head-split copy; on a trained projection's queries it keeps the
-        projection's recipe, which reads its operands, not its output."""
+        """On leaves the node keeps the three input row arrays and the
+        projection themselves, no head-split copy and no mixed rows; on a
+        trained projection's queries it keeps the projection's recipe, which
+        reads its operands, not its output."""
         n, heads = 2, 2
-        leaves = [Tensor(a, requires_grad=True) for a in self._rows(rng, n)]
+        leaves = [Tensor(a, requires_grad=True) for a in self._inputs(rng, n)]
         out = T.attention(*leaves, n, heads, 0.5)
         assert _closure_arrays(out._node.backward_fn) == {id(leaf.data) for leaf in leaves}
 
@@ -221,35 +216,38 @@ class TestAttentionOp:
         del q
         assert projected() is None
         assert _closure_arrays(out._node.backward_fn) == {
-            id(x.data), id(weight.data), id(leaves[1].data), id(leaves[2].data)}
+            id(x.data), id(weight.data), *(id(leaf.data) for leaf in leaves[1:])}
 
     def test_observers_see_the_products_and_the_weights(self, rng):
         n, heads = 2, 4
         d = self.C // heads
         seen = []
         with T.observe(lambda op, scope, out, macs: seen.append((op, out.shape, macs))):
-            T.attention(*(Tensor(a) for a in self._rows(rng, n)), n, heads, 0.5)
+            T.attention(*(Tensor(a) for a in self._inputs(rng, n)), n, heads, 0.5)
         weights = (n, heads, self.QUERIES, self.KEYS)
+        rows = (n * self.QUERIES, self.C)
         assert seen == [
             ("matmul", weights, n * heads * self.QUERIES * d * self.KEYS),
             ("softmax", weights, 0),
             ("matmul", (n, heads, self.QUERIES, d), n * heads * self.QUERIES * self.KEYS * d),
-            ("attention", (n * self.QUERIES, self.C), 0),
+            ("matmul", rows, n * self.QUERIES * self.C * self.C),
+            ("attention", rows, 0),
         ]
 
 
 def _chained_fovea_attention(x, heads, reduction, params):
-    """The fovea as it ran before ``T.attention``: its projections with the
-    split, product, softmax, product and merge operators between them."""
+    """The fovea as it ran before ``T.attention``: its query, key and value
+    projections with the split, product, softmax, product, merge and output
+    projection operators after them."""
     n, h, w, c = x.shape
     q = T.linear(map_to_tokens(x), params["q_weight"])
     kv = x
     if reduction > 1:
         kv = dwconv_bias(x, params["reduce"]["weight"], params["reduce"]["bias"], stride=reduction)
     kv = map_to_tokens(kv)
-    a = _attention_chain(q, T.linear(kv, params["k_weight"]), T.linear(kv, params["v_weight"]),
-                         n, heads, 1.0 / math.sqrt(c // heads))
-    return tokens_to_map(T.linear(a, params["out_weight"]), h, w)
+    a = taped_attention(q, T.linear(kv, params["k_weight"]), T.linear(kv, params["v_weight"]),
+                        params["out_weight"], n, heads, 1.0 / math.sqrt(c // heads))
+    return tokens_to_map(a, h, w)
 
 
 @pytest.mark.parametrize("pattern", list(ConnectionPattern), ids=lambda p: p.value)

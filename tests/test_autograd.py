@@ -355,15 +355,19 @@ class TestTapeMemory:
 
     def test_taped_tiny224_forward_peak(self):
         """A taped tiny@224 forward keeps what the adjoints read and no more:
-        it peaks at about 50 MB. A BFFN node keeping its concat (the GELU's
-        input), or ``fc1``'s output instead of its recipe, peaks at 69.6 MB,
-        and the BFFN as one node per operator, which keeps its GELU and deep
-        depthwise inputs, at 79.6 MB. Attention nodes keeping head-split
-        copies of q, k and v instead of their projections' recipes would add
-        about 21 MB and the deep fovea keeping the shallow fovea's output
-        6.7 MB; a ``gelu`` node keeping a whole ``tanh`` array beside its
-        input would add the stem GELUs' 8.4 MB, and attention nodes keeping
-        their softmax weights about 28 MB."""
+        it peaks at about 39.5 MB. Attention nodes keeping their mixed rows
+        for a separate output projection peak at 52.7 MB; a ``conv2d`` over
+        an input kept as its array (the stem's ``conv1``, the stage 2-4
+        embeds, ``head.proj``) leaving no recipe at 43.4 MB, and a ``gelu``
+        keeping its input's array instead of that recipe at 42.3 MB. A BFFN
+        node keeping its concat (the GELU's input), or ``fc1``'s output
+        instead of its recipe, would add about 19.6 MB, and the BFFN as one
+        node per operator, which keeps its GELU and deep depthwise inputs,
+        about 29.6 MB. Attention nodes keeping head-split copies of q, k and
+        v instead of their projections' recipes would add about 21 MB, and
+        keeping their softmax weights about 28 MB; a ``gelu`` node keeping a
+        whole ``tanh`` array beside its input would add the stem GELUs'
+        8.4 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
         tracemalloc.start()
@@ -373,15 +377,19 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert logits._node is not None
-        assert peak < 52e6, peak
+        assert peak < 42e6, peak
 
     def test_tiny224_training_step_peak(self):
-        """A tiny@224 forward and ``graph.gradients`` peak at about 143 MB,
-        in the stem conv's adjoint: the gradients finished so far plus its
-        patch matrices. Each array the tape keeps instead of a recipe stays
-        there until its consumer's adjoint runs and moves the peak earlier:
-        a BFFN node keeping its concat peaks at 152.9 MB and the BFFN as one
-        node per operator at 158.9 MB."""
+        """A tiny@224 forward and ``graph.gradients`` peak at about 137.9 MB,
+        in stem ``conv3``'s input-gradient step: the gradients finished so
+        far and what is left of the tape, plus its one-shot ``g_cols``
+        (25.3 MB) and padded grid (2.9 MB). Stage 1's second BFFN node comes
+        next, at 135.7 MB. Each array the tape keeps instead of a recipe
+        stays there until its consumer's adjoint runs: attention nodes
+        keeping their mixed rows peak at 141.1 MB, a ``conv2d`` over a kept
+        array leaving no recipe at 140.7 MB and a ``gelu`` keeping its
+        input's array at 140.7 MB. A ``g_cols`` kept alive while the grid is
+        trimmed peaks at 140.5 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
         tracemalloc.start()
@@ -392,15 +400,16 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert len(grads) == len(graph.named_parameters())
-        assert peak < 150e6, peak
+        assert peak < 140e6, peak
 
     def test_tiny224_train_step_keeps_no_gradient_set(self):
         """``train_step`` updates each parameter inside the walk, so a steady
-        tiny@224 step peaks at about 60 MB, the taped forward plus the
+        tiny@224 step peaks at about 48.3 MB, the taped forward plus the
         gradients in flight, and keeps nothing once it returns. Any array
-        the tape keeps instead of a recipe raises it: a BFFN node keeping its
-        concat peaks at 79.6 MB and the BFFN as one node per operator at
-        89.6 MB."""
+        the tape keeps instead of a recipe raises it: attention nodes keeping
+        their mixed rows peak at 61.6 MB, a ``conv2d`` over a kept array
+        leaving no recipe at 52.8 MB and a ``gelu`` keeping its input's array
+        at 51.6 MB."""
         graph = build("tiny", seed=0, zero_classifier=False)
         optimizer, named = AdamW(1e-3, weight_decay=0.05), graph.named_parameters()
         image = np.random.default_rng(0).uniform(size=(1, 3, 224, 224))
@@ -411,8 +420,33 @@ class TestTapeMemory:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 63e6, peak
+        assert peak < 51e6, peak
         assert retained < 1e6, retained
+
+    def test_stem_conv2d_adjoint_builds_no_patch_matrix(self, rng):
+        """The adjoint of a stride-1 3x3 ``conv2d`` on a ``(1, 112, 112, 28)``
+        map, tiny@224's stem ``conv2`` and ``conv3``. Its weight gradient goes
+        tap by tap: with a frozen input it peaks at about 5.8 MB, the padded
+        input and one tap's window slice, where the whole
+        ``(12544, 252)`` patch matrix (25.3 MB) peaks at 28.3 MB. Its input
+        gradient frees ``g_cols`` before the padded grid is trimmed: about
+        28.4 MB, against 31.1 MB with ``g_cols`` alive through the trim."""
+        w = Tensor(rng.normal(size=(28, 28, 3, 3)), requires_grad=True)
+        g = rng.normal(size=(1, 112, 112, 28))
+        g_cols = 112 * 112 * 9 * 28 * 8
+        grid = 114 * 114 * 28 * 8
+        peaks = []
+        for trained in (False, True):
+            x = Tensor(rng.normal(size=(1, 112, 112, 28)), requires_grad=trained)
+            backward = T.conv2d(x, w, stride=1, padding=1)._node.backward_fn
+            tracemalloc.start()
+            try:
+                backward(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < g_cols / 3, peaks
+        assert peaks[1] < g_cols + grid + 1e6, peaks
 
     def test_gradients_leaves_only_gradients_and_outputs(self):
         graph = build(reduced_variant(VARIANTS["tiny"]), seed=0, zero_classifier=False)
@@ -453,6 +487,9 @@ RECIPE_PRODUCERS = {
     "layernorm": lambda x, p: T.layernorm(x, p["gamma"], p["beta"]),
     "linear": lambda x, p: T.linear(x, p["proj"], p["proj_bias"]),
     "split": lambda x, p: T.split(T.linear(x, p["wide"], p["wide_bias"]), (8, 4))[0],
+    # a convolution over an input kept as its array (here a leaf) leaves one
+    "conv2d": lambda x, p: T.reshape(
+        T.conv2d(T.reshape(x, RECIPE_SHAPES["x"]), p["same"], 1, 1, p["same_bias"]), x.shape),
 }
 # producers whose output carries no recipe: a ``split`` piece is a fresh copy
 # its consumers keep as they would with recipes dropped
@@ -464,7 +501,7 @@ def _attention_consumer(role):
     def consume(h, p):
         rows = [p["rows_a"], p["rows_b"]]
         rows.insert("qkv".index(role), T.reshape(h, (72, 8)) if h.ndim != 2 else h)
-        return T.attention(*rows, 2, 2, 0.5)
+        return T.attention(*rows, p["attn_proj"], 2, 2, 0.5)
 
     return consume
 
@@ -473,18 +510,24 @@ RECIPE_CONSUMERS = {
     "linear": lambda h, p: T.linear(h, p["weight"], p["bias"]),
     "conv2d": lambda h, p: T.conv2d(h, p["conv"], stride=2, padding=1, bias=p["conv_bias"]),
     "dwconv2d": lambda h, p: T.dwconv2d(h, p["dw"], stride=1, padding=1),
+    "gelu": lambda h, p: T.gelu(h, p["act_gate"]),
     **{f"attention_{role}": _attention_consumer(role) for role in "qkv"},
 }
 RECIPE_SHAPES = {
     "x": (2, 6, 6, 8), "gate": (8,), "gamma": (8,), "beta": (8,),
     "proj": (8, 8), "proj_bias": (8,), "wide": (8, 12), "wide_bias": (12,),
     "weight": (8, 5), "bias": (5,), "conv": (4, 8, 3, 3), "conv_bias": (4,), "dw": (8, 1, 3, 3),
-    "rows_a": (72, 8), "rows_b": (72, 8),
+    "rows_a": (72, 8), "rows_b": (72, 8), "attn_proj": (8, 8),
+    "same": (8, 8, 3, 3), "same_bias": (8,), "act_gate": (8,),
 }
 # the leaves a frozen row does not train: the consumer's weight, or the
 # attention operands other than the producer's output
 CONSUMER_FROZEN = {"linear": ("weight",), "conv2d": ("conv",), "dwconv2d": ("dw",),
-                   **{f"attention_{role}": ("rows_a", "rows_b") for role in "qkv"}}
+                   "gelu": ("act_gate",),
+                   **{f"attention_{role}": ("rows_a", "rows_b", "attn_proj") for role in "qkv"}}
+# consumers that read their input for the input's own gradient, so also
+# when their other leaves are frozen
+ALWAYS_READ = {"gelu", "attention_q", "attention_k", "attention_v"}
 # consumers that take token rows, which read the producer's output directly
 # when the producer runs on rows
 ROW_CONSUMERS = {"linear", "attention_q", "attention_k", "attention_v"}
@@ -543,9 +586,9 @@ class TestRecipes:
         the producer's output is dead after the forward while the tape lives
         (a ``split`` piece, which has no recipe, lives as the kept array does);
         a frozen consumer weight gets no gradient and keeps neither, while
-        ``attention`` reads its query, key and value for any gradient."""
+        ``gelu`` and ``attention`` read their inputs for any gradient."""
         # without a recipe a consumer that reads its input keeps the array
-        reads = not frozen or consumer.startswith("attention")
+        reads = not frozen or consumer in ALWAYS_READ
         grads, kept = self._grads(producer, consumer, reshaped, frozen)
         assert kept is (producer in ARRAY_PRODUCERS and reads)
         _drop_recipes(monkeypatch)
@@ -558,15 +601,16 @@ class TestRecipes:
     @pytest.mark.parametrize("consumer", [c for c in RECIPE_CONSUMERS if c.startswith("attention")])
     @pytest.mark.parametrize("producer", list(RECIPE_PRODUCERS))
     def test_attention_adjoint_returns_every_gradient(self, producer, consumer):
-        """With ``rows_a`` and ``rows_b`` frozen the attention node's adjoint
-        still returns all three inputs' gradients; the walk drops the two
-        that nothing needs (``test_gradients_bitwise_those_of_the_kept_array``)."""
+        """With ``rows_a``, ``rows_b`` and the projection frozen the attention
+        node's adjoint still returns all four inputs' gradients; the walk
+        drops the three that nothing needs
+        (``test_gradients_bitwise_those_of_the_kept_array``)."""
         leaves = self._leaves(consumer, frozen=True)
         h = RECIPE_PRODUCERS[producer](T.reshape(leaves["x"], (72, 8)), leaves)
         y = RECIPE_CONSUMERS[consumer](h, leaves)
         grads = y._node.backward_fn(np.random.default_rng(8).normal(size=y.shape))
-        assert [type(g) for g in grads] == [np.ndarray] * 3
-        assert [g.shape for g in grads] == [(72, 8)] * 3
+        assert [type(g) for g in grads] == [np.ndarray] * 4
+        assert [g.shape for g in grads] == [(72, 8)] * 3 + [(8, 8)]
 
     def test_backward_clears_the_recipes(self, rng):
         """The walk clears each node's recipe with its adjoint, so a forward

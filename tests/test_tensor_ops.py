@@ -131,12 +131,18 @@ SHAPE_ERRORS = [
                  id="cross-entropy-3d"),
     pytest.param(lambda: T.cross_entropy(_zeros(2, 3), np.array([0, 1, 2])), "does not match",
                  id="cross-entropy-labels"),
-    pytest.param(lambda: T.attention(_zeros(4, 6), _zeros(4, 6), _zeros(4, 3), 2, 2, 1.0),
+    pytest.param(lambda: T.attention(_zeros(4, 6), _zeros(4, 6), _zeros(4, 3), _zeros(6, 6),
+                                     2, 2, 1.0),
                  "k, v alike", id="attention-value-width"),
-    pytest.param(lambda: T.attention(_zeros(4, 6), _zeros(4, 6), _zeros(4, 6), 2, 4, 1.0),
+    pytest.param(lambda: T.attention(_zeros(4, 6), _zeros(4, 6), _zeros(4, 6), _zeros(6, 6),
+                                     2, 4, 1.0),
                  "do not split", id="attention-heads"),
-    pytest.param(lambda: T.attention(_zeros(4, 6), _zeros(3, 6), _zeros(3, 6), 2, 2, 1.0),
+    pytest.param(lambda: T.attention(_zeros(4, 6), _zeros(3, 6), _zeros(3, 6), _zeros(6, 6),
+                                     2, 2, 1.0),
                  "do not split", id="attention-images"),
+    pytest.param(lambda: T.attention(_zeros(4, 6), _zeros(4, 6), _zeros(4, 6), _zeros(6, 4),
+                                     2, 2, 1.0),
+                 "projection must have shape (6, 6)", id="attention-projection"),
     pytest.param(lambda: _zeros(2).item(), "single-element", id="item"),
 ]
 
@@ -314,6 +320,58 @@ class TestConv:
         expected = (patches.T @ g.reshape(-1, o)).reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
         assert grad.flags.c_contiguous
         assert grad.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @staticmethod
+    def _whole_weight_gradient(windows, g_mat):
+        """``g.T @ patches`` as one product, laid out as ``(O, C, kh, kw)``."""
+        kh, kw, c = windows.shape[3:]
+        gw = g_mat.T @ windows.reshape(len(g_mat), -1)
+        return np.ascontiguousarray(gw.reshape(-1, kh, kw, c).transpose(0, 3, 1, 2))
+
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,stride,padding",
+        [
+            pytest.param((2,) + hw + (c,), (o, c) + kernel, stride, padding, id=case.id)
+            for case in CONV_CASES
+            for stride, padding, kernel, (c, o), hw in [case.values]
+        ]
+        + [  # tiny@224's convolutions whose taps each run above the threshold
+            pytest.param((1, 224, 224, 3), (28, 3, 3, 3), 2, 1, id="tiny-stem.conv1"),
+            pytest.param((1, 112, 112, 28), (28, 28, 3, 3), 1, 1, id="tiny-stem.conv2-3"),
+            pytest.param((1, 112, 112, 28), (56, 28, 2, 2), 2, 0, id="tiny-stage1.embed"),
+            pytest.param((1, 56, 56, 56), (112, 56, 2, 2), 2, 0, id="tiny-stage2.embed"),
+            pytest.param((1, 28, 28, 112), (224, 112, 2, 2), 2, 0, id="tiny-stage3.embed"),
+            pytest.param((1, 14, 14, 224), (448, 224, 2, 2), 2, 0, id="tiny-stage4.embed"),
+        ],
+    )
+    def test_conv2d_weight_gradient_per_tap_bitwise_the_whole_product(
+        self, x_shape, w_shape, stride, padding, rng, monkeypatch
+    ):
+        """Tap by tap, each ``(O, C)`` block ``g.T @ tap`` is byte-equal to
+        those columns of the one ``g.T @ patches`` product. The threshold is
+        lifted so that ``CONV_CASES``, whose taps fall under it, go tap by
+        tap too (a 1x1 kernel stays one product); tiny@224's taps are above
+        it anyway. Measured for the bundled OpenBLAS, not promised."""
+        monkeypatch.setattr(T, "_SMALL_GEMM_MACS", 0)
+        o, c, kh, kw = w_shape
+        windows = T._windows(rng.normal(size=x_shape), kh, kw, stride, padding)
+        g_mat = rng.normal(size=(math.prod(windows.shape[:3]), o))
+        grad = T._conv_weight_grad(windows, g_mat)
+        assert grad.flags.c_contiguous
+        assert grad.tobytes() == self._whole_weight_gradient(windows, g_mat).tobytes()
+
+    def test_conv2d_weight_gradient_under_the_threshold_is_one_product(self, rng):
+        """The toy's stem conv2 and conv3 (7 channels at 16x16, batch 16) have
+        taps of 7 * 7 * 4096 MACs, under ``_SMALL_GEMM_MACS``: their weight
+        gradient stays one product, the bits the toy has always trained
+        with. Tap by tap, 428 of its 441 values here differ in the last bits
+        with the bundled OpenBLAS."""
+        o = c = 7
+        windows = T._windows(rng.normal(size=(16, 16, 16, c)), 3, 3, 1, 1)
+        g_mat = rng.normal(size=(16 * 16 * 16, o))
+        assert o * c * len(g_mat) <= T._SMALL_GEMM_MACS
+        grad = T._conv_weight_grad(windows, g_mat)
+        assert grad.tobytes() == self._whole_weight_gradient(windows, g_mat).tobytes()
 
     @pytest.mark.parametrize(
         "x_shape,stride,padding,kernel",
